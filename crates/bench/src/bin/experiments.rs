@@ -8,13 +8,17 @@
 //! cargo run --release -p webiq-bench --bin experiments -- --seed 7 fig6
 //! ```
 //!
-//! The `monitor` subcommand runs one fully-observed acquisition (JSONL
-//! trace + live `/metrics` endpoint + summary) and writes the artifacts
-//! the trace-regression CI gate compares against:
+//! The `monitor` subcommand runs one fully-observed acquisition plus a
+//! traced matching pass (JSONL trace + live `/metrics` endpoint +
+//! summary) and writes the artifacts both regression gates compare
+//! against: the acquisition trace for `webiq-report diff`, the decision
+//! lines for `webiq-report diff --decisions`, and the full trace for
+//! `webiq-report explain`:
 //!
 //! ```sh
 //! cargo run --release -p webiq-bench --bin experiments -- monitor \
-//!     --out trace.jsonl --summary-out summary.json
+//!     --out trace.jsonl --summary-out summary.json \
+//!     --decisions-out decisions.jsonl --trace-out full-trace.jsonl
 //! ```
 //!
 //! The `chaos` subcommand sweeps transient-fault rates × worker counts
@@ -35,16 +39,6 @@
 //!     --quick --out PROF_BASELINE.json
 //! ```
 //!
-//! The `explain` subcommand runs one fully-traced acquisition +
-//! matching pass with decision provenance enabled and writes the
-//! decision-stream artifact the decision-level regression gate
-//! (`webiq-report diff --decisions`) compares against:
-//!
-//! ```sh
-//! cargo run --release -p webiq-bench --bin experiments -- explain \
-//!     --out WHY_BASELINE.jsonl --trace-out trace.jsonl
-//! ```
-//!
 //! The `store` subcommand runs the persistence gate: one cold
 //! acquisition through a crash-safe store, a crash-point sweep over
 //! both persisted streams, a disk-fault append phase, and a warm run
@@ -59,28 +53,19 @@
 #![forbid(unsafe_code)]
 
 use webiq_bench::json::{rows, Json};
-use webiq_bench::{chaos, experiments, explain, monitor, profile, render, store};
+use webiq_bench::{chaos, experiments, monitor, profile, render, store};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("monitor") {
-        run_monitor(&argv[1..]);
-        return;
-    }
-    if argv.first().map(String::as_str) == Some("explain") {
-        run_explain(&argv[1..]);
-        return;
-    }
-    if argv.first().map(String::as_str) == Some("chaos") {
-        run_chaos(&argv[1..]);
-        return;
-    }
-    if argv.first().map(String::as_str) == Some("profile") {
-        run_profile(&argv[1..]);
-        return;
-    }
-    if argv.first().map(String::as_str) == Some("store") {
-        run_store(&argv[1..]);
+    let gate: Option<fn(&[String])> = match argv.first().map(String::as_str) {
+        Some("monitor") => Some(run_monitor),
+        Some("chaos") => Some(run_chaos),
+        Some("profile") => Some(run_profile),
+        Some("store") => Some(run_store),
+        _ => None,
+    };
+    if let Some(run) = gate {
+        run(&argv[1..]);
         return;
     }
     let mut seed = experiments::SEED;
@@ -173,73 +158,109 @@ fn main() {
     }
 }
 
-/// `experiments chaos`: the fault-rate × worker-count resilience sweep;
-/// prints the verdict and exits 1 when any rate fails the contract.
-fn run_chaos(args: &[String]) {
-    let mut seed = experiments::SEED;
-    let mut fault_seed = 42u64;
-    let mut domain = "book".to_string();
-    let mut quick = false;
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    let usage = "usage: experiments chaos [--seed N] [--fault-seed N] [--domain NAME] \
-                 [--quick] [--json] [--out FILE.json]";
-    let parse_u64 = |flag: &str, v: Option<&String>| -> u64 {
-        let v = v.cloned().unwrap_or_default();
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid {flag} value {v:?}");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => seed = parse_u64("--seed", it.next()),
-            "--fault-seed" => fault_seed = parse_u64("--fault-seed", it.next()),
-            "--domain" => match it.next() {
-                Some(v) => domain = v.clone(),
-                None => {
-                    eprintln!("--domain needs a name argument\n{usage}");
+/// The flags one gate subcommand was given, as `(flag, value)` pairs in
+/// order (a bare switch carries an empty value).
+struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// Parse `args` against a subcommand's vocabulary: each of `valued`
+    /// takes one argument, each of `switches` none. `--help` prints
+    /// `usage` and exits 0; an unknown flag or a missing argument prints
+    /// it and exits 2.
+    fn parse(args: &[String], valued: &[&str], switches: &[&str], usage: &str) -> Flags {
+        let mut flags = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let arg = arg.as_str();
+            if valued.contains(&arg) {
+                let Some(v) = it.next() else {
+                    eprintln!("{arg} needs an argument\n{usage}");
                     std::process::exit(2);
-                }
-            },
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = Some(v.clone()),
-                None => {
-                    eprintln!("--out needs a path argument\n{usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
+                };
+                flags.push((arg.to_string(), v.clone()));
+            } else if switches.contains(&arg) {
+                flags.push((arg.to_string(), String::new()));
+            } else if arg == "--help" || arg == "-h" {
                 eprintln!("{usage}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{usage}");
+                std::process::exit(0);
+            } else {
+                eprintln!("unknown argument `{arg}`\n{usage}");
                 std::process::exit(2);
             }
         }
+        Flags(flags)
     }
 
-    let (rates, threads): (&[f64], &[usize]) = if quick {
+    /// The last value given for `flag`.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.get(switch).is_some()
+    }
+
+    /// `flag` as a `u64`, or `default` when absent; exits 2 when malformed.
+    fn u64_or(&self, flag: &str, default: u64) -> u64 {
+        self.get(flag).map_or(default, |v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("invalid {flag} value {v:?}");
+                std::process::exit(2);
+            })
+        })
+    }
+}
+
+/// The value of a gate run, or exit 1 naming the subcommand.
+fn or_exit<T>(cmd: &str, r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{cmd}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Write `contents` to `path` when one was given; exit 1 on failure.
+fn write_to(cmd: &str, path: Option<&str>, contents: &str) {
+    if let Some(path) = path {
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("{cmd}: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `experiments chaos`: the fault-rate × worker-count resilience sweep;
+/// prints the verdict and exits 1 when any rate fails the contract.
+fn run_chaos(args: &[String]) {
+    let flags = Flags::parse(
+        args,
+        &["--seed", "--fault-seed", "--domain", "--out"],
+        &["--quick", "--json"],
+        "usage: experiments chaos [--seed N] [--fault-seed N] [--domain NAME] \
+         [--quick] [--json] [--out FILE.json]",
+    );
+    let (rates, threads): (&[f64], &[usize]) = if flags.has("--quick") {
         (&chaos::QUICK_RATES, &chaos::QUICK_THREADS)
     } else {
         (&chaos::FULL_RATES, &chaos::FULL_THREADS)
     };
-    let outcome = chaos::sweep(&domain, seed, fault_seed, rates, threads).unwrap_or_else(|e| {
-        eprintln!("chaos: {e}");
-        std::process::exit(1);
-    });
+    let outcome = or_exit(
+        "chaos",
+        chaos::sweep(
+            flags.get("--domain").unwrap_or("book"),
+            flags.u64_or("--seed", experiments::SEED),
+            flags.u64_or("--fault-seed", 42),
+            rates,
+            threads,
+        ),
+    );
     let verdict = format!("{}\n", outcome.to_json().pretty());
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, &verdict) {
-            eprintln!("chaos: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if json {
+    write_to("chaos", flags.get("--out"), &verdict);
+    if flags.has("--json") {
         print!("{verdict}");
     } else {
         print!("{}", outcome.render_text());
@@ -253,72 +274,25 @@ fn run_chaos(args: &[String]) {
 /// sweep, disk-fault phase, warm run; prints the verdict and exits 1
 /// when any property failed.
 fn run_store(args: &[String]) {
-    let mut seed = experiments::SEED;
-    let mut fault_seed = 42u64;
-    let mut domain = "book".to_string();
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut keep_dir: Option<String> = None;
-    let mut it = args.iter();
-    let usage = "usage: experiments store [--seed N] [--fault-seed N] [--domain NAME] \
-                 [--json] [--out FILE.json] [--keep STORE_DIR]";
-    let parse_u64 = |flag: &str, v: Option<&String>| -> u64 {
-        let v = v.cloned().unwrap_or_default();
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid {flag} value {v:?}");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => seed = parse_u64("--seed", it.next()),
-            "--fault-seed" => fault_seed = parse_u64("--fault-seed", it.next()),
-            "--domain" => match it.next() {
-                Some(v) => domain = v.clone(),
-                None => {
-                    eprintln!("--domain needs a name argument\n{usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--json" => json = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = Some(v.clone()),
-                None => {
-                    eprintln!("--out needs a path argument\n{usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--keep" => match it.next() {
-                Some(v) => keep_dir = Some(v.clone()),
-                None => {
-                    eprintln!("--keep needs a directory argument\n{usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("{usage}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let keep = keep_dir.as_ref().map(std::path::Path::new);
-    let outcome = store::run(&domain, seed, fault_seed, keep).unwrap_or_else(|e| {
-        eprintln!("store: {e}");
-        std::process::exit(1);
-    });
+    let flags = Flags::parse(
+        args,
+        &["--seed", "--fault-seed", "--domain", "--out", "--keep"],
+        &["--json"],
+        "usage: experiments store [--seed N] [--fault-seed N] [--domain NAME] \
+         [--json] [--out FILE.json] [--keep STORE_DIR]",
+    );
+    let outcome = or_exit(
+        "store",
+        store::run(
+            flags.get("--domain").unwrap_or("book"),
+            flags.u64_or("--seed", experiments::SEED),
+            flags.u64_or("--fault-seed", 42),
+            flags.get("--keep").map(std::path::Path::new),
+        ),
+    );
     let verdict = format!("{}\n", outcome.to_json().pretty());
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, &verdict) {
-            eprintln!("store: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if json {
+    write_to("store", flags.get("--out"), &verdict);
+    if flags.has("--json") {
         print!("{verdict}");
     } else {
         print!("{}", outcome.render_text());
@@ -332,58 +306,22 @@ fn run_store(args: &[String]) {
 /// attribution + scaling report and exits 1 when the trace bytes were
 /// not identical across thread counts.
 fn run_profile(args: &[String]) {
-    let mut seed = experiments::SEED;
-    let mut quick = false;
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut it = args.iter();
-    let usage = "usage: experiments profile [--seed N] [--quick] [--json] \
-                 [--out PROF_BASELINE.json]";
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = it.next().cloned().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --seed value {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--out" => match it.next() {
-                Some(v) => out_path = Some(v.clone()),
-                None => {
-                    eprintln!("--out needs a path argument\n{usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("{usage}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let (domains, threads): (&[&str], &[usize]) = if quick {
+    let flags = Flags::parse(
+        args,
+        &["--seed", "--out"],
+        &["--quick", "--json"],
+        "usage: experiments profile [--seed N] [--quick] [--json] \
+         [--out PROF_BASELINE.json]",
+    );
+    let (domains, threads): (&[&str], &[usize]) = if flags.has("--quick") {
         (&profile::QUICK_DOMAINS, &profile::QUICK_THREADS)
     } else {
         (&profile::DOMAINS, &profile::FULL_THREADS)
     };
-    let outcome = profile::sweep(domains, seed, threads).unwrap_or_else(|e| {
-        eprintln!("profile: {e}");
-        std::process::exit(1);
-    });
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, &outcome.baseline_json) {
-            eprintln!("profile: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if json {
+    let seed = flags.u64_or("--seed", experiments::SEED);
+    let outcome = or_exit("profile", profile::sweep(domains, seed, threads));
+    write_to("profile", flags.get("--out"), &outcome.baseline_json);
+    if flags.has("--json") {
         print!("{}", outcome.baseline_json);
     } else {
         print!("{}", outcome.report);
@@ -394,137 +332,41 @@ fn run_profile(args: &[String]) {
     }
 }
 
-/// `experiments explain`: one decision-traced acquisition + matching
-/// run; writes the artifacts the decision-level gate consumes.
-fn run_explain(args: &[String]) {
-    let mut seed = experiments::SEED;
-    let mut domain = "book".to_string();
-    let mut decisions_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    let usage = "usage: experiments explain [--seed N] [--domain NAME] \
-                 [--out WHY_BASELINE.jsonl] [--trace-out TRACE.jsonl]";
-    while let Some(arg) = it.next() {
-        let mut path_flag = |slot: &mut Option<String>| match it.next() {
-            Some(v) => *slot = Some(v.clone()),
-            None => {
-                eprintln!("{arg} needs a path argument\n{usage}");
-                std::process::exit(2);
-            }
-        };
-        match arg.as_str() {
-            "--seed" => {
-                let v = it.next().cloned().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --seed value {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--domain" => match it.next() {
-                Some(v) => domain = v.clone(),
-                None => {
-                    eprintln!("--domain needs a name argument\n{usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => path_flag(&mut decisions_out),
-            "--trace-out" => path_flag(&mut trace_out),
-            "--help" | "-h" => {
-                eprintln!("{usage}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let outcome = explain::run(&domain, seed).unwrap_or_else(|e| {
-        eprintln!("explain: {e}");
-        std::process::exit(1);
-    });
-    let write = |path: &str, contents: &str| {
-        if let Err(e) = std::fs::write(path, contents) {
-            eprintln!("explain: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Some(path) = &decisions_out {
-        write(path, &outcome.decisions_jsonl);
-    }
-    if let Some(path) = &trace_out {
-        write(path, &outcome.trace_jsonl);
-    }
-    println!("{}", outcome.summary.pretty());
-}
-
-/// `experiments monitor`: one observed acquisition run; writes the
-/// artifacts the trace-regression gate consumes.
+/// `experiments monitor`: one observed acquisition + matching run;
+/// writes the artifacts both regression gates consume.
 fn run_monitor(args: &[String]) {
-    let mut seed = experiments::SEED;
-    let mut domain = "book".to_string();
-    let mut trace_out: Option<String> = None;
-    let mut summary_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut it = args.iter();
-    let usage = "usage: experiments monitor [--seed N] [--domain NAME] \
-                 [--out TRACE.jsonl] [--summary-out FILE.json] [--metrics-out FILE.txt]";
-    while let Some(arg) = it.next() {
-        let mut path_flag = |slot: &mut Option<String>| match it.next() {
-            Some(v) => *slot = Some(v.clone()),
-            None => {
-                eprintln!("{arg} needs a path argument\n{usage}");
-                std::process::exit(2);
-            }
-        };
-        match arg.as_str() {
-            "--seed" => {
-                let v = it.next().cloned().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid --seed value {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--domain" => match it.next() {
-                Some(v) => domain = v.clone(),
-                None => {
-                    eprintln!("--domain needs a name argument\n{usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => path_flag(&mut trace_out),
-            "--summary-out" => path_flag(&mut summary_out),
-            "--metrics-out" => path_flag(&mut metrics_out),
-            "--help" | "-h" => {
-                eprintln!("{usage}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
+    let flags = Flags::parse(
+        args,
+        &[
+            "--seed",
+            "--domain",
+            "--out",
+            "--summary-out",
+            "--metrics-out",
+            "--decisions-out",
+            "--trace-out",
+        ],
+        &[],
+        "usage: experiments monitor [--seed N] [--domain NAME] \
+         [--out TRACE.jsonl] [--summary-out FILE.json] [--metrics-out FILE.txt] \
+         [--decisions-out DECISIONS.jsonl] [--trace-out FULL-TRACE.jsonl]",
+    );
+    let outcome = or_exit(
+        "monitor",
+        monitor::run(
+            flags.get("--domain").unwrap_or("book"),
+            flags.u64_or("--seed", experiments::SEED),
+        ),
+    );
+    let summary = outcome.summary.pretty();
+    for (flag, contents) in [
+        ("--out", &outcome.trace_jsonl),
+        ("--summary-out", &format!("{summary}\n")),
+        ("--metrics-out", &outcome.metrics_text),
+        ("--decisions-out", &outcome.decisions_jsonl),
+        ("--trace-out", &outcome.full_trace_jsonl),
+    ] {
+        write_to("monitor", flags.get(flag), contents);
     }
-
-    let outcome = monitor::run(&domain, seed).unwrap_or_else(|e| {
-        eprintln!("monitor: {e}");
-        std::process::exit(1);
-    });
-    let write = |path: &str, contents: &str| {
-        if let Err(e) = std::fs::write(path, contents) {
-            eprintln!("monitor: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Some(path) = &trace_out {
-        write(path, &outcome.trace_jsonl);
-    }
-    if let Some(path) = &summary_out {
-        write(path, &format!("{}\n", outcome.summary.pretty()));
-    }
-    if let Some(path) = &metrics_out {
-        write(path, &outcome.metrics_text);
-    }
-    println!("{}", outcome.summary.pretty());
+    println!("{summary}");
 }

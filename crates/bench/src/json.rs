@@ -1,5 +1,5 @@
 //! A minimal JSON value model and pretty-printer for the experiment
-//! artifacts (`--json` output and `BENCH_parallel.json`). Dependency-free
+//! artifacts (`--json` output and the committed baselines). Dependency-free
 //! on purpose: the repo builds offline, so the usual serde stack is not
 //! available.
 

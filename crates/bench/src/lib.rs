@@ -9,7 +9,6 @@
 
 pub mod chaos;
 pub mod experiments;
-pub mod explain;
 pub mod json;
 pub mod monitor;
 pub mod profile;

@@ -1,17 +1,27 @@
-//! The `monitor` experiment: one fully-observed acquisition run.
+//! The `monitor` experiment: one fully-observed run that feeds both CI
+//! regression gates.
 //!
 //! Runs a single domain's acquisition with every component enabled,
-//! wired to the whole observability stack at once:
+//! wired to the whole observability stack at once, then matches the
+//! enriched attributes inside a traced `matching` item on the same
+//! tracer:
 //!
-//! - a JSONL [`webiq::trace::Tracer`] producing the deterministic trace
-//!   (this is what `OBS_BASELINE.jsonl` is, and what CI diffs against it
-//!   with `webiq-report diff`);
+//! - a JSONL [`webiq::trace::Tracer`] producing the deterministic trace.
+//!   Its acquisition part, flushed before matching starts, is what
+//!   `OBS_BASELINE.jsonl` is (CI diffs it with `webiq-report diff`).
+//!   The full trace adds the matching item, so it carries every
+//!   match-relevant decision (`instance_validate`, `bayes_verify`,
+//!   `probe_verify`, `borrow_reuse`, `cluster_merge`); its decision
+//!   lines are what `WHY_BASELINE.jsonl` is (CI diffs them with
+//!   `webiq-report diff --decisions`), and `webiq-report explain`
+//!   renders evidence chains from it;
 //! - a [`webiq::obs::LiveRegistry`] the pipeline publishes into, served
 //!   over HTTP by a [`webiq::obs::MetricsServer`] on an ephemeral
 //!   localhost port and scraped once after the run (`/metrics` and
 //!   `/healthz`);
-//! - a summary object (`OBS_BASELINE.json`) recording the funnel plus
-//!   the scrape's health, written via the crate's [`crate::json`] model.
+//! - a summary object (`OBS_BASELINE.json`) recording the funnel, the
+//!   decision counts, the F-1 and the scrape's health, written via the
+//!   crate's [`crate::json`] model.
 //!
 //! Everything observable here is deterministic in the seed: the trace
 //! bytes, the post-run `/metrics` body, and the summary are identical
@@ -20,19 +30,37 @@
 use std::sync::Arc;
 
 use webiq::core::{Components, WebIQConfig};
+use webiq::matcher::MatchConfig;
 use webiq::obs::server::http_get;
 use webiq::obs::{LiveRegistry, MetricsServer};
-use webiq::pipeline::DomainPipeline;
+use webiq::pipeline::{DomainPipeline, THRESHOLD};
 use webiq::trace::report::{aggregate_run, funnel};
 use webiq::trace::{Event, SharedBuf, Tracer};
+use webiq::why::record;
 
 use crate::json::{obj, Json};
+
+/// The match-relevant decision families, in pipeline order.
+const DECISION_KINDS: [&str; 5] = [
+    record::INSTANCE_VALIDATE,
+    record::BAYES_VERIFY,
+    record::PROBE_VERIFY,
+    record::BORROW_REUSE,
+    record::CLUSTER_MERGE,
+];
 
 /// Everything one monitored run produced.
 #[derive(Debug)]
 pub struct MonitorOutcome {
-    /// The deterministic JSONL trace.
+    /// The acquisition's deterministic JSONL trace (the counter gate's
+    /// input).
     pub trace_jsonl: String,
+    /// The full trace: `trace_jsonl` followed by the traced matching
+    /// item.
+    pub full_trace_jsonl: String,
+    /// Only the decision lines of the full trace (the decision gate's
+    /// input).
+    pub decisions_jsonl: String,
     /// The post-run `/metrics` body (scraped over HTTP when the
     /// listener could bind, rendered directly otherwise).
     pub metrics_text: String,
@@ -45,7 +73,7 @@ pub struct MonitorOutcome {
     pub summary: Json,
 }
 
-/// Run one monitored acquisition of `domain` at `seed`.
+/// Run one monitored acquisition + matching pass of `domain` at `seed`.
 ///
 /// # Errors
 ///
@@ -64,10 +92,29 @@ pub fn run(domain: &str, seed: u64) -> Result<MonitorOutcome, String> {
         obs: Some(Arc::clone(&registry)),
         ..WebIQConfig::default()
     };
-    p.acquire(Components::ALL, &cfg)
+    let acq = p
+        .acquire(Components::ALL, &cfg)
         .map_err(|e| e.to_string())?;
     tracer.flush();
     let trace_jsonl = buf.contents_string();
+
+    let attrs = p.enriched_attributes(&acq);
+    let (_, metrics) =
+        p.match_and_evaluate_traced(&attrs, &MatchConfig::with_threshold(THRESHOLD), &tracer);
+    tracer.flush();
+    let full_trace_jsonl = buf.contents_string();
+    let decisions_jsonl: String = full_trace_jsonl
+        .lines()
+        .filter(|l| l.starts_with("{\"ev\":\"decision\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let count_kind = |kind: &str| {
+        let needle = format!("\"kind\":\"{kind}\"");
+        decisions_jsonl
+            .lines()
+            .filter(|l| l.contains(&needle))
+            .count()
+    };
 
     // Scrape the live endpoint; fall back to a direct render when the
     // environment refused the bind. The server serves
@@ -120,10 +167,18 @@ pub fn run(domain: &str, seed: u64) -> Result<MonitorOutcome, String> {
                 ("surface_success", Json::from(f.surface_success)),
             ]),
         ),
+        ("decisions", Json::from(decisions_jsonl.lines().count())),
+        (
+            "decisions_by_kind",
+            obj(DECISION_KINDS.map(|k| (k, Json::from(count_kind(k))))),
+        ),
+        ("f1", Json::from(metrics.f1)),
     ]);
 
     Ok(MonitorOutcome {
         trace_jsonl,
+        full_trace_jsonl,
+        decisions_jsonl,
         metrics_text,
         served_over_http,
         healthz,
@@ -144,15 +199,21 @@ fn strip_prof(scrape: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webiq::why::Provenance;
 
     #[test]
-    fn monitor_run_is_deterministic_and_consistent() {
+    fn monitor_run_is_deterministic_and_feeds_both_gates() {
         let a = run("book", 0x1ce0).expect("monitor run");
         let b = run("book", 0x1ce0).expect("monitor run");
-        assert_eq!(a.trace_jsonl, b.trace_jsonl);
+        assert_eq!(a.full_trace_jsonl, b.full_trace_jsonl);
         assert_eq!(a.metrics_text, b.metrics_text);
         assert_eq!(a.summary, b.summary);
         assert!(!a.trace_jsonl.is_empty());
+        assert!(
+            a.full_trace_jsonl.len() > a.trace_jsonl.len()
+                && a.full_trace_jsonl.starts_with(&a.trace_jsonl),
+            "the counter gate's trace must be a strict prefix of the full trace"
+        );
         assert!(a.metrics_text.contains("webiq_attrs_total_total"));
         assert!(
             !a.metrics_text.contains("webiq_prof_"),
@@ -168,6 +229,22 @@ mod tests {
                 assert_eq!(get("epochs"), Some(Json::Int(1)));
             }
             other => panic!("summary is not an object: {other:?}"),
+        }
+
+        // The book run exercises surface validation and clustering at
+        // minimum; every decision line must round-trip the parser.
+        let events: Vec<_> = a
+            .decisions_jsonl
+            .lines()
+            .map(|l| Event::parse(l).expect("decision line parses"))
+            .collect();
+        let p = Provenance::from_events(&events);
+        assert_eq!(p.decisions().len(), events.len());
+        for kind in ["instance_validate", "cluster_merge"] {
+            assert!(
+                !p.matching(kind).is_empty(),
+                "no {kind} decisions in the book run"
+            );
         }
     }
 }

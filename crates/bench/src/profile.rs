@@ -10,10 +10,9 @@
 //! the same code path `webiq-report profile` uses, so the printed
 //! report and the committed artifact can never drift apart.
 //!
-//! The sweep runs in the same regime as the `scaling_threads` bench
-//! that produced `BENCH_parallel.json` — each cache-missing engine
-//! query is charged a simulated round-trip of [`LATENCY_US`] — because
-//! that is the curve whose losses this diagnosis exists to attribute:
+//! Each cache-missing engine query is charged a simulated round-trip of
+//! [`LATENCY_US`], because that is the curve whose losses this
+//! diagnosis exists to attribute:
 //! real acquisition is I/O-bound, and workers buy their speedup by
 //! overlapping round-trips.
 //!
@@ -39,17 +38,15 @@ pub const DOMAINS: [&str; 5] = ["airfare", "auto", "book", "job", "realestate"];
 /// Domains the `--quick` sweep acquires.
 pub const QUICK_DOMAINS: [&str; 1] = ["book"];
 
-/// Worker counts of the full sweep — the BENCH_parallel grid.
+/// Worker counts of the full sweep.
 pub const FULL_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Worker counts of the `--quick` sweep (still enough for a fit: a
 /// 1-thread baseline plus one parallel point).
 pub const QUICK_THREADS: [usize; 2] = [1, 2];
 
-/// Simulated round-trip per cache-missing engine query — the same
-/// 1:300 scale-down of the paper's ~0.3 s Google latency the
-/// `scaling_threads` bench uses, so the fitted curve is the
-/// `BENCH_parallel.json` regime.
+/// Simulated round-trip per cache-missing engine query — a 1:300
+/// scale-down of the paper's ~0.3 s Google latency.
 pub const LATENCY_US: u64 = 1000;
 
 /// Everything one profile sweep produced.

@@ -22,8 +22,7 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// Per-measurement statistics, also returned to callers that want the
-/// numbers rather than the printed line (e.g. the scaling-threads bench).
+/// Per-measurement statistics behind the printed line.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// Median per-iteration seconds.

@@ -14,7 +14,7 @@
 
 use webiq_data::interface::Dataset;
 use webiq_data::DomainDef;
-use webiq_fault::FaultConfig;
+use webiq_fault::{FaultConfig, Fnv64};
 use webiq_store::WarmRun;
 use webiq_trace::{Counter, MetricSet};
 
@@ -22,18 +22,15 @@ use crate::acquire::{Acquisition, AcquisitionReport};
 use crate::config::{Components, WebIQConfig};
 
 /// Streaming FNV-1a (64-bit) over the run's identity material.
-struct Fnv(u64);
+struct Fnv(Fnv64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(Fnv64::new())
     }
 
     fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0.write(b);
     }
 
     /// A length-prefixed string, so `("ab","c")` and `("a","bc")` feed
@@ -120,7 +117,7 @@ pub fn run_fingerprint(
     // covers every knob without chasing the struct's evolution here.
     h.str(&format!("{fault:?}"));
     h.u64(corpus_docs);
-    h.0
+    h.0.finish()
 }
 
 /// The merged counter totals of a run as stable `(name, value)` pairs —

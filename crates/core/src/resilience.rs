@@ -18,6 +18,7 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
+use webiq_deep::source::param_hash;
 use webiq_deep::{DeepError, DeepSource};
 use webiq_fault::{
     query_key, CircuitBreaker, FaultConfig, FaultPlan, QuotaTracker, RetryBudget, RetryPolicy,
@@ -196,24 +197,12 @@ impl<'a> ResilientSource<'a> {
     }
 }
 
-/// The backoff-jitter key of a submission: the same FNV-1a fold over
-/// `name\0value\0…` the source itself hashes, so schedules are a pure
-/// function of the request.
-fn values_key(values: &BTreeMap<String, String>) -> u64 {
-    let mut buf = String::new();
-    for (k, v) in values {
-        buf.push_str(k);
-        buf.push('\0');
-        buf.push_str(v);
-        buf.push('\0');
-    }
-    query_key(&buf)
-}
-
 impl ProbeTarget for ResilientSource<'_> {
     fn probe(&self, values: &BTreeMap<String, String>) -> bool {
         let breaker = &self.res.probe_breaker;
-        let key = values_key(values);
+        // The backoff-jitter key: the hash the source itself draws its
+        // faults from, so schedules are a pure function of the request.
+        let key = param_hash(values);
         let mut attempt = 0u32;
         loop {
             if !breaker.allow(&self.res.clock) {

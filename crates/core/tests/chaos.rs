@@ -4,6 +4,8 @@
 //!
 //! - a fixed fault seed yields byte-identical trace streams and reports
 //!   at any worker count, for transient rates up to 20%;
+//! - wrappers that are armed but never fire acquire exactly what a
+//!   disabled fault config does;
 //! - a 10% transient-fault run completes the full domain, keeps the
 //!   matching F-1 within a small margin of the clean run, and reports
 //!   every degraded attribute;
@@ -123,6 +125,27 @@ fn disabled_faults_leave_the_trace_stream_unchanged() {
     let (_, plain) = run_chaos(1, 2, FaultConfig::default());
     let (_, zero_rate) = run_chaos(1, 2, FaultConfig::chaos(99, 0.0));
     assert_eq!(plain, zero_rate, "disabled configs must be byte-identical");
+}
+
+#[test]
+fn armed_but_idle_faults_acquire_what_disabled_faults_do() {
+    // A quota no run can exhaust arms the resilient wrappers on every
+    // call, yet with every injection rate at zero nothing ever fires:
+    // the acquisition must match the disabled run exactly.
+    let idle = FaultConfig {
+        daily_quota: u64::MAX,
+        ..FaultConfig::default()
+    };
+    assert!(idle.enabled(), "the idle config must arm the wrappers");
+    for threads in [1, 2] {
+        let (mut off, _) = run_chaos(1, threads, FaultConfig::default());
+        let (mut armed, _) = run_chaos(1, threads, idle.clone());
+        zero_secs(&mut off);
+        zero_secs(&mut armed);
+        assert_eq!(off.acquired, armed.acquired, "{threads} workers");
+        assert_eq!(off.degraded, armed.degraded, "{threads} workers");
+        assert_eq!(off.report, armed.report, "{threads} workers");
+    }
 }
 
 #[test]

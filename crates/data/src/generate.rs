@@ -6,7 +6,7 @@
 //! (hard prepositional/verb-phrase variants included), and the
 //! disjoint-instance split for concepts with two regional pools.
 
-use webiq_rng::{SliceRandom, StdRng};
+use webiq_rng::{fnv1a, SliceRandom, StdRng};
 
 use crate::interface::{Attribute, Dataset, Interface};
 use crate::kb::{ConceptDef, DomainDef};
@@ -128,7 +128,7 @@ fn generate_attribute(
 
 /// Generate the dataset for one domain.
 pub fn generate_domain(def: &DomainDef, opts: &GenOptions) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(opts.seed ^ hash_key(def.key));
+    let mut rng = StdRng::seed_from_u64(opts.seed ^ fnv1a(def.key.as_bytes()));
     let mut interfaces = Vec::with_capacity(opts.interfaces);
     for i in 0..opts.interfaces {
         let site = def.site_names[i % def.site_names.len()].to_string();
@@ -169,16 +169,6 @@ pub fn generate_all(opts: &GenOptions) -> Vec<Dataset> {
         .iter()
         .map(|d| generate_domain(d, opts))
         .collect()
-}
-
-/// FNV-1a hash of a domain key, for seed derivation.
-fn hash_key(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use webiq_fault::FaultPlan;
+use webiq_fault::{FaultPlan, Fnv64};
 use webiq_trace::Counter;
 
 use crate::error::DeepError;
@@ -239,16 +239,17 @@ impl DeepSource {
     }
 }
 
-/// Deterministic hash of the submitted parameters (FNV-1a).
-fn param_hash(values: &BTreeMap<String, String>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+/// Deterministic hash of the submitted parameters: FNV-1a over
+/// `name\0value\0…` in name order.
+pub fn param_hash(values: &BTreeMap<String, String>) -> u64 {
+    let mut h = Fnv64::new();
     for (k, v) in values {
-        for b in k.bytes().chain([0u8]).chain(v.bytes()).chain([0u8]) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        h.write(k.as_bytes());
+        h.write(&[0]);
+        h.write(v.as_bytes());
+        h.write(&[0]);
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

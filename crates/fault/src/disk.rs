@@ -22,7 +22,7 @@
 //! artefact that does not repeat once the process is back up.
 
 use crate::plan::mix;
-use webiq_rng::StdRng;
+use webiq_rng::{fnv1a, StdRng};
 
 /// Filesystem operations the plan can intercept, as the store's IO shim
 /// names them. The operation is part of the draw, so a plan can fail a
@@ -228,15 +228,6 @@ impl DiskFaultPlan {
         }
         None
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

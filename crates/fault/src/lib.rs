@@ -44,3 +44,7 @@ pub use disk::{DiskFaultKind, DiskFaultPlan, DiskOp};
 pub use plan::{query_key, FaultKind, FaultPlan};
 pub use quota::{QuotaTracker, GOOGLE_2006_DAILY_QUOTA};
 pub use retry::{RetryBudget, RetryPolicy};
+/// Re-exported so the layers above this crate (`webiq-deep`,
+/// `webiq-core`) hash with the workspace's one FNV-1a without a direct
+/// `webiq-rng` dependency.
+pub use webiq_rng::Fnv64;

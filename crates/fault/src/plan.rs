@@ -18,7 +18,7 @@
 //! Because no decision reads mutable state, injection is deterministic
 //! at any worker count and across reruns — the chaos suite pins this.
 
-use webiq_rng::StdRng;
+use webiq_rng::{fnv1a, StdRng};
 
 use crate::config::FaultConfig;
 
@@ -151,15 +151,6 @@ impl FaultPlan {
 /// (FNV-1a, the same family `DeepSource` hashes its parameters with).
 pub fn query_key(query: &str) -> u64 {
     fnv1a(query.as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// Fold words into one well-mixed u64 (FNV fold + xor-shift avalanche);

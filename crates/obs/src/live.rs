@@ -11,8 +11,8 @@
 //!
 //! Counters live in a lock-free [`SharedMetrics`]; gauges, histograms,
 //! and the sliding window sit behind one mutex taken only on publish and
-//! scrape (both far off the per-query hot path — the `obs_overhead`
-//! bench pins the publish cost under 1% of acquisition wall-clock).
+//! scrape (both far off the per-query hot path; the benchmark's
+//! `observed` workload measures them with the other optional layers).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};

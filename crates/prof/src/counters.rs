@@ -10,8 +10,7 @@
 //! [`record_worker`]) without any plumbing, and measurement tools take
 //! [`snapshot`]s or [`reset`] between runs. All operations are relaxed
 //! atomic adds/maxes: wait-free, allocation-free, and cheap enough to
-//! stay always-on (the `prof_overhead` bench holds the total under 1%
-//! of acquisition wall-clock).
+//! stay always-on (every `webiq-benchmark` pass includes their cost).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -373,15 +372,6 @@ impl ProfSnapshot {
         (self.get(ProfCounter::WorkerMaxItems) as f64 / mean - 1.0).max(0.0)
     }
 
-    /// Total wall-clock credited to all stages, in nanoseconds. Stages
-    /// nest, so this over-counts relative to elapsed time; useful only
-    /// as an upper bound (e.g. the overhead bench's op budget).
-    pub fn total_stage_nanos(&self) -> u64 {
-        self.stage_nanos
-            .iter()
-            .fold(0u64, |a, &b| a.saturating_add(b))
-    }
-
     /// Render as Prometheus text: `webiq_prof_*_total` counters,
     /// `webiq_prof_worker_max_*` peak gauges, and per-stage
     /// `webiq_prof_stage_<name>_{nanos,calls}_total` accumulators.
@@ -614,13 +604,5 @@ garbage
         for &stage in &Stage::ALL {
             assert_eq!(s.stage_nanos(stage), 0);
         }
-    }
-
-    #[test]
-    fn total_stage_nanos_sums_all_stages() {
-        let mut s = ProfSnapshot::new();
-        s.stage_nanos[Stage::Extract as usize] = 10;
-        s.stage_nanos[Stage::Probe as usize] = 32;
-        assert_eq!(s.total_stage_nanos(), 42);
     }
 }

@@ -23,8 +23,8 @@
 //! A [`ProfSnapshot`] is a point-in-time copy of everything, renderable
 //! as `webiq_prof_*` Prometheus series ([`ProfSnapshot::render_prom`])
 //! and parseable back from a scrape ([`ProfSnapshot::from_prom_text`])
-//! so regression gates can diff two profiles. The `prof_overhead` bench
-//! pins the whole apparatus under 1% of acquisition wall-clock.
+//! so regression gates can diff two profiles. The registry cannot be
+//! switched off, so every `webiq-benchmark` pass includes its cost.
 //!
 //! Like every library crate in the workspace, webiq-prof is
 //! dependency-free and panic-free.

@@ -3,7 +3,8 @@
 //! The workspace builds in hermetic environments with no registry access,
 //! so everything that used to come from the `rand` crate lives here: a
 //! seedable generator ([`StdRng`], xoshiro256** seeded via SplitMix64),
-//! slice helpers ([`SliceRandom`]), and a tiny property-test harness
+//! slice helpers ([`SliceRandom`]), the workspace's one stable string
+//! hash ([`Fnv64`], 64-bit FNV-1a), and a tiny property-test harness
 //! ([`prop`]) that replaces `proptest` for the `tests/properties.rs`
 //! suites.
 //!
@@ -191,9 +192,70 @@ impl<T> SliceRandom for [T] {
     }
 }
 
+/// Streaming 64-bit FNV-1a: the workspace's one stable hash for seed
+/// derivation, fault keys, shard selection, and run fingerprints.
+///
+/// Unlike `std`'s `DefaultHasher` its output is fixed across platforms,
+/// releases and processes, so it may feed persisted artifacts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher at the FNV offset basis (the hash of no bytes).
+    #[inline]
+    pub fn new() -> Self {
+        Fnv64(Self::OFFSET)
+    }
+
+    /// Fold `bytes` into the hash.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
+/// The 64-bit FNV-1a hash of `bytes`.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // Streaming is split-invariant.
+        let mut h = Fnv64::default();
+        h.write(b"foo");
+        h.write(b"");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
+    }
 
     #[test]
     fn deterministic_in_seed() {

@@ -12,8 +12,8 @@
 //! - metrics are typed [`Counter`]s / [`Gauge`]s / [`HistKey`]s recorded
 //!   in thread-local [`MetricSet`]s whose per-item *deltas* are merged at
 //!   scope-join ([`metrics`]);
-//! - sinks are pluggable: [`NoopSink`] (tracing off costs nothing —
-//!   guarded by the `trace_overhead` bench), [`MemorySink`] for tests,
+//! - sinks are pluggable: [`NoopSink`] (a disabled tracer builds no
+//!   events at all), [`MemorySink`] for tests,
 //!   and [`JsonlSink`] for durable traces ([`sink`]);
 //! - [`report`] renders a trace into the per-domain funnel summary
 //!   (attrs in → candidates → verified → borrowed → probed → matched),

@@ -5,8 +5,7 @@
 //! cover the pipeline's needs:
 //!
 //! - [`NoopSink`]: discards everything. A disabled tracer never reaches
-//!   a sink at all, so tracing costs nothing when off (the
-//!   `trace_overhead` bench guards this).
+//!   a sink at all.
 //! - [`MemorySink`]: collects events behind a shared handle, for tests.
 //! - [`JsonlSink`]: serializes each event as one JSON line into any
 //!   writer (a file, or a [`SharedBuf`] for in-process inspection).

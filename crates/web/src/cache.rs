@@ -19,6 +19,7 @@ use std::hash::Hash;
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use webiq_prof::ProfCounter;
+use webiq_rng::fnv1a;
 
 /// Lock a cache shard, recovering from poisoning. Every cached value is
 /// a pure function of its key, so a shard left by a panicking thread is
@@ -45,14 +46,9 @@ fn lock_shard<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// typical worker counts keeps the collision probability per lookup low.
 pub const SHARDS: usize = 16;
 
-/// FNV-1a, used only for shard selection (stable across platforms).
-pub fn shard_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The shard `key` lives in (FNV-1a, so stable across platforms).
+fn shard_index(key: &str) -> usize {
+    (fnv1a(key.as_bytes()) as usize) % SHARDS
 }
 
 /// An N-way sharded `HashMap<String, V>` for read-mostly memoisation.
@@ -69,7 +65,7 @@ impl<V: Clone> ShardedMap<V> {
     }
 
     fn shard(&self, key: &str) -> &Mutex<HashMap<String, V>> {
-        &self.shards[(shard_hash(key) as usize) % SHARDS]
+        &self.shards[shard_index(key)]
     }
 
     /// Cloned value for `key`, if present.
@@ -235,13 +231,13 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
 
     /// Cloned value under the shard selected by `shard_key`.
     pub fn get(&self, shard_key: &str, key: &K) -> Option<V> {
-        lock_shard(&self.shards[(shard_hash(shard_key) as usize) % SHARDS]).get(key)
+        lock_shard(&self.shards[shard_index(shard_key)]).get(key)
     }
 
     /// Insert under the shard selected by `shard_key`, returning the
     /// evicted key (if the shard was at capacity).
     pub fn insert(&self, shard_key: &str, key: K, val: V) -> Option<K> {
-        lock_shard(&self.shards[(shard_hash(shard_key) as usize) % SHARDS]).insert(key, val)
+        lock_shard(&self.shards[shard_index(shard_key)]).insert(key, val)
     }
 }
 

@@ -25,12 +25,16 @@ fn report_stdin(args: &[&str], stdin_data: &str) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary spawns");
-    child
+    // A child that rejects its arguments exits without reading stdin and
+    // so may close the pipe first; its exit status is what callers check.
+    let written = child
         .stdin
         .take()
         .expect("stdin handle")
-        .write_all(stdin_data.as_bytes())
-        .expect("write stdin");
+        .write_all(stdin_data.as_bytes());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
     child.wait_with_output().expect("binary runs")
 }
 
