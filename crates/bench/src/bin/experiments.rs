@@ -52,8 +52,33 @@
 //! ```
 #![forbid(unsafe_code)]
 
-use webiq_bench::json::{rows, Json};
+use webiq_bench::json::{self, Json, ToJson};
 use webiq_bench::{chaos, experiments, monitor, profile, render, store};
+
+/// One artifact at a seed: its rows as JSON and as the rendered table.
+type Artifact = fn(u64) -> (Json, String);
+
+/// The artifacts the evaluation mode prints, in order (none named = all).
+const ARTIFACTS: [(&str, Artifact); 7] = [
+    ("table1", |s| both(&experiments::table1(s), render::table1)),
+    ("fig6", |s| both(&experiments::fig6(s), render::fig6)),
+    ("fig7", |s| both(&experiments::fig7(s), render::fig7)),
+    ("fig8", |s| both(&experiments::fig8(s), render::fig8)),
+    ("ablations", |s| {
+        both(&experiments::ablations(s), render::ablations)
+    }),
+    ("learned", |s| {
+        both(&experiments::learned_thresholds(s), render::learned)
+    }),
+    ("weights", |s| {
+        both(&experiments::weights(s), render::weights)
+    }),
+];
+
+/// `rows` as JSON and as rendered by `render`.
+fn both<T: ToJson>(rows: &[T], render: fn(&[T]) -> String) -> (Json, String) {
+    (json::rows(rows), render(rows))
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -68,6 +93,11 @@ fn main() {
         run(&argv[1..]);
         return;
     }
+    let usage = format!(
+        "usage: experiments [--seed N] [--json] [{}]...\n       \
+         experiments monitor|chaos|profile|store [--help | FLAGS...]",
+        ARTIFACTS.map(|(name, _)| name).join("|")
+    );
     let mut seed = experiments::SEED;
     let mut json = false;
     let mut wanted: Vec<String> = Vec::new();
@@ -83,78 +113,28 @@ fn main() {
             }
             "--json" => json = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--seed N] [--json] \
-                     [table1|fig6|fig7|fig8|ablations|learned|weights|trace]..."
-                );
+                eprintln!("{usage}");
                 return;
             }
-            other => wanted.push(other.to_string()),
+            name if ARTIFACTS.iter().any(|(a, _)| *a == name) => wanted.push(name.to_string()),
+            other => {
+                eprintln!("unknown artifact `{other}`\n{usage}");
+                std::process::exit(2);
+            }
         }
     }
-    let all = wanted.is_empty();
-    let want = |name: &str| all || wanted.iter().any(|w| w == name);
-
+    let chosen = ARTIFACTS
+        .into_iter()
+        .filter(|(a, _)| wanted.is_empty() || wanted.iter().any(|w| w == a));
     if json {
-        let mut out: Vec<(String, Json)> = vec![("seed".into(), Json::from(seed))];
-        if want("table1") {
-            out.push(("table1".into(), rows(&experiments::table1(seed))));
-        }
-        if want("fig6") {
-            out.push(("fig6".into(), rows(&experiments::fig6(seed))));
-        }
-        if want("fig7") {
-            out.push(("fig7".into(), rows(&experiments::fig7(seed))));
-        }
-        if want("fig8") {
-            out.push(("fig8".into(), rows(&experiments::fig8(seed))));
-        }
-        if want("ablations") {
-            out.push(("ablations".into(), rows(&experiments::ablations(seed))));
-        }
-        if want("learned") {
-            out.push((
-                "learned".into(),
-                rows(&experiments::learned_thresholds(seed)),
-            ));
-        }
-        if want("weights") {
-            out.push(("weights".into(), rows(&experiments::weights(seed))));
-        }
-        if want("trace") {
-            out.push(("trace".into(), rows(&experiments::trace_summary(seed))));
-        }
+        let mut out = vec![("seed".to_string(), Json::from(seed))];
+        out.extend(chosen.map(|(name, run)| (name.to_string(), run(seed).0)));
         println!("{}", Json::Obj(out).pretty());
-        return;
-    }
-
-    println!("WebIQ evaluation (seed {seed:#x}); every run is deterministic in the seed.\n");
-    if want("table1") {
-        println!("{}", render::table1(&experiments::table1(seed)));
-    }
-    if want("fig6") {
-        println!("{}", render::fig6(&experiments::fig6(seed)));
-    }
-    if want("fig7") {
-        println!("{}", render::fig7(&experiments::fig7(seed)));
-    }
-    if want("fig8") {
-        println!("{}", render::fig8(&experiments::fig8(seed)));
-    }
-    if want("ablations") {
-        println!("{}", render::ablations(&experiments::ablations(seed)));
-    }
-    if want("learned") {
-        println!(
-            "{}",
-            render::learned(&experiments::learned_thresholds(seed))
-        );
-    }
-    if want("weights") {
-        println!("{}", render::weights(&experiments::weights(seed)));
-    }
-    if want("trace") {
-        println!("{}", render::trace(&experiments::trace_summary(seed)));
+    } else {
+        println!("WebIQ evaluation (seed {seed:#x}); every run is deterministic in the seed.\n");
+        for (_, run) in chosen {
+            println!("{}", run(seed).1);
+        }
     }
 }
 

@@ -370,39 +370,6 @@ fn run_config(seed: u64, name: &'static str, cfg: &WebIQConfig) -> AblationRow {
     }
 }
 
-/// One row of the trace summary: a domain's merged run totals from a
-/// traced full acquisition + matching pass.
-#[derive(Debug, Clone)]
-pub struct TraceRow {
-    /// Domain display name.
-    pub domain: &'static str,
-    /// Merged counters, gauges, and histograms for the run.
-    pub totals: webiq::trace::Totals,
-}
-
-/// Run every domain's full pipeline (acquisition + matching) under a
-/// tracer and return the merged run totals — the `webiq-report` funnel
-/// per domain. Deterministic in the seed like every other experiment.
-pub fn trace_summary(seed: u64) -> Vec<TraceRow> {
-    par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
-        let tracer = webiq::trace::Tracer::noop();
-        let acq = p
-            .acquire_traced(Components::ALL, tracer.clone())
-            .expect("acquisition");
-        // Fold the matcher pass into the same trace so the funnel's
-        // `matched` stage (cluster merges) is populated too.
-        let item = tracer.item("match", def.key);
-        let attrs = p.enriched_attributes(&acq);
-        let _ = p.match_and_evaluate(&attrs, &MatchConfig::with_threshold(THRESHOLD));
-        tracer.submit(item.finish());
-        TraceRow {
-            domain: def.display,
-            totals: tracer.totals(),
-        }
-    })
-}
-
 /// The design-choice ablations of DESIGN.md §5.
 pub fn ablations(seed: u64) -> Vec<AblationRow> {
     let base = WebIQConfig::default();
@@ -545,29 +512,6 @@ impl ToJson for AblationRow {
     }
 }
 
-impl ToJson for TraceRow {
-    fn to_json(&self) -> Json {
-        let f = webiq::trace::report::funnel(&self.totals.counters);
-        obj([
-            ("domain", self.domain.into()),
-            ("attrs_total", f.attrs_total.into()),
-            ("no_instance", f.no_instance.into()),
-            ("predefined", f.predefined.into()),
-            ("candidates", f.candidates.into()),
-            ("verified", f.verified.into()),
-            ("borrowed", f.borrowed.into()),
-            ("probed", f.probed.into()),
-            ("matched", f.matched.into()),
-            ("surface_success", f.surface_success.into()),
-            ("surface_deep_success", f.surface_deep_success.into()),
-            ("attr_surface_enriched", f.attr_surface_enriched.into()),
-            ("surface_queries", f.surface_queries.into()),
-            ("attr_surface_queries", f.attr_surface_queries.into()),
-            ("attr_deep_probes", f.attr_deep_probes.into()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,19 +529,6 @@ mod tests {
                 "{}: deep >= surface",
                 r.domain
             );
-        }
-    }
-
-    #[test]
-    fn trace_summary_covers_all_domains_with_populated_funnels() {
-        let rows = trace_summary(SEED);
-        let names: Vec<&str> = rows.iter().map(|r| r.domain).collect();
-        assert_eq!(names, vec!["Airfare", "Auto", "Book", "Job", "Real Estate"]);
-        for r in &rows {
-            let f = webiq::trace::report::funnel(&r.totals.counters);
-            assert!(f.attrs_total > 0, "{}: no attributes traced", r.domain);
-            assert!(f.candidates >= f.verified, "{}: funnel widens", r.domain);
-            assert!(f.matched > 0, "{}: matcher pass untraced", r.domain);
         }
     }
 

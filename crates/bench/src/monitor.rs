@@ -20,8 +20,8 @@
 //!   localhost port and scraped once after the run (`/metrics` and
 //!   `/healthz`);
 //! - a summary object (`OBS_BASELINE.json`) recording the funnel, the
-//!   decision counts, the F-1 and the scrape's health, written via the
-//!   crate's [`crate::json`] model.
+//!   decision counts, the F-1 and the scrape's health, written through
+//!   the workspace codec ([`webiq::trace::json`]).
 //!
 //! Everything observable here is deterministic in the seed: the trace
 //! bytes, the post-run `/metrics` body, and the summary are identical
@@ -103,18 +103,15 @@ pub fn run(domain: &str, seed: u64) -> Result<MonitorOutcome, String> {
         p.match_and_evaluate_traced(&attrs, &MatchConfig::with_threshold(THRESHOLD), &tracer);
     tracer.flush();
     let full_trace_jsonl = buf.contents_string();
-    let decisions_jsonl: String = full_trace_jsonl
+    let decisions: Vec<(&str, String)> = full_trace_jsonl
         .lines()
-        .filter(|l| l.starts_with("{\"ev\":\"decision\""))
-        .map(|l| format!("{l}\n"))
+        .filter_map(|l| match Event::parse(l)? {
+            Event::Decision { kind, .. } => Some((l, kind)),
+            _ => None,
+        })
         .collect();
-    let count_kind = |kind: &str| {
-        let needle = format!("\"kind\":\"{kind}\"");
-        decisions_jsonl
-            .lines()
-            .filter(|l| l.contains(&needle))
-            .count()
-    };
+    let decisions_jsonl: String = decisions.iter().map(|(l, _)| format!("{l}\n")).collect();
+    let count_kind = |kind: &str| decisions.iter().filter(|(_, k)| k == kind).count();
 
     // Scrape the live endpoint; fall back to a direct render when the
     // environment refused the bind. The server serves
@@ -167,7 +164,7 @@ pub fn run(domain: &str, seed: u64) -> Result<MonitorOutcome, String> {
                 ("surface_success", Json::from(f.surface_success)),
             ]),
         ),
-        ("decisions", Json::from(decisions_jsonl.lines().count())),
+        ("decisions", Json::from(decisions.len())),
         (
             "decisions_by_kind",
             obj(DECISION_KINDS.map(|k| (k, Json::from(count_kind(k))))),

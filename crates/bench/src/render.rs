@@ -2,7 +2,7 @@
 //! reports them.
 
 use crate::experiments::{
-    AblationRow, Fig6Row, Fig7Row, Fig8Row, LearnedRow, Table1Row, TraceRow, WeightsRow,
+    AblationRow, Fig6Row, Fig7Row, Fig8Row, LearnedRow, Table1Row, WeightsRow,
 };
 
 /// Render Table 1.
@@ -179,19 +179,6 @@ pub fn learned(rows: &[LearnedRow]) -> String {
     s
 }
 
-/// Render the per-domain trace summary: the `webiq-report` funnel and
-/// run totals for a traced full-pipeline run.
-pub fn trace(rows: &[TraceRow]) -> String {
-    let mut s = String::new();
-    s.push_str("TRACE SUMMARY: per-domain pipeline funnel (acquisition + matching)\n");
-    for r in rows {
-        s.push('\n');
-        s.push_str(&format!("=== {} ===\n", r.domain));
-        s.push_str(&webiq::trace::report::render(&r.totals));
-    }
-    s
-}
-
 /// A 0–100 value as an ASCII bar.
 fn bar(pct: f64) -> String {
     let filled = (pct / 2.0).round().clamp(0.0, 50.0) as usize;
@@ -209,7 +196,6 @@ mod tests {
         assert!(fig7(&[]).contains("FIGURE 7"));
         assert!(fig8(&[]).contains("FIGURE 8"));
         assert!(ablations(&[]).contains("ABLATIONS"));
-        assert!(trace(&[]).contains("TRACE SUMMARY"));
     }
 
     #[test]

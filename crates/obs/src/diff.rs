@@ -27,6 +27,7 @@
 //! deltas` — any delta at all is a behaviour change someone made.
 
 use webiq_prof::{ProfCounter, ProfSnapshot};
+use webiq_trace::json::{obj, Json};
 use webiq_trace::report::aggregate_run;
 use webiq_trace::tracer::Totals;
 use webiq_trace::{Counter, Event, HistKey, MetricSet};
@@ -295,80 +296,55 @@ impl DiffReport {
         out
     }
 
-    /// Deterministic machine-readable rendering (hand-rolled JSON, like
-    /// the rest of the workspace).
+    /// Deterministic machine-readable rendering, written compact through
+    /// the workspace codec ([`webiq_trace::json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"baseline\":{},\"candidate\":{},\"regressed\":{},\"zero_deltas\":{}",
-            json_str(&self.baseline_label),
-            json_str(&self.candidate_label),
-            self.regressed(),
-            self.is_zero()
-        ));
-        out.push_str(",\"counters\":[");
-        for (i, d) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"baseline\":{},\"candidate\":{},\"change_pct\":{:.1},\"regressed\":{}}}",
-                d.counter.name(),
-                d.baseline,
-                d.candidate,
-                d.change_pct,
-                d.regressed
-            ));
-        }
-        out.push_str("],\"stages\":[");
-        for (i, d) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"baseline\":{},\"candidate\":{},\"regressed\":{}}}",
-                d.stage,
-                json_opt(d.baseline),
-                json_opt(d.candidate),
-                d.regressed
-            ));
-        }
-        out.push_str("],\"quantiles\":[");
-        for (i, d) in self.quantiles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"hist\":\"{}\",\"q\":\"{}\",\"baseline\":{},\"candidate\":{},\"regressed\":{}}}",
-                d.hist.name(),
-                d.quantile,
-                json_opt(d.baseline),
-                json_opt(d.candidate),
-                d.regressed
-            ));
-        }
-        out.push_str("],\"prof\":[");
-        for (i, d) in self.prof.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"baseline\":{:.4},\"candidate\":{:.4},\"regressed\":{}}}",
-                json_str(&d.name),
-                d.baseline,
-                d.candidate,
-                d.regressed
-            ));
-        }
-        out.push_str("],\"failures\":[");
-        for (i, f) in self.regressions().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_str(f));
-        }
-        out.push_str("]}");
-        out
+        let counters = self.counters.iter().map(|d| {
+            obj([
+                ("name", Json::from(d.counter.name())),
+                ("baseline", Json::from(d.baseline)),
+                ("candidate", Json::from(d.candidate)),
+                ("change_pct", Json::from(d.change_pct)),
+                ("regressed", Json::from(d.regressed)),
+            ])
+        });
+        let stages = self.stages.iter().map(|d| {
+            obj([
+                ("name", Json::from(d.stage)),
+                ("baseline", Json::from(d.baseline)),
+                ("candidate", Json::from(d.candidate)),
+                ("regressed", Json::from(d.regressed)),
+            ])
+        });
+        let quantiles = self.quantiles.iter().map(|d| {
+            obj([
+                ("hist", Json::from(d.hist.name())),
+                ("q", Json::from(d.quantile)),
+                ("baseline", Json::from(d.baseline)),
+                ("candidate", Json::from(d.candidate)),
+                ("regressed", Json::from(d.regressed)),
+            ])
+        });
+        let prof = self.prof.iter().map(|d| {
+            obj([
+                ("name", Json::from(d.name.as_str())),
+                ("baseline", Json::from(d.baseline)),
+                ("candidate", Json::from(d.candidate)),
+                ("regressed", Json::from(d.regressed)),
+            ])
+        });
+        obj([
+            ("baseline", Json::from(self.baseline_label.as_str())),
+            ("candidate", Json::from(self.candidate_label.as_str())),
+            ("regressed", Json::from(self.regressed())),
+            ("zero_deltas", Json::from(self.is_zero())),
+            ("counters", Json::Arr(counters.collect())),
+            ("stages", Json::Arr(stages.collect())),
+            ("quantiles", Json::Arr(quantiles.collect())),
+            ("prof", Json::Arr(prof.collect())),
+            ("failures", Json::from(self.regressions())),
+        ])
+        .compact()
     }
 }
 
@@ -394,31 +370,6 @@ fn fmt_opt(v: Option<f64>) -> String {
         Some(v) => format!("{v}"),
         None => "n/a".to_string(),
     }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.4}"),
-        None => "null".to_string(),
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Parse a JSONL trace, reporting the first malformed line by number.

@@ -5,9 +5,8 @@
 //! [`ProfSnapshot`] of the process-wide profiling registry. That sweep
 //! lands in `PROF_BASELINE.json`; this module is the read side:
 //!
-//! - [`parse_baseline`] parses the file (hand-rolled JSON, like every
-//!   serializer in the dependency-free workspace) into a
-//!   [`ProfBaseline`];
+//! - [`parse_baseline`] parses the file (through the workspace codec,
+//!   [`webiq_trace::json`]) into a [`ProfBaseline`];
 //! - [`ScalingFit::fit`] fits the measured speedups with Amdahl's law
 //!   (average implied serial fraction) and the Universal Scalability
 //!   Law (deterministic grid search over σ/κ), then names the
@@ -24,6 +23,7 @@
 //! is exactly what a diagnosis artifact should preserve.
 
 use webiq_prof::{ProfCounter, ProfSnapshot, Stage};
+use webiq_trace::json::Json;
 
 use crate::error::ObsError;
 
@@ -354,7 +354,7 @@ pub fn parse_baseline(label: &str, text: &str) -> Result<ProfBaseline, ObsError>
             ));
         };
         let mut prof = ProfSnapshot::new();
-        if let Some(entries) = p.get("counters").and_then(Json::entries) {
+        if let Some(entries) = p.get("counters").and_then(Json::as_obj) {
             for (name, v) in entries {
                 // Unknown names and non-integer values are skipped, like
                 // ProfSnapshot::from_prom_text — absent series stay zero.
@@ -363,7 +363,7 @@ pub fn parse_baseline(label: &str, text: &str) -> Result<ProfBaseline, ObsError>
                 }
             }
         }
-        if let Some(entries) = p.get("stages").and_then(Json::entries) {
+        if let Some(entries) = p.get("stages").and_then(Json::as_obj) {
             for (name, v) in entries {
                 if let Some(stage) = Stage::from_name(name) {
                     let nanos = v.get("nanos").and_then(Json::as_u64).unwrap_or(0);
@@ -409,248 +409,6 @@ fn perr(label: &str, detail: String) -> ObsError {
     ObsError::Profile {
         path: label.to_string(),
         detail,
-    }
-}
-
-/// A parsed JSON value — just enough of the grammar to read the
-/// baseline files this workspace writes (no external parser in a
-/// dependency-free workspace).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse one complete JSON document (trailing whitespace allowed).
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(p.err("trailing garbage"));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup (first match).
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// A number that is a whole non-negative integer (within f64's
-    /// exactly-representable range — plenty for counters).
-    fn as_u64(&self) -> Option<u64> {
-        let v = self.as_f64()?;
-        if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= 9.007_199_254_740_992e15 {
-            Some(v as u64)
-        } else {
-            None
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn entries(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// Recursive-descent JSON parser over raw bytes.
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        let matches = self
-            .b
-            .get(self.i..)
-            .is_some_and(|rest| rest.starts_with(word.as_bytes()));
-        if matches {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while matches!(
-            self.b.get(self.i),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("invalid number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.i += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32);
-                            let Some(c) = hex else {
-                                return Err(self.err("invalid \\u escape"));
-                            };
-                            out.push(c);
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so boundaries are valid).
-                    let rest = &self.b[self.i..];
-                    let s = String::from_utf8_lossy(rest);
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.i += 1; // '['
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.i += 1; // '{'
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            if self.b.get(self.i) != Some(&b'"') {
-                return Err(self.err("expected object key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.b.get(self.i) != Some(&b':') {
-                return Err(self.err("expected `:`"));
-            }
-            self.i += 1;
-            out.push((key, self.value()?));
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
     }
 }
 

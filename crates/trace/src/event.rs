@@ -32,13 +32,15 @@
 //! latency/size distributions — the basis of `webiq-report diff`'s
 //! quantile comparison.
 //!
-//! The encoder writes keys in a fixed order and omits absent optional
-//! fields, so equality of two streams is byte equality. The parser
-//! accepts exactly this shape (it is a reader for traces this module
-//! wrote, not a general JSON parser); unknown counter and histogram
-//! names inside `"m"`/`"h"` are skipped so old reports can read newer
-//! traces.
+//! Both directions go through the workspace codec, [`crate::json`]: the
+//! encoder builds a [`Json`] object with keys in a fixed order and
+//! absent optional fields omitted, and writes it in the compact form,
+//! so equality of two streams is byte equality. The parser reads any
+//! JSON document but accepts only this shape; unknown counter and
+//! histogram names inside `"m"`/`"h"` are skipped so old reports can
+//! read newer traces.
 
+use crate::json::Json;
 use crate::metrics::{Counter, HistKey, NUM_BUCKETS};
 
 /// One trace event.
@@ -104,219 +106,119 @@ impl Event {
         }
     }
 
-    /// Serialize to one JSONL line (no trailing newline).
+    /// Serialize to one JSONL line (no trailing newline): the event as a
+    /// [`Json`] object in the wire format's key order, written compact.
     pub fn to_jsonl(&self) -> String {
+        let ev = match self {
+            Event::Open { .. } => "open",
+            Event::Close { .. } => "close",
+            Event::Decision { .. } => "decision",
+        };
+        let mut f: Vec<(String, Json)> = vec![
+            ("ev".into(), ev.into()),
+            ("seq".into(), self.seq().into()),
+            ("id".into(), self.id().into()),
+        ];
         match self {
             Event::Open {
-                seq,
-                id,
-                parent,
-                name,
-                attr,
+                parent, name, attr, ..
             } => {
-                let mut s = format!("{{\"ev\":\"open\",\"seq\":{seq},\"id\":{id}");
-                if let Some(p) = parent {
-                    s.push_str(",\"parent\":");
-                    s.push_str(&p.to_string());
-                }
-                s.push_str(",\"name\":\"");
-                push_escaped(&mut s, name);
-                s.push('"');
-                if let Some(a) = attr {
-                    s.push_str(",\"attr\":\"");
-                    push_escaped(&mut s, a);
-                    s.push('"');
-                }
-                s.push('}');
-                s
+                f.extend(parent.map(|p| ("parent".into(), p.into())));
+                f.push(("name".into(), name.as_str().into()));
+                f.extend(attr.as_deref().map(|a| ("attr".into(), a.into())));
             }
-            Event::Close {
-                seq,
-                id,
-                metrics,
-                hists,
-            } => {
-                let mut s = format!("{{\"ev\":\"close\",\"seq\":{seq},\"id\":{id},\"m\":{{");
-                for (i, (c, v)) in metrics.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('"');
-                    s.push_str(c.name());
-                    s.push_str("\":");
-                    s.push_str(&v.to_string());
-                }
-                s.push('}');
+            Event::Close { metrics, hists, .. } => {
+                let m = metrics.iter().map(|(c, v)| (c.name().into(), (*v).into()));
+                f.push(("m".into(), Json::Obj(m.collect())));
                 if !hists.is_empty() {
-                    s.push_str(",\"h\":{");
-                    for (i, (h, buckets)) in hists.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        s.push('"');
-                        s.push_str(h.name());
-                        s.push_str("\":[");
-                        for (b, n) in buckets.iter().enumerate() {
-                            if b > 0 {
-                                s.push(',');
-                            }
-                            s.push_str(&n.to_string());
-                        }
-                        s.push(']');
-                    }
-                    s.push('}');
+                    let h = hists
+                        .iter()
+                        .map(|(h, b)| (h.name().into(), b.to_vec().into()));
+                    f.push(("h".into(), Json::Obj(h.collect())));
                 }
-                s.push('}');
-                s
             }
             Event::Decision {
-                seq,
-                id,
                 kind,
                 subject,
                 verdict,
                 terms,
+                ..
             } => {
-                let mut s = format!("{{\"ev\":\"decision\",\"seq\":{seq},\"id\":{id},\"kind\":\"");
-                push_escaped(&mut s, kind);
-                s.push_str("\",\"subject\":\"");
-                push_escaped(&mut s, subject);
-                s.push_str("\",\"verdict\":\"");
-                push_escaped(&mut s, verdict);
-                s.push_str("\",\"t\":{");
-                for (i, (k, v)) in terms.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('"');
-                    push_escaped(&mut s, k);
-                    s.push_str("\":");
-                    // shortest-roundtrip Display: deterministic for a
-                    // given bit pattern, parses back exactly
-                    s.push_str(&v.to_string());
-                }
-                s.push_str("}}");
-                s
+                f.push(("kind".into(), kind.as_str().into()));
+                f.push(("subject".into(), subject.as_str().into()));
+                f.push(("verdict".into(), verdict.as_str().into()));
+                let t = terms.iter().map(|(k, v)| (k.clone(), (*v).into()));
+                f.push(("t".into(), Json::Obj(t.collect())));
             }
         }
+        Json::Obj(f).compact()
     }
 
     /// Parse one JSONL line produced by [`Event::to_jsonl`]. Returns
     /// `None` on any malformed input instead of panicking.
     pub fn parse(line: &str) -> Option<Event> {
-        let mut cur = Cur::new(line.trim());
-        cur.eat(b'{')?;
-        let mut ev: Option<String> = None;
+        let doc = Json::parse(line).ok()?;
+        let mut ev: Option<&str> = None;
         let mut seq: Option<u64> = None;
         let mut id: Option<u64> = None;
         let mut parent: Option<u64> = None;
-        let mut name: Option<String> = None;
-        let mut attr: Option<String> = None;
-        let mut kind: Option<String> = None;
-        let mut subject: Option<String> = None;
-        let mut verdict: Option<String> = None;
+        let mut name: Option<&str> = None;
+        let mut attr: Option<&str> = None;
+        let mut kind: Option<&str> = None;
+        let mut subject: Option<&str> = None;
+        let mut verdict: Option<&str> = None;
         let mut terms: Vec<(String, f64)> = Vec::new();
         let mut metrics: Vec<(Counter, u64)> = Vec::new();
         let mut hists: Vec<(HistKey, [u64; NUM_BUCKETS])> = Vec::new();
-        loop {
-            let key = cur.string()?;
-            cur.eat(b':')?;
+        for (key, v) in doc.as_obj()? {
             match key.as_str() {
-                "ev" => ev = Some(cur.string()?),
-                "seq" => seq = Some(cur.number()?),
-                "id" => id = Some(cur.number()?),
-                "parent" => parent = Some(cur.number()?),
-                "name" => name = Some(cur.string()?),
-                "attr" => attr = Some(cur.string()?),
-                "kind" => kind = Some(cur.string()?),
-                "subject" => subject = Some(cur.string()?),
-                "verdict" => verdict = Some(cur.string()?),
+                "ev" => ev = Some(v.as_str()?),
+                "seq" => seq = Some(v.as_u64()?),
+                "id" => id = Some(v.as_u64()?),
+                "parent" => parent = Some(v.as_u64()?),
+                "name" => name = Some(v.as_str()?),
+                "attr" => attr = Some(v.as_str()?),
+                "kind" => kind = Some(v.as_str()?),
+                "subject" => subject = Some(v.as_str()?),
+                "verdict" => verdict = Some(v.as_str()?),
                 "t" => {
-                    cur.eat(b'{')?;
-                    if !cur.try_eat(b'}') {
-                        loop {
-                            let tk = cur.string()?;
-                            cur.eat(b':')?;
-                            let v = cur.float()?;
-                            terms.push((tk, v));
-                            if cur.try_eat(b'}') {
-                                break;
-                            }
-                            cur.eat(b',')?;
-                        }
+                    for (tk, tv) in v.as_obj()? {
+                        terms.push((tk.clone(), tv.as_f64()?));
                     }
                 }
                 "m" => {
-                    cur.eat(b'{')?;
-                    if !cur.try_eat(b'}') {
-                        loop {
-                            let ck = cur.string()?;
-                            cur.eat(b':')?;
-                            let v = cur.number()?;
-                            if let Some(c) = Counter::from_name(&ck) {
-                                metrics.push((c, v));
-                            }
-                            if cur.try_eat(b'}') {
-                                break;
-                            }
-                            cur.eat(b',')?;
+                    for (ck, cv) in v.as_obj()? {
+                        let cv = cv.as_u64()?;
+                        if let Some(c) = Counter::from_name(ck) {
+                            metrics.push((c, cv));
                         }
                     }
                 }
                 "h" => {
-                    cur.eat(b'{')?;
-                    if !cur.try_eat(b'}') {
-                        loop {
-                            let hk = cur.string()?;
-                            cur.eat(b':')?;
-                            cur.eat(b'[')?;
-                            let mut buckets = [0u64; NUM_BUCKETS];
-                            let mut count = 0usize;
-                            if !cur.try_eat(b']') {
-                                loop {
-                                    let v = cur.number()?;
-                                    if let Some(slot) = buckets.get_mut(count) {
-                                        *slot = v;
-                                    } else {
-                                        return None; // too many buckets
-                                    }
-                                    count += 1;
-                                    if cur.try_eat(b']') {
-                                        break;
-                                    }
-                                    cur.eat(b',')?;
-                                }
-                            }
-                            if count != NUM_BUCKETS {
-                                return None;
-                            }
-                            if let Some(h) = HistKey::from_name(&hk) {
-                                hists.push((h, buckets));
-                            }
-                            if cur.try_eat(b'}') {
-                                break;
-                            }
-                            cur.eat(b',')?;
+                    for (hk, hv) in v.as_obj()? {
+                        let mut buckets = [0u64; NUM_BUCKETS];
+                        let items = hv.as_arr()?;
+                        if items.len() != NUM_BUCKETS {
+                            return None;
+                        }
+                        for (slot, b) in buckets.iter_mut().zip(items) {
+                            *slot = b.as_u64()?;
+                        }
+                        if let Some(h) = HistKey::from_name(hk) {
+                            hists.push((h, buckets));
                         }
                     }
                 }
                 _ => return None,
             }
-            if cur.try_eat(b'}') {
-                break;
-            }
-            cur.eat(b',')?;
         }
-        if !cur.at_end() {
-            return None;
-        }
-        match ev?.as_str() {
+        match ev? {
             "open" => Some(Event::Open {
                 seq: seq?,
                 id: id?,
                 parent,
-                name: name?,
-                attr,
+                name: name?.to_string(),
+                attr: attr.map(str::to_string),
             }),
             "close" => Some(Event::Close {
                 seq: seq?,
@@ -327,153 +229,13 @@ impl Event {
             "decision" => Some(Event::Decision {
                 seq: seq?,
                 id: id?,
-                kind: kind?,
-                subject: subject?,
-                verdict: verdict?,
+                kind: kind?.to_string(),
+                subject: subject?.to_string(),
+                verdict: verdict?.to_string(),
                 terms,
             }),
             _ => None,
         }
-    }
-}
-
-/// Append `s` with JSON string escaping (quotes, backslashes, control
-/// characters).
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u");
-                let v = c as u32;
-                for shift in [12u32, 8, 4, 0] {
-                    let d = (v >> shift) & 0xf;
-                    out.push(char::from_digit(d, 16).unwrap_or('0'));
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// A tiny byte cursor over one line.
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(s: &'a str) -> Self {
-        Cur {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.i += 1;
-        Some(c)
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn try_eat(&mut self, c: u8) -> bool {
-        self.eat(c).is_some()
-    }
-
-    fn at_end(&self) -> bool {
-        self.i >= self.b.len()
-    }
-
-    /// A quoted JSON string with basic escapes (`\" \\ \/ \n \t \r \uXXXX`).
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.i;
-            match self.bump()? {
-                b'"' => return Some(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let mut v: u32 = 0;
-                        for _ in 0..4 {
-                            let d = (self.bump()? as char).to_digit(16)?;
-                            v = v * 16 + d;
-                        }
-                        out.push(char::from_u32(v)?);
-                    }
-                    _ => return None,
-                },
-                c if c < 0x80 => out.push(c as char),
-                c => {
-                    // Re-assemble a multi-byte UTF-8 sequence from the
-                    // source slice (the input is a &str, so it is valid).
-                    let len = match c {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.b.len());
-                    out.push_str(std::str::from_utf8(self.b.get(start..end)?).ok()?);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    /// An unsigned decimal integer.
-    fn number(&mut self) -> Option<u64> {
-        let mut v: u64 = 0;
-        let mut any = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                v = v.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
-                any = true;
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        any.then_some(v)
-    }
-
-    /// A finite JSON number (decision evidence terms). Scans the JSON
-    /// number alphabet and defers to `str::parse`, which round-trips the
-    /// shortest-roundtrip `Display` encoding exactly.
-    fn float(&mut self) -> Option<f64> {
-        let start = self.i;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(self.b.get(start..self.i)?).ok()?;
-        let v: f64 = text.parse().ok()?;
-        v.is_finite().then_some(v)
     }
 }
 

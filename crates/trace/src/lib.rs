@@ -15,6 +15,9 @@
 //! - sinks are pluggable: [`NoopSink`] (a disabled tracer builds no
 //!   events at all), [`MemorySink`] for tests,
 //!   and [`JsonlSink`] for durable traces ([`sink`]);
+//! - [`json`] is the workspace's one JSON codec: the trace wire format,
+//!   the committed `*.json` artifacts, and every report's `--json`
+//!   output are written and read through it;
 //! - [`report`] renders a trace into the per-domain funnel summary
 //!   (attrs in → candidates → verified → borrowed → probed → matched),
 //!   also available via the workspace's `webiq-report` binary;
@@ -28,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod sink;

@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 
+use webiq_trace::json::{obj, Json};
 use webiq_trace::Event;
 
 use crate::provenance::Provenance;
@@ -178,90 +179,52 @@ impl DecisionDiff {
         out
     }
 
-    /// Deterministic machine-readable rendering (hand-rolled JSON, like
-    /// the rest of the workspace).
+    /// Deterministic machine-readable rendering, written compact through
+    /// the workspace codec ([`webiq_trace::json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"baseline\":{},\"candidate\":{},\"base_decisions\":{},\"cand_decisions\":{},\"regressed\":{},\"zero_deltas\":{}",
-            json_str(&self.baseline_label),
-            json_str(&self.candidate_label),
-            self.base_count,
-            self.cand_count,
-            self.regressed(),
-            self.is_zero()
-        ));
-        out.push_str(",\"flips\":[");
-        for (i, f) in self.flips.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"kind\":{},\"attr\":{},\"subject\":{},\"occ\":{},\"base\":{},\"cand\":{},\"dominant\":{}}}",
-                json_str(&f.key.kind),
-                json_str(&f.key.attr),
-                json_str(&f.key.subject),
-                f.key.occ,
-                json_opt_str(f.base.as_deref()),
-                json_opt_str(f.cand.as_deref()),
-                json_delta(f.dominant.as_ref()),
-            ));
-        }
-        out.push_str("],\"drift\":[");
-        for (i, d) in self.drift.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"kind\":{},\"attr\":{},\"subject\":{},\"occ\":{},\"verdict\":{},\"dominant\":{}}}",
-                json_str(&d.key.kind),
-                json_str(&d.key.attr),
-                json_str(&d.key.subject),
-                d.key.occ,
-                json_str(&d.verdict),
-                json_delta(Some(&d.dominant)),
-            ));
-        }
-        out.push_str("]}");
-        out
+        let key = |k: &DecisionKey| {
+            vec![
+                ("kind".to_string(), Json::from(k.kind.as_str())),
+                ("attr".to_string(), Json::from(k.attr.as_str())),
+                ("subject".to_string(), Json::from(k.subject.as_str())),
+                ("occ".to_string(), Json::from(i64::from(k.occ))),
+            ]
+        };
+        let flips = self.flips.iter().map(|f| {
+            let mut o = key(&f.key);
+            o.push(("base".into(), Json::from(f.base.as_deref())));
+            o.push(("cand".into(), Json::from(f.cand.as_deref())));
+            o.push(("dominant".into(), Json::from(f.dominant.as_ref())));
+            Json::Obj(o)
+        });
+        let drift = self.drift.iter().map(|d| {
+            let mut o = key(&d.key);
+            o.push(("verdict".into(), Json::from(d.verdict.as_str())));
+            o.push(("dominant".into(), Json::from(&d.dominant)));
+            Json::Obj(o)
+        });
+        obj([
+            ("baseline", Json::from(self.baseline_label.as_str())),
+            ("candidate", Json::from(self.candidate_label.as_str())),
+            ("base_decisions", Json::from(self.base_count)),
+            ("cand_decisions", Json::from(self.cand_count)),
+            ("regressed", Json::from(self.regressed())),
+            ("zero_deltas", Json::from(self.is_zero())),
+            ("flips", Json::Arr(flips.collect())),
+            ("drift", Json::Arr(drift.collect())),
+        ])
+        .compact()
     }
 }
 
-fn json_delta(d: Option<&TermDelta>) -> String {
-    match d {
-        Some(d) => format!(
-            "{{\"name\":{},\"base\":{},\"cand\":{}}}",
-            json_str(&d.name),
-            d.base,
-            d.cand
-        ),
-        None => "null".to_string(),
+impl From<&TermDelta> for Json {
+    fn from(d: &TermDelta) -> Json {
+        obj([
+            ("name", Json::from(d.name.as_str())),
+            ("base", Json::from(d.base)),
+            ("cand", Json::from(d.cand)),
+        ])
     }
-}
-
-fn json_opt_str(s: Option<&str>) -> String {
-    match s {
-        Some(s) => json_str(s),
-        None => "null".to_string(),
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Key every decision in an event stream.
