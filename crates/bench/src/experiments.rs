@@ -164,28 +164,33 @@ pub struct Fig8Row {
     pub attr_surface_secs: f64,
     /// Wall-clock seconds in Attr-Deep.
     pub attr_deep_secs: f64,
-    /// Search-engine queries issued by the Surface component.
+    /// Search and hit-count calls the Surface component issued, cache
+    /// hits included.
     pub surface_queries: u64,
-    /// Search-engine queries issued by Attr-Surface.
+    /// Search and hit-count calls Attr-Surface issued, cache hits
+    /// included.
     pub attr_surface_queries: u64,
-    /// Deep-Web probes issued by Attr-Deep.
+    /// Deep-Web probe submissions Attr-Deep issued.
     pub probes: u64,
 }
 
 impl Fig8Row {
-    /// Surface time in minutes on the paper's scale (network latency ×
-    /// query count — the in-process engine answers in microseconds, so
-    /// the simulated round-trip dominates as it did for the authors).
+    /// Surface time in minutes on the paper's scale: every issued search
+    /// or hit-count call, cache hits included, costs one 0.3 s round-trip
+    /// (the in-process engine answers in microseconds, so the simulated
+    /// round-trip dominates as it did for the authors).
     pub fn surface_simulated_mins(&self) -> f64 {
         self.surface_queries as f64 * SIMULATED_QUERY_SECS / 60.0
     }
 
-    /// Attr-Surface time in simulated minutes.
+    /// Attr-Surface time in simulated minutes, counted like
+    /// [`Fig8Row::surface_simulated_mins`].
     pub fn attr_surface_simulated_mins(&self) -> f64 {
         self.attr_surface_queries as f64 * SIMULATED_QUERY_SECS / 60.0
     }
 
-    /// Attr-Deep time in simulated minutes.
+    /// Attr-Deep time in simulated minutes: one 0.3 s round-trip per
+    /// probe submission.
     pub fn attr_deep_simulated_mins(&self) -> f64 {
         self.probes as f64 * SIMULATED_QUERY_SECS / 60.0
     }

@@ -103,7 +103,8 @@ pub fn fig8(rows: &[Fig8Row]) -> String {
     let mut s = String::new();
     s.push_str(
         "FIGURE 8: overhead analysis\n\
-         (simulated minutes = engine/source round-trips x 0.3 s, the paper's Google-latency regime;\n\
+         (simulated minutes = issued engine calls (search + hit-count, cache hits included)\n\
+          or Deep-Web probes x 0.3 s, the paper's Google-latency regime;\n\
           in-process wall-clock shown for reference)\n\
          Domain       Match(s)  Surface(min)  Attr-Surface(min)  Attr-Deep(min)   queries  probes\n",
     );

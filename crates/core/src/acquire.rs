@@ -25,8 +25,8 @@ use webiq_data::interface::{AttrRef, Attribute, Dataset};
 use webiq_data::DomainDef;
 use webiq_deep::DeepSource;
 use webiq_fault::{FaultConfig, QuotaTracker};
-use webiq_match::domsim;
-use webiq_match::labelsim;
+use webiq_match::domsim::ValueSet;
+use webiq_match::Profile;
 use webiq_prof::Stage;
 use webiq_trace::timing::Stopwatch;
 use webiq_trace::{Counter, Gauge, HistKey, ItemBuf, MetricSet};
@@ -181,33 +181,72 @@ fn sibling_terms(ds: &Dataset, r1: AttrRef) -> Vec<String> {
     out
 }
 
+/// Every attribute of a dataset profiled once (label vector and
+/// pre-defined instances, see [`Profile`]) for the §5 borrow
+/// pre-filters, which compare each attribute with every other.
+pub struct AttrTable<'a> {
+    ds: &'a Dataset,
+    /// `rows[i][j]` profiles `ds.interfaces[i].attributes[j]`.
+    rows: Vec<Vec<Profile>>,
+}
+
+impl<'a> AttrTable<'a> {
+    /// Profile every attribute of `ds`.
+    pub fn new(ds: &'a Dataset) -> Self {
+        let rows = ds
+            .interfaces
+            .iter()
+            .map(|i| {
+                i.attributes
+                    .iter()
+                    .map(|a| Profile::new(&a.label, &a.instances))
+                    .collect()
+            })
+            .collect();
+        AttrTable { ds, rows }
+    }
+
+    /// An attribute and its profile.
+    pub fn get(&self, r: AttrRef) -> Option<(&'a Attribute, &Profile)> {
+        Some((self.ds.attribute(r)?, self.rows.get(r.0)?.get(r.1)?))
+    }
+
+    /// Every attribute with its profile, in dataset order.
+    fn attributes(&self) -> impl Iterator<Item = (AttrRef, &'a Attribute, &Profile)> {
+        self.ds
+            .attributes()
+            .zip(self.rows.iter().flatten())
+            .map(|((r, a), p)| (r, a, p))
+    }
+}
+
 /// Borrow candidates for an instance-less attribute (§5 case 1), ordered
 /// by descending label similarity: candidates must have instances, live on
 /// a different interface, carry a similar label (unless X₁'s label has no
 /// content words), and their domain must differ from every instance-bearing
 /// sibling on X₁'s interface. When the label filter eliminates everything
 /// (hard-synonym labels), it is dropped and probing decides.
-pub fn case1_candidates(ds: &Dataset, r1: AttrRef, label: &str, cfg: &WebIQConfig) -> Vec<AttrRef> {
-    let label_vec_empty = labelsim::label_vector(label).is_empty();
-    let siblings: Vec<&Vec<String>> = ds.interfaces[r1.0]
-        .attributes
-        .iter()
-        .enumerate()
-        .filter(|(j, a)| *j != r1.1 && a.has_instances())
-        .map(|(_, a)| &a.instances)
+pub fn case1_candidates(table: &AttrTable<'_>, r1: AttrRef, cfg: &WebIQConfig) -> Vec<AttrRef> {
+    let Some((_, x1)) = table.get(r1) else {
+        return Vec::new();
+    };
+    let siblings: Vec<&ValueSet> = table
+        .attributes()
+        .filter(|&(r, a, _)| r.0 == r1.0 && r != r1 && a.has_instances())
+        .map(|(_, _, p)| &p.values)
         .collect();
 
     let collect = |use_label_filter: bool| {
         let mut scored: Vec<(f64, AttrRef)> = Vec::new();
-        for (ri, ai) in ds.attributes() {
+        for (ri, ai, pi) in table.attributes() {
             if ri.0 == r1.0 || !ai.has_instances() {
                 continue;
             }
-            let ls = labelsim::label_sim(label, &ai.label);
+            let ls = x1.label_sim(pi);
             if cfg.borrow_prefilter {
                 // Labels must be similar — unless X₁'s label has no content
                 // words (bare prepositions), where only probing can decide.
-                if use_label_filter && !label_vec_empty && ls < cfg.borrow_label_sim {
+                if use_label_filter && !x1.label.is_empty() && ls < cfg.borrow_label_sim {
                     continue;
                 }
                 // The candidate's domain must differ from every
@@ -215,7 +254,7 @@ pub fn case1_candidates(ds: &Dataset, r1: AttrRef, label: &str, cfg: &WebIQConfi
                 // covers that domain, X₁ is unlikely to be that concept).
                 let clashes = siblings
                     .iter()
-                    .any(|y| domsim::dom_sim(&ai.instances, y) > cfg.borrow_sibling_dom_sim);
+                    .any(|y| pi.values.sim(y) > cfg.borrow_sibling_dom_sim);
                 if clashes {
                     continue;
                 }
@@ -238,30 +277,19 @@ pub fn case1_candidates(ds: &Dataset, r1: AttrRef, label: &str, cfg: &WebIQConfi
 /// Borrow candidates for an attribute with pre-defined instances (§5 case
 /// 2): the candidate must share at least one very similar value pair
 /// ("two values, one from each domain, which are very similar").
-pub fn case2_candidates(
-    ds: &Dataset,
-    r1: AttrRef,
-    values: &[String],
-    cfg: &WebIQConfig,
-) -> Vec<AttrRef> {
-    let mut out = Vec::new();
-    for (ri, ai) in ds.attributes() {
-        if ri.0 == r1.0 || !ai.has_instances() {
-            continue;
-        }
-        if cfg.borrow_prefilter {
-            let similar_pair = values.iter().any(|v| {
-                ai.instances
-                    .iter()
-                    .any(|w| domsim::value_similarity(v, w) >= 0.85)
-            });
-            if !similar_pair {
-                continue;
-            }
-        }
-        out.push(ri);
-    }
-    out
+pub fn case2_candidates(table: &AttrTable<'_>, r1: AttrRef, cfg: &WebIQConfig) -> Vec<AttrRef> {
+    let Some((_, x1)) = table.get(r1) else {
+        return Vec::new();
+    };
+    table
+        .attributes()
+        .filter(|&(ri, ai, pi)| {
+            ri.0 != r1.0
+                && ai.has_instances()
+                && (!cfg.borrow_prefilter || x1.values.has_similar_pair(&pi.values))
+        })
+        .map(|(ri, _, _)| ri)
+        .collect()
 }
 
 /// What processing one attribute produced. Work items are independent, so
@@ -296,6 +324,8 @@ enum ItemOutcome {
 /// The shared, read-only context every acquisition work item sees.
 struct AcquireCtx<'a> {
     ds: &'a Dataset,
+    /// Every attribute of `ds` profiled once for the borrow pre-filters.
+    table: &'a AttrTable<'a>,
     info: &'a DomainInfo,
     engine: &'a SearchEngine,
     sources: &'a [DeepSource],
@@ -365,6 +395,7 @@ fn attribute_body<E: QueryEngine>(
 ) -> Result<ItemOutcome, WebIqError> {
     let &AcquireCtx {
         ds,
+        table,
         info,
         sources,
         components,
@@ -408,17 +439,18 @@ fn attribute_body<E: QueryEngine>(
             let _span = webiq_trace::span("attr_deep");
             let before = webiq_trace::snapshot();
             let sw = Stopwatch::start();
-            let candidates = case1_candidates(ds, r1, &a1.label, cfg);
-            let mut accepted_domains: Vec<&Vec<String>> = Vec::new();
-            let mut failed_domains: Vec<&Vec<String>> = Vec::new();
+            let candidates = case1_candidates(table, r1, cfg);
+            let mut accepted_domains: Vec<&ValueSet> = Vec::new();
+            let mut failed_domains: Vec<&ValueSet> = Vec::new();
             let mut tried = 0usize;
             for cand in candidates {
                 if tried >= 12 {
                     break;
                 }
                 webiq_trace::incr(Counter::BorrowCandidates);
-                let lender = ds.attribute(cand).ok_or_else(|| dangling(cand))?;
+                let (lender, lender_profile) = table.get(cand).ok_or_else(|| dangling(cand))?;
                 let inst = &lender.instances;
+                let inst_set = &lender_profile.values;
                 let lender_ref = format!("{}/{} {}", cand.0, cand.1, lender.label);
                 let take_all = |got: &mut Vec<String>| {
                     for v in inst {
@@ -433,11 +465,11 @@ fn attribute_body<E: QueryEngine>(
                 // decision's evidence.
                 let best_accepted = accepted_domains
                     .iter()
-                    .map(|p| domsim::dom_sim(p, inst))
+                    .map(|p| p.sim(inst_set))
                     .fold(0.0f64, f64::max);
                 let best_failed = failed_domains
                     .iter()
-                    .map(|p| domsim::dom_sim(p, inst))
+                    .map(|p| p.sim(inst_set))
                     .fold(0.0f64, f64::max);
                 if best_accepted > 0.5 {
                     webiq_trace::incr(Counter::BorrowReused);
@@ -483,11 +515,11 @@ fn attribute_body<E: QueryEngine>(
                     );
                     if outcome.accepted {
                         webiq_trace::incr(Counter::BorrowAccepted);
-                        accepted_domains.push(inst);
+                        accepted_domains.push(inst_set);
                         take_all(&mut got);
                     } else {
                         webiq_trace::incr(Counter::BorrowRejected);
-                        failed_domains.push(inst);
+                        failed_domains.push(inst_set);
                     }
                 }
                 if got.len() >= cfg.k {
@@ -519,7 +551,7 @@ fn attribute_body<E: QueryEngine>(
         let _span = webiq_trace::span("attr_surface");
         let before = webiq_trace::snapshot();
         let sw = Stopwatch::start();
-        let candidates = case2_candidates(ds, r1, &a1.instances, cfg);
+        let candidates = case2_candidates(table, r1, cfg);
         let mut pool: Vec<String> = Vec::new();
         for cand in candidates.into_iter().take(8) {
             for v in &ds.attribute(cand).ok_or_else(|| dangling(cand))?.instances {
@@ -619,8 +651,10 @@ pub fn acquire(
     }
 
     let quota = QuotaTracker::new(fault.daily_quota);
+    let table = AttrTable::new(ds);
     let ctx = AcquireCtx {
         ds,
+        table: &table,
         info: &info,
         engine,
         sources,
@@ -878,7 +912,7 @@ mod candidate_tests {
         let cfg = WebIQConfig::default();
         // X1 = the text "From city" attr on interface 0; its sibling has a
         // month domain, so month-valued candidates are filtered out.
-        let candidates = case1_candidates(&ds, (0, 0), "From city", &cfg);
+        let candidates = case1_candidates(&AttrTable::new(&ds), (0, 0), &cfg);
         assert!(candidates.contains(&(1, 0)), "{candidates:?}");
         assert!(candidates.contains(&(2, 0)), "{candidates:?}");
         assert!(
@@ -895,7 +929,7 @@ mod candidate_tests {
     fn case1_orders_by_label_similarity() {
         let ds = dataset();
         let cfg = WebIQConfig::default();
-        let candidates = case1_candidates(&ds, (0, 0), "From city", &cfg);
+        let candidates = case1_candidates(&AttrTable::new(&ds), (0, 0), &cfg);
         // the identically labelled (2,0) must rank above (1,0)
         let pos = |r: AttrRef| candidates.iter().position(|c| *c == r).expect("present");
         assert!(pos((2, 0)) < pos((1, 0)), "{candidates:?}");
@@ -908,35 +942,33 @@ mod candidate_tests {
             borrow_prefilter: false,
             ..WebIQConfig::default()
         };
-        let candidates = case1_candidates(&ds, (0, 0), "From city", &cfg);
+        let candidates = case1_candidates(&AttrTable::new(&ds), (0, 0), &cfg);
         assert_eq!(candidates.len(), 3); // (1,0), (1,1), (2,0)
+    }
+
+    /// Case-2 candidates of the month select on interface 0 once its
+    /// pre-defined instances are `own`.
+    fn case2_with(own: &[&str]) -> Vec<AttrRef> {
+        let mut ds = dataset();
+        ds.interfaces[0].attributes[1].instances = own.iter().map(|s| (*s).to_string()).collect();
+        case2_candidates(&AttrTable::new(&ds), (0, 1), &WebIQConfig::default())
     }
 
     #[test]
     fn case2_requires_similar_value_pair() {
-        let ds = dataset();
-        let cfg = WebIQConfig::default();
         // X1 = the month select on interface 0 (Jan..Apr); candidate months
         // on interface 1 are May..Jul — no similar value → not a candidate.
-        let own: Vec<String> = ["Jan", "Feb", "Mar", "Apr"]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect();
-        let candidates = case2_candidates(&ds, (0, 1), &own, &cfg);
+        let candidates = case2_with(&["Jan", "Feb", "Mar", "Apr"]);
         assert!(candidates.is_empty(), "{candidates:?}");
 
         // sharing one value (case-insensitively) admits the candidate
-        let own: Vec<String> = ["jun", "Dec"].iter().map(|s| (*s).to_string()).collect();
-        let candidates = case2_candidates(&ds, (0, 1), &own, &cfg);
+        let candidates = case2_with(&["jun", "Dec"]);
         assert!(candidates.contains(&(1, 1)), "{candidates:?}");
     }
 
     #[test]
     fn case2_spelling_variants_count_as_similar() {
-        let ds = dataset();
-        let cfg = WebIQConfig::default();
-        let own: Vec<String> = vec!["Bostonn".to_string()]; // 1 edit from Boston
-        let candidates = case2_candidates(&ds, (0, 1), &own, &cfg);
+        let candidates = case2_with(&["Bostonn"]); // 1 edit from Boston
         assert!(candidates.contains(&(1, 0)), "{candidates:?}");
     }
 }

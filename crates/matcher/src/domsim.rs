@@ -16,10 +16,23 @@
 //! words like the `Air` of `Air Canada`/`Air France` would create faint
 //! similarity bridges that let unthresholded clustering merge attribute
 //! pairs the paper's WebIQ needs instance acquisition to connect.
+//!
+//! Both DomSim and the §5 borrow pre-filter's "very similar" value test
+//! run on a [`ValueSet`]: a value list typed, normalised, sorted and
+//! measured once, so the all-pairs loops of matching and borrowing
+//! compare prepared sets instead of re-normalising every value per pair.
+//! The similar-pair test skips a value pair when its length gap alone
+//! keeps the edit similarity below [`VERY_SIMILAR`]; Levenshtein distance
+//! is at least the length gap, so that bound is exact and the test gives
+//! the same answer as [`value_similarity`] over every pair.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 use webiq_stats::types::{infer_type, numeric_value, ValueType};
+
+/// The §5 pre-filter's "very similar": two values whose
+/// [`value_similarity`] reaches this.
+pub const VERY_SIMILAR: f64 = 0.85;
 
 /// Majority fine-grained type of a value set (ties resolve toward Text).
 pub fn majority_type<S: AsRef<str>>(values: &[S]) -> ValueType {
@@ -44,79 +57,156 @@ pub fn majority_type<S: AsRef<str>>(values: &[S]) -> ValueType {
         .map_or(ValueType::Text, |(t, _)| *t)
 }
 
-/// Jaccard overlap of lowercase value sets.
-fn value_jaccard<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    let sa: BTreeSet<String> = a
-        .iter()
-        .map(|v| v.as_ref().trim().to_ascii_lowercase())
-        .collect();
-    let sb: BTreeSet<String> = b
-        .iter()
-        .map(|v| v.as_ref().trim().to_ascii_lowercase())
-        .collect();
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    inter as f64 / union as f64
+/// An attribute's value list, prepared once for every comparison it
+/// takes part in.
+#[derive(Debug, Clone)]
+pub struct ValueSet {
+    /// Raw value count, duplicates included.
+    len: usize,
+    /// Majority fine-grained type of the raw values.
+    ty: ValueType,
+    /// The distinct trimmed, ASCII-lowercased values, sorted.
+    values: Vec<String>,
+    /// The char count of each entry of `values`.
+    chars: Vec<usize>,
+    /// Lowest and highest raw value that parses as a number.
+    range: Option<(f64, f64)>,
 }
 
-/// Containment overlap (`|A∩B| / min(|A|, |B|)`) of lowercase value sets.
-/// Two small samples of one large underlying population (a 6-option
-/// drop-down vs. ten acquired instances of the same concept) overlap far
-/// more relative to the smaller set than relative to the union, so
-/// containment is the right measure for enriched domains.
-fn value_containment<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    let sa: BTreeSet<String> = a
-        .iter()
-        .map(|v| v.as_ref().trim().to_ascii_lowercase())
-        .collect();
-    let sb: BTreeSet<String> = b
-        .iter()
-        .map(|v| v.as_ref().trim().to_ascii_lowercase())
-        .collect();
-    let min = sa.len().min(sb.len());
-    if min == 0 {
-        return 0.0;
-    }
-    sa.intersection(&sb).count() as f64 / min as f64
-}
-
-/// Overlap ratio of the numeric ranges spanned by two value sets.
-fn range_overlap<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    let range = |vals: &[S]| -> Option<(f64, f64)> {
-        let nums: Vec<f64> = vals
+impl ValueSet {
+    /// Prepare a value list.
+    pub fn new<S: AsRef<str>>(values: &[S]) -> Self {
+        let mut normal: Vec<String> = values
+            .iter()
+            .map(|v| v.as_ref().trim().to_ascii_lowercase())
+            .collect();
+        normal.sort_unstable();
+        normal.dedup();
+        let nums: Vec<f64> = values
             .iter()
             .filter_map(|v| numeric_value(v.as_ref()))
             .collect();
-        if nums.is_empty() {
-            return None;
+        let range = (!nums.is_empty()).then(|| {
+            let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            (lo, hi)
+        });
+        ValueSet {
+            len: values.len(),
+            ty: majority_type(values),
+            chars: normal.iter().map(|v| v.chars().count()).collect(),
+            values: normal,
+            range,
         }
-        let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some((lo, hi))
-    };
-    let (Some((alo, ahi)), Some((blo, bhi))) = (range(a), range(b)) else {
-        return 0.0;
-    };
-    let inter = (ahi.min(bhi) - alo.max(blo)).max(0.0);
-    let union = ahi.max(bhi) - alo.min(blo);
-    if union <= 0.0 {
-        // both ranges are single identical points
-        return if (alo - blo).abs() < f64::EPSILON {
-            1.0
-        } else {
-            0.0
-        };
     }
-    inter / union
+
+    /// `DomSim` against another value set: equal to [`dom_sim`] over the
+    /// two raw lists, bit for bit.
+    pub fn sim(&self, other: &ValueSet) -> f64 {
+        if self.len == 0 || other.len == 0 {
+            return 0.0;
+        }
+        if self.ty != other.ty {
+            // a thin bridge for mixed sets (e.g. "2" vs "2 bedrooms")
+            return 0.1 * self.jaccard(other);
+        }
+        match self.ty {
+            ValueType::Integer | ValueType::Real | ValueType::Monetary => {
+                // ranges say "same kind of quantity"; exact value overlap
+                // strengthens it
+                0.6 * self.range_overlap(other) + 0.4 * self.containment(other)
+            }
+            ValueType::Date => 0.5 + 0.5 * self.containment(other),
+            ValueType::Text => self.jaccard(other).max(0.9 * self.containment(other)),
+        }
+    }
+
+    /// Does some value of `self` have a very similar value in `other`
+    /// (`value_similarity ≥ VERY_SIMILAR`)? The §5 case-2 pre-filter:
+    /// "two values, one from each domain, which are very similar".
+    pub fn has_similar_pair(&self, other: &ValueSet) -> bool {
+        if self.shared(other) > 0 {
+            return true;
+        }
+        self.entries().any(|(v, nv)| {
+            other.entries().any(|(w, nw)| {
+                let max_len = nv.max(nw);
+                // levenshtein(v, w) ≥ the length gap, so a pair this bound
+                // rejects is below VERY_SIMILAR whatever its distance
+                1.0 - nv.abs_diff(nw) as f64 / max_len as f64 >= VERY_SIMILAR
+                    && 1.0 - levenshtein(v, w) as f64 / max_len as f64 >= VERY_SIMILAR
+            })
+        })
+    }
+
+    /// The distinct normalised values with their char counts.
+    fn entries(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.values
+            .iter()
+            .map(String::as_str)
+            .zip(self.chars.iter().copied())
+    }
+
+    /// `|A ∩ B|` over the distinct normalised values (a merge walk).
+    fn shared(&self, other: &ValueSet) -> usize {
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        while let (Some(a), Some(b)) = (self.values.get(i), other.values.get(j)) {
+            match a.cmp(b) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    n += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        n
+    }
+
+    /// Jaccard overlap of the distinct normalised values (both sets are
+    /// non-empty: [`ValueSet::sim`] returns early on an empty list).
+    fn jaccard(&self, other: &ValueSet) -> f64 {
+        let inter = self.shared(other);
+        let union = self.values.len() + other.values.len() - inter;
+        inter as f64 / union as f64
+    }
+
+    /// Containment overlap (`|A∩B| / min(|A|, |B|)`) of the distinct
+    /// normalised values. Two small samples of one large underlying
+    /// population (a 6-option drop-down vs. ten acquired instances of the
+    /// same concept) overlap far more relative to the smaller set than
+    /// relative to the union, so containment is the right measure for
+    /// enriched domains. Both sets are non-empty, as for `jaccard`.
+    fn containment(&self, other: &ValueSet) -> f64 {
+        let min = self.values.len().min(other.values.len());
+        self.shared(other) as f64 / min as f64
+    }
+
+    /// Overlap ratio of the numeric ranges the two value lists span.
+    fn range_overlap(&self, other: &ValueSet) -> f64 {
+        let (Some((alo, ahi)), Some((blo, bhi))) = (self.range, other.range) else {
+            return 0.0;
+        };
+        let inter = (ahi.min(bhi) - alo.max(blo)).max(0.0);
+        let union = ahi.max(bhi) - alo.min(blo);
+        if union <= 0.0 {
+            // both ranges are single identical points
+            return if (alo - blo).abs() < f64::EPSILON {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        inter / union
+    }
 }
 
 /// Normalised string similarity between two individual values:
 /// `1 − levenshtein(a, b) / max(|a|, |b|)` over lowercased text. Used by
 /// the §5 borrow-candidate pre-filter ("at least two values, one from each
-/// domain, which are very similar").
+/// domain, which are very similar"), which runs it through
+/// [`ValueSet::has_similar_pair`].
 pub fn value_similarity(a: &str, b: &str) -> f64 {
     let a = a.trim().to_ascii_lowercase();
     let b = b.trim().to_ascii_lowercase();
@@ -130,10 +220,20 @@ pub fn value_similarity(a: &str, b: &str) -> f64 {
     1.0 - levenshtein(&a, &b) as f64 / max_len as f64
 }
 
-/// Classic Levenshtein edit distance (two-row DP).
+/// Levenshtein edit distance in chars. ASCII text is compared byte by
+/// byte, which is the same distance without collecting chars.
 fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    if a.is_ascii() && b.is_ascii() {
+        edit_distance(a.as_bytes(), b.as_bytes())
+    } else {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        edit_distance(&a, &b)
+    }
+}
+
+/// Classic edit distance over two sequences (two-row DP).
+fn edit_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
     if a.is_empty() {
         return b.len();
     }
@@ -166,24 +266,7 @@ fn levenshtein(a: &str, b: &str) -> usize {
 /// assert_eq!(dom_sim(&a, &empty), 0.0);    // the paper's core problem
 /// ```
 pub fn dom_sim<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let ta = majority_type(a);
-    let tb = majority_type(b);
-    if ta != tb {
-        // a thin bridge for mixed sets (e.g. "2" vs "2 bedrooms")
-        return 0.1 * value_jaccard(a, b);
-    }
-    match ta {
-        ValueType::Integer | ValueType::Real | ValueType::Monetary => {
-            // ranges say "same kind of quantity"; exact value overlap
-            // strengthens it
-            0.6 * range_overlap(a, b) + 0.4 * value_containment(a, b)
-        }
-        ValueType::Date => 0.5 + 0.5 * value_containment(a, b),
-        ValueType::Text => value_jaccard(a, b).max(0.9 * value_containment(a, b)),
-    }
+    ValueSet::new(a).sim(&ValueSet::new(b))
 }
 
 #[cfg(test)]

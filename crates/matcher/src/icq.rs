@@ -5,13 +5,13 @@
 //! by constrained agglomerative clustering with threshold τ (0 for the
 //! unthresholded runs, 0.1 for the thresholded ones).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use webiq_data::gold;
 use webiq_data::interface::{AttrRef, Dataset};
 
 use crate::cluster::{self, Item};
-use crate::domsim;
+use crate::domsim::{self, ValueSet};
 use crate::labelsim;
 use crate::metrics::PrF1;
 
@@ -70,11 +70,70 @@ pub fn attributes_of(ds: &Dataset) -> Vec<MatchAttribute> {
         .collect()
 }
 
-/// The combined similarity of two attributes.
+/// One attribute prepared once for the all-pairs loops of matching and
+/// borrow pre-filtering: its label vector and its value set.
+#[derive(Debug, Clone)]
+pub struct Profile {
+    /// The bag-of-stems label vector ([`labelsim::label_vector`]).
+    pub label: BTreeMap<String, f64>,
+    /// The prepared value set.
+    pub values: ValueSet,
+}
+
+impl Profile {
+    /// Profile a label and its values.
+    pub fn new<S: AsRef<str>>(label: &str, values: &[S]) -> Self {
+        Profile {
+            label: labelsim::label_vector(label),
+            values: ValueSet::new(values),
+        }
+    }
+
+    /// `LabelSim` of the two labels.
+    pub fn label_sim(&self, other: &Profile) -> f64 {
+        labelsim::cosine(&self.label, &other.label)
+    }
+
+    /// `DomSim` of the two value sets.
+    pub fn dom_sim(&self, other: &Profile) -> f64 {
+        self.values.sim(&other.values)
+    }
+
+    /// `Sim = α · LabelSim + β · DomSim`.
+    pub fn similarity(&self, other: &Profile, cfg: &MatchConfig) -> f64 {
+        cfg.alpha * self.label_sim(other) + cfg.beta * self.dom_sim(other)
+    }
+}
+
+/// The combined similarity of two attributes, computed pairwise; the
+/// matcher's own loops use [`Profile::similarity`], which equals it.
 pub fn similarity(a: &MatchAttribute, b: &MatchAttribute, cfg: &MatchConfig) -> f64 {
     let ls = labelsim::label_sim(&a.label, &b.label);
     let ds = domsim::dom_sim(&a.values, &b.values);
     cfg.alpha * ls + cfg.beta * ds
+}
+
+/// What a clustering run over `attrs` needs: one item per attribute (its
+/// id is the attribute's index), one profile per attribute, and the
+/// similarity matrix computed from the profiles.
+pub(crate) fn prepare(
+    attrs: &[MatchAttribute],
+    cfg: &MatchConfig,
+) -> (Vec<Item<usize>>, Vec<Profile>, Vec<Vec<f64>>) {
+    let items: Vec<Item<usize>> = attrs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| Item {
+            id: i,
+            interface: a.r.0,
+        })
+        .collect();
+    let profiles: Vec<Profile> = attrs
+        .iter()
+        .map(|a| Profile::new(&a.label, &a.values))
+        .collect();
+    let sim = cluster::similarity_matrix(&items, |i, j| profiles[i].similarity(&profiles[j], cfg));
+    (items, profiles, sim)
 }
 
 /// Result of a matching run.
@@ -104,32 +163,20 @@ impl MatchResult {
 /// threshold τ, and the pair's pure label/domain similarity components.
 /// Recording is a no-op unless the caller runs inside a traced item.
 pub fn match_attributes(attrs: &[MatchAttribute], cfg: &MatchConfig) -> MatchResult {
-    let items: Vec<Item<AttrRef>> = attrs
-        .iter()
-        .map(|a| Item {
-            id: a.r,
-            interface: a.r.0,
-        })
-        .collect();
-    let sim = cluster::similarity_matrix(&items, |i, j| similarity(&attrs[i], &attrs[j], cfg));
+    let (items, profiles, sim) = prepare(attrs, cfg);
     let (clusters, merges) = cluster::cluster_logged(&items, &sim, cfg.threshold);
     for ev in &merges {
-        let (Some(a), Some(b)) = (
-            attrs.iter().find(|x| x.r == ev.a),
-            attrs.iter().find(|x| x.r == ev.b),
-        ) else {
-            continue;
-        };
-        // label_sim / dom_sim are pure: recomputing them for the
+        let (pa, pb) = (&profiles[ev.a], &profiles[ev.b]);
+        // label_sim / dom_sim are pure: evaluating them for the
         // representative pair adds evidence without perturbing any
         // counter or engine-call sequence.
         webiq_why::record::cluster_merge(
-            &format!("({}, {})", a.label, b.label),
+            &format!("({}, {})", attrs[ev.a].label, attrs[ev.b].label),
             &[
                 ("score", ev.score),
                 ("threshold", cfg.threshold),
-                ("label_sim", labelsim::label_sim(&a.label, &b.label)),
-                ("dom_sim", domsim::dom_sim(&a.values, &b.values)),
+                ("label_sim", pa.label_sim(pb)),
+                ("dom_sim", pa.dom_sim(pb)),
                 ("alpha", cfg.alpha),
                 ("beta", cfg.beta),
             ],

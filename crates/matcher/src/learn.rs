@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use webiq_data::interface::AttrRef;
 
 use crate::cluster;
-use crate::icq::{similarity, MatchAttribute, MatchConfig};
+use crate::icq::{self, MatchAttribute, MatchConfig};
 
 /// Answers match/no-match questions during threshold learning.
 pub trait MatchOracle {
@@ -84,14 +84,7 @@ pub fn learn_threshold<O: MatchOracle>(
     oracle: &mut O,
     budget: usize,
 ) -> LearnedThreshold {
-    let items: Vec<cluster::Item<AttrRef>> = attrs
-        .iter()
-        .map(|a| cluster::Item {
-            id: a.r,
-            interface: a.r.0,
-        })
-        .collect();
-    let sim = cluster::similarity_matrix(&items, |i, j| similarity(&attrs[i], &attrs[j], cfg));
+    let (items, _, sim) = icq::prepare(attrs, cfg);
     let (_, log) = cluster::cluster_logged(&items, &sim, 0.0);
     if log.is_empty() || budget == 0 {
         return LearnedThreshold {
@@ -135,7 +128,10 @@ pub fn learn_threshold<O: MatchOracle>(
         let Some(i) = pick else { break };
         used[i] = true;
         let event = by_score[i];
-        sample.push((event.score, oracle.matches(event.a, event.b)));
+        sample.push((
+            event.score,
+            oracle.matches(attrs[event.a].r, attrs[event.b].r),
+        ));
     }
 
     // Each labelled merge stands for all the unlabelled merges nearest to

@@ -1,9 +1,14 @@
 //! Property-based tests for the matcher: clustering invariants, metric
-//! bounds, similarity symmetry.
+//! bounds, similarity symmetry, and the prepared value set against the
+//! pairwise formulas it replaced.
+
+use std::collections::BTreeSet;
 
 use webiq_match::cluster::{cluster, Item};
-use webiq_match::{domsim, labelsim, metrics::PrF1, similarity, MatchAttribute, MatchConfig};
-use webiq_rng::{prop, StdRng};
+use webiq_match::domsim::{self, ValueSet, VERY_SIMILAR};
+use webiq_match::{labelsim, metrics::PrF1, similarity, MatchAttribute, MatchConfig};
+use webiq_rng::{prop, SliceRandom, StdRng};
+use webiq_stats::types::{numeric_value, ValueType};
 
 /// A random symmetric similarity matrix in [0, 1].
 #[allow(clippy::needless_range_loop)] // i/j are matrix coordinates
@@ -181,4 +186,252 @@ fn metric_bounds() {
             assert!(m.precision > 0.0 && m.recall > 0.0);
         }
     });
+}
+
+/// The pairwise DomSim formulas and the brute-force similar-pair test that
+/// [`ValueSet`] replaced, kept as the reference it must equal bit for bit.
+mod reference {
+    use super::*;
+
+    fn lower_set(values: &[String]) -> BTreeSet<String> {
+        values
+            .iter()
+            .map(|v| v.trim().to_ascii_lowercase())
+            .collect()
+    }
+
+    fn jaccard(a: &[String], b: &[String]) -> f64 {
+        let (sa, sb) = (lower_set(a), lower_set(b));
+        if sa.is_empty() || sb.is_empty() {
+            return 0.0;
+        }
+        sa.intersection(&sb).count() as f64 / sa.union(&sb).count() as f64
+    }
+
+    fn containment(a: &[String], b: &[String]) -> f64 {
+        let (sa, sb) = (lower_set(a), lower_set(b));
+        let min = sa.len().min(sb.len());
+        if min == 0 {
+            return 0.0;
+        }
+        sa.intersection(&sb).count() as f64 / min as f64
+    }
+
+    fn range_overlap(a: &[String], b: &[String]) -> f64 {
+        let range = |vals: &[String]| -> Option<(f64, f64)> {
+            let nums: Vec<f64> = vals.iter().filter_map(|v| numeric_value(v)).collect();
+            if nums.is_empty() {
+                return None;
+            }
+            let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            Some((lo, hi))
+        };
+        let (Some((alo, ahi)), Some((blo, bhi))) = (range(a), range(b)) else {
+            return 0.0;
+        };
+        let inter = (ahi.min(bhi) - alo.max(blo)).max(0.0);
+        let union = ahi.max(bhi) - alo.min(blo);
+        if union <= 0.0 {
+            return if (alo - blo).abs() < f64::EPSILON {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        inter / union
+    }
+
+    pub fn dom_sim(a: &[String], b: &[String]) -> f64 {
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let ta = domsim::majority_type(a);
+        let tb = domsim::majority_type(b);
+        if ta != tb {
+            return 0.1 * jaccard(a, b);
+        }
+        match ta {
+            ValueType::Integer | ValueType::Real | ValueType::Monetary => {
+                0.6 * range_overlap(a, b) + 0.4 * containment(a, b)
+            }
+            ValueType::Date => 0.5 + 0.5 * containment(a, b),
+            ValueType::Text => jaccard(a, b).max(0.9 * containment(a, b)),
+        }
+    }
+
+    pub fn similar_pair(a: &[String], b: &[String]) -> bool {
+        a.iter()
+            .any(|v| b.iter().any(|w| domsim::value_similarity(v, w) >= 0.85))
+    }
+}
+
+/// Text values close enough to each other that the similar-pair test
+/// meets its boundary: spelling variants, prefixes, non-ASCII letters.
+const WORDS: [&str; 16] = [
+    "Ryan Air",
+    "Ryanair",
+    "Aer Lingus",
+    "Air France",
+    "Boston",
+    "Bostonn",
+    "Zürich",
+    "Zurich",
+    "São Paulo",
+    "Sao Paulo",
+    "Ærøskøbing",
+    "abcdefghijklmnopqrst",
+    "abcdefghijklmnopq",
+    "abcdefghijklmnop",
+    "",
+    "Montréal",
+];
+
+const MONTHS: [&str; 8] = [
+    "Jan", "January", "Feb", "February", "Mar", "March", "Dec", "December",
+];
+
+/// `n` with thousands separators (`1,234,567`).
+fn with_commas(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// One value of kind `kind`: a comma integer, a real, a `$` amount, a
+/// month name, a text word (possibly edited), or a random short string.
+fn gen_value(rng: &mut StdRng, kind: usize) -> String {
+    let base = match kind {
+        0 => with_commas(rng.gen_range(0u64..30_000)),
+        1 => format!("{}.{}", rng.gen_range(0u64..50), rng.gen_range(0u64..100)),
+        2 => format!("${}", with_commas(rng.gen_range(0u64..30_000))),
+        3 => (*MONTHS.choose(rng).expect("non-empty")).to_string(),
+        4 => {
+            let mut w: Vec<char> = WORDS.choose(rng).expect("non-empty").chars().collect();
+            if !w.is_empty() && rng.gen_bool(0.3) {
+                let at = rng.gen_range(0..w.len());
+                if rng.gen_bool(0.5) {
+                    w.remove(at);
+                } else {
+                    w.insert(at, 'x');
+                }
+            }
+            w.into_iter().collect()
+        }
+        _ => rng.gen_string(prop::charset("abAB é"), 0, 20),
+    };
+    respell(rng, &base)
+}
+
+/// `v` in upper, lower or its own case, maybe with a leading or
+/// trailing space.
+fn respell(rng: &mut StdRng, v: &str) -> String {
+    let cased = match rng.gen_range(0u32..3) {
+        0 => v.to_uppercase(),
+        1 => v.to_lowercase(),
+        _ => v.to_string(),
+    };
+    let pad = |rng: &mut StdRng| if rng.gen_bool(0.2) { " " } else { "" };
+    format!("{}{cased}{}", pad(rng), pad(rng))
+}
+
+/// A value list of up to eight values, usually of one kind (so every
+/// DomSim branch is reached), sometimes mixed; duplicates are likely.
+fn gen_values(rng: &mut StdRng) -> Vec<String> {
+    let n = rng.gen_range(0usize..=8);
+    let kind = rng.gen_range(0usize..7); // 6 = mixed
+    let mut out: Vec<String> = Vec::with_capacity(n);
+    for _ in 0..n {
+        if !out.is_empty() && rng.gen_bool(0.15) {
+            let dup = out.choose(rng).expect("non-empty").clone();
+            out.push(dup);
+        } else {
+            let k = if kind == 6 {
+                rng.gen_range(0usize..6)
+            } else {
+                kind
+            };
+            out.push(gen_value(rng, k));
+        }
+    }
+    out
+}
+
+/// A list overlapping `a`: most of its values respelt, in a new order,
+/// plus a few new ones — the near-equal sets where Jaccard decides.
+fn overlapping(rng: &mut StdRng, a: &[String]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for v in a {
+        if rng.gen_bool(0.8) {
+            out.push(respell(rng, v));
+        }
+    }
+    for _ in 0..rng.gen_range(0usize..3) {
+        let kind = rng.gen_range(0usize..6);
+        out.push(gen_value(rng, kind));
+    }
+    out.shuffle(rng);
+    out
+}
+
+/// `ValueSet::sim` equals the pairwise BTreeSet formulas bit for bit, and
+/// the similar-pair test equals the brute force over every value pair.
+#[test]
+fn value_set_matches_the_pairwise_reference() {
+    prop::cases(8 * prop::CASES, |rng| {
+        let a = gen_values(rng);
+        let b = if rng.gen_bool(0.5) {
+            overlapping(rng, &a)
+        } else {
+            gen_values(rng)
+        };
+        let (sa, sb) = (ValueSet::new(&a), ValueSet::new(&b));
+        let want = reference::dom_sim(&a, &b);
+        assert_eq!(sa.sim(&sb).to_bits(), want.to_bits(), "{a:?} vs {b:?}");
+        assert_eq!(domsim::dom_sim(&a, &b).to_bits(), want.to_bits());
+        assert_eq!(
+            sa.has_similar_pair(&sb),
+            reference::similar_pair(&a, &b),
+            "{a:?} vs {b:?}"
+        );
+    });
+}
+
+/// The similar-pair test at the edges of its length bound.
+#[test]
+fn similar_pair_length_bound_edges() {
+    let check = |a: &[&str], b: &[&str], similar: bool| {
+        let a: Vec<String> = a.iter().map(|s| (*s).to_string()).collect();
+        let b: Vec<String> = b.iter().map(|s| (*s).to_string()).collect();
+        assert_eq!(reference::similar_pair(&a, &b), similar, "{a:?} vs {b:?}");
+        assert_eq!(
+            ValueSet::new(&a).has_similar_pair(&ValueSet::new(&b)),
+            similar,
+            "{a:?} vs {b:?}"
+        );
+    };
+    // 8 vs 7 chars, one edit: 1 − 1/8 = 0.875
+    assert_eq!(domsim::value_similarity("Ryan Air", "Ryanair"), 0.875);
+    check(&["Ryan Air"], &["Ryanair"], true);
+    // 20 vs 17 chars: the gap alone allows exactly 0.85, reached by a prefix
+    let (s20, s17) = ("abcdefghijklmnopqrst", "abcdefghijklmnopq");
+    assert_eq!(domsim::value_similarity(s20, s17), VERY_SIMILAR);
+    check(&[s20], &[s17], true);
+    check(&[s20], &["abcdefghijklmnopz"], false);
+    // 20 vs 16 chars: the gap alone rules the pair out
+    check(&[s20], &["abcdefghijklmnop"], false);
+    // padding and case normalise away; empty strings match each other only
+    check(&[" BOSTON "], &["boston"], true);
+    check(&[""], &["  "], true);
+    check(&[""], &["a"], false);
+    // non-ASCII letters count as one char each: 1 − 1/6 and 1 − 1/10
+    check(&["Zürich"], &["Zurich"], false);
+    check(&["Ærøskøbing"], &["Ærøskobing"], true);
+    check(&[], &["Boston"], false);
 }
