@@ -55,16 +55,22 @@ impl Record {
     }
 }
 
-/// How a constraint value is matched against a record value.
+/// How a constraint value is matched against a record value: the trimmed
+/// query occurs in the record value, ignoring ASCII case. Exact and
+/// whole-word matches are special cases, so text boxes match leniently
+/// and selected values exactly, as on real sources. A blank query is
+/// unconstrained.
 fn value_matches(record_value: &str, query_value: &str) -> bool {
-    let rv = record_value.trim().to_ascii_lowercase();
-    let qv = query_value.trim().to_ascii_lowercase();
-    if qv.is_empty() {
-        return true; // unconstrained
-    }
-    // exact (case-insensitive) or whole-word containment, mirroring how
-    // real sources treat text boxes leniently but select values exactly.
-    rv == qv || rv.split_whitespace().any(|w| w == qv) || rv.contains(&qv)
+    let needle = query_value.trim().as_bytes();
+    // A match starts at a character boundary (UTF-8 lead bytes never equal
+    // continuation bytes, and ASCII folding maps ASCII to ASCII) and the
+    // needle neither starts nor ends with whitespace, so it lies inside the
+    // trimmed record value: trimming the record changes nothing.
+    needle.is_empty()
+        || record_value
+            .as_bytes()
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle))
 }
 
 /// A store of records.
@@ -117,6 +123,7 @@ impl RecordStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webiq_rng::StdRng;
 
     fn flights() -> RecordStore {
         RecordStore::new(vec![
@@ -178,6 +185,151 @@ mod tests {
         )])]);
         assert_eq!(s.query(&constraints(&[("title", "computer")])).len(), 1);
         assert_eq!(s.query(&constraints(&[("title", "biology")])).len(), 0);
+    }
+
+    /// The matcher before it went allocation-free: lowercase both trimmed
+    /// strings, then equality, whole-word equality or containment.
+    fn reference_value_matches(record_value: &str, query_value: &str) -> bool {
+        let rv = record_value.trim().to_ascii_lowercase();
+        let qv = query_value.trim().to_ascii_lowercase();
+        if qv.is_empty() {
+            return true;
+        }
+        rv == qv || rv.split_whitespace().any(|w| w == qv) || rv.contains(&qv)
+    }
+
+    const WORDS: &[&str] = &[
+        "Zürich",
+        "São Paulo",
+        "New York",
+        "Boston",
+        "boston",
+        "LAX",
+        "O'Hare",
+        "straße",
+        "ÉCOLE",
+        "Ryan Air",
+        "Ryanair",
+        "3,000",
+        "$400",
+        "U.S.",
+        "ü",
+        "a",
+        "",
+    ];
+    const SPACE: &[&str] = &["", " ", "  ", "\t", "\n", "\u{a0}", "\u{2003}", "\u{3000}"];
+
+    fn pick<'a>(rng: &mut StdRng, from: &[&'a str]) -> &'a str {
+        from[rng.gen_range(0..from.len())]
+    }
+
+    /// ASCII letters in random case; non-ASCII letters sometimes
+    /// upper-cased too (`ü` -> `Ü`), which ASCII folding must not undo.
+    fn recase(rng: &mut StdRng, s: &str) -> String {
+        s.chars()
+            .flat_map(|c| match rng.gen_range(0u32..3) {
+                0 => c.to_uppercase().collect::<Vec<char>>(),
+                1 => vec![c.to_ascii_lowercase()],
+                _ => vec![c],
+            })
+            .collect()
+    }
+
+    /// A record value: one to three words, padded with ASCII and
+    /// non-ASCII whitespace.
+    fn record_value(rng: &mut StdRng) -> String {
+        let n = rng.gen_range(1usize..=3);
+        let words: Vec<&str> = (0..n).map(|_| pick(rng, WORDS)).collect();
+        let (l, r) = (pick(rng, SPACE), pick(rng, SPACE));
+        format!("{l}{}{r}", words.join(pick(rng, &[" ", "  ", "\u{a0}"])))
+    }
+
+    /// A query against `record`: a slice of it cut on char boundaries
+    /// (inside words too), a word from the pool, blank, or noise; in
+    /// random case with random padding.
+    fn query_value(rng: &mut StdRng, record: &str) -> String {
+        let core = match rng.gen_range(0u32..4) {
+            0 => {
+                let cuts: Vec<usize> = record
+                    .char_indices()
+                    .map(|(i, _)| i)
+                    .chain([record.len()])
+                    .collect();
+                let a = rng.gen_range(0..cuts.len());
+                let b = rng.gen_range(a..cuts.len());
+                record[cuts[a]..cuts[b]].to_string()
+            }
+            1 => pick(rng, WORDS).to_string(),
+            2 => pick(rng, SPACE).to_string(),
+            _ => rng.gen_string(webiq_rng::prop::charset("aouüé ,.$3"), 0, 4),
+        };
+        let (l, r) = (pick(rng, SPACE), pick(rng, SPACE));
+        format!("{l}{}{r}", recase(rng, &core))
+    }
+
+    #[test]
+    fn value_matches_agrees_with_reference() {
+        let mut matched = 0;
+        webiq_rng::prop::cases(4_000, |rng| {
+            let record = record_value(rng);
+            let query = query_value(rng, &record);
+            let want = reference_value_matches(&record, &query);
+            assert_eq!(value_matches(&record, &query), want, "{record:?} {query:?}");
+            matched += usize::from(want);
+        });
+        // both verdicts are well represented
+        assert!((1_000..3_000).contains(&matched), "{matched}");
+    }
+
+    #[test]
+    fn store_query_equals_reference_filter() {
+        let mut selected = 0;
+        webiq_rng::prop::cases(300, |rng| {
+            let fields = ["from", "to", "airline"];
+            let records: Vec<Record> = (0..rng.gen_range(0usize..12))
+                .map(|_| {
+                    let mut r = Record::default();
+                    for f in fields {
+                        if rng.gen_bool(0.85) {
+                            r.set(f, record_value(rng));
+                        }
+                    }
+                    r
+                })
+                .collect();
+            let store = RecordStore::new(records);
+            let mut constraints = BTreeMap::new();
+            for _ in 0..rng.gen_range(0usize..3) {
+                let name = pick(rng, &["from", "to", "airline", "color"]);
+                let base = store
+                    .records
+                    .get(rng.gen_range(0..store.len().max(1)))
+                    .and_then(|r| r.get(name))
+                    .map_or_else(|| pick(rng, WORDS).to_string(), str::to_string);
+                constraints.insert(name.to_string(), query_value(rng, &base));
+            }
+            // compare by address: the same records, in store order
+            let want: Vec<*const Record> = store
+                .records
+                .iter()
+                .filter(|r| {
+                    constraints.iter().all(|(name, value)| {
+                        value.trim().is_empty()
+                            || r.get(name)
+                                .is_some_and(|rv| reference_value_matches(rv, value))
+                    })
+                })
+                .map(std::ptr::from_ref)
+                .collect();
+            let got: Vec<*const Record> = store
+                .query(&constraints)
+                .into_iter()
+                .map(std::ptr::from_ref)
+                .collect();
+            selected += want.len();
+            assert_eq!(got, want, "{constraints:?}");
+        });
+        assert!(selected > 600, "{selected}");
     }
 
     #[test]

@@ -682,16 +682,16 @@ mod tests {
     fn prof_floor_and_peaks_are_respected() {
         let t = DiffThresholds::default();
         let mut base = ProfSnapshot::new();
-        base.set(ProfCounter::ParseCacheEvict, 2);
+        base.set(ProfCounter::SearchCacheEvict, 2);
         base.set(ProfCounter::WorkerMaxItems, 4);
         let mut cand = ProfSnapshot::new();
         // 2 -> 8 is +300% but below the floor of 20: reported, not gated.
-        cand.set(ProfCounter::ParseCacheEvict, 8);
+        cand.set(ProfCounter::SearchCacheEvict, 8);
         // peaks never enter the comparison at all
         cand.set(ProfCounter::WorkerMaxItems, 40);
         let deltas = diff_prof(&base, &cand, &t);
         assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].name, "parse_cache_evict");
+        assert_eq!(deltas[0].name, "search_cache_evict");
         assert!(!deltas[0].regressed);
     }
 

@@ -244,12 +244,6 @@ fn render_attribution(p: &SweepPoint) -> String {
             ProfCounter::HitCacheMiss,
             None,
         ),
-        (
-            "parse_cache",
-            ProfCounter::ParseCacheHit,
-            ProfCounter::ParseCacheMiss,
-            Some(ProfCounter::ParseCacheEvict),
-        ),
     ] {
         let evictions = match evict {
             Some(e) => format!(", evictions {}", p.prof.get(e)),

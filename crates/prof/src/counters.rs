@@ -15,11 +15,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of [`ProfCounter`] variants (the fixed registry size).
-pub const NUM_PROF_COUNTERS: usize = 15;
+pub const NUM_PROF_COUNTERS: usize = 12;
 
 /// Every profiling counter, in serialization order. The `WorkerMax*`
 /// variants are *peaks* (merged by maximum, exported as gauges); all
 /// others are monotonic tallies (exported as counters).
+///
+/// Like everything in this registry, the cache tallies are
+/// scheduling-dependent: threads that miss on the same fresh key at once
+/// each count a miss (and run the query), so hit and miss counts move
+/// with the worker count and the interleaving, while the answers do not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProfCounter {
     /// Cache-shard lock acquisitions (every `lock_shard` call).
@@ -37,12 +42,6 @@ pub enum ProfCounter {
     HitCacheHit,
     /// Hit-count-cache lookups that missed.
     HitCacheMiss,
-    /// Parsed-query-cache lookups served from the LRU.
-    ParseCacheHit,
-    /// Parsed-query-cache lookups that missed.
-    ParseCacheMiss,
-    /// Parsed-query-cache inserts that evicted an LRU entry.
-    ParseCacheEvict,
     /// Acquisition worker loops completed (sequential runs count one).
     WorkerRuns,
     /// Work items processed across all workers.
@@ -65,9 +64,6 @@ impl ProfCounter {
         ProfCounter::SearchCacheEvict,
         ProfCounter::HitCacheHit,
         ProfCounter::HitCacheMiss,
-        ProfCounter::ParseCacheHit,
-        ProfCounter::ParseCacheMiss,
-        ProfCounter::ParseCacheEvict,
         ProfCounter::WorkerRuns,
         ProfCounter::WorkerItems,
         ProfCounter::WorkerQueries,
@@ -86,9 +82,6 @@ impl ProfCounter {
             ProfCounter::SearchCacheEvict => "search_cache_evict",
             ProfCounter::HitCacheHit => "hit_cache_hit",
             ProfCounter::HitCacheMiss => "hit_cache_miss",
-            ProfCounter::ParseCacheHit => "parse_cache_hit",
-            ProfCounter::ParseCacheMiss => "parse_cache_miss",
-            ProfCounter::ParseCacheEvict => "parse_cache_evict",
             ProfCounter::WorkerRuns => "worker_runs",
             ProfCounter::WorkerItems => "worker_items",
             ProfCounter::WorkerQueries => "worker_queries",

@@ -7,8 +7,8 @@
 //!   hit-count cache; queries hash to shards, so threads working on
 //!   different queries almost never contend.
 //! - [`LruCache`] — a bounded least-recently-used map (intrusive
-//!   doubly-linked list over a slab) for the snippet/search and
-//!   parsed-query caches, whose values are too large to keep unbounded.
+//!   doubly-linked list over a slab) for the snippet (search) cache,
+//!   whose values are too large to keep unbounded.
 //! - [`ShardedLru`] — N [`LruCache`] shards behind their own locks; the
 //!   per-shard capacity is `total / N`.
 

@@ -10,11 +10,13 @@
 //! parallel acquisition workers (see DESIGN.md, "Parallel acquisition
 //! architecture"):
 //!
-//! - the hit-count cache is sharded N ways so unrelated queries never
-//!   contend on one lock;
-//! - search results and parsed queries sit behind bounded LRU caches
-//!   storing `Arc`s, so repeated extraction queries are served without
-//!   re-matching or re-parsing;
+//! - two caches memoise answers: hit counts in an unbounded map sharded N
+//!   ways, so unrelated queries never contend on one lock, and snippet
+//!   lists in a bounded sharded LRU storing `Arc`s, so repeated
+//!   extraction queries are served without re-matching;
+//! - a cache miss parses the query and evaluates it rarest-term-first
+//!   ([`InvertedIndex::matches`]), in time proportional to the postings
+//!   of its rarest positive term rather than of its first one;
 //! - every issued query additionally bumps the `webiq-trace`
 //!   *thread-local* counters ([`Counter::EngineSearchIssued`] /
 //!   [`Counter::EngineHitIssued`]), so a worker can measure exactly the
@@ -36,7 +38,7 @@ use crate::cache::{ShardedLru, ShardedMap};
 use crate::corpus::Corpus;
 use crate::error::WebError;
 use crate::index::InvertedIndex;
-use crate::query::{self, Query};
+use crate::query;
 
 /// A result snippet: a text window around the first match.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,8 +142,6 @@ impl EngineStats {
 
 /// Bounded capacity of the search (snippet) result cache.
 const SEARCH_CACHE_CAP: usize = 4096;
-/// Bounded capacity of the parsed-query memo.
-const PARSE_CACHE_CAP: usize = 8192;
 
 /// The simulated search engine.
 ///
@@ -162,7 +162,6 @@ pub struct SearchEngine {
     stats: EngineStats,
     hit_cache: ShardedMap<u64>,
     search_cache: ShardedLru<(String, usize), Arc<Vec<Snippet>>>,
-    parse_cache: ShardedLru<String, Arc<Query>>,
     /// Simulated network round-trip, in microseconds, charged to each
     /// cache *miss* (a cache hit is a local lookup). 0 = disabled.
     latency_us: AtomicU64,
@@ -180,7 +179,6 @@ impl SearchEngine {
             stats: EngineStats::default(),
             hit_cache: ShardedMap::new(),
             search_cache: ShardedLru::new(SEARCH_CACHE_CAP),
-            parse_cache: ShardedLru::new(PARSE_CACHE_CAP),
             latency_us: AtomicU64::new(0),
         })
     }
@@ -217,69 +215,6 @@ impl SearchEngine {
         self.index.doc_count()
     }
 
-    /// Parse `query`, memoised through a bounded LRU keyed by the raw
-    /// query string.
-    fn parse_cached(&self, query: &str) -> Arc<Query> {
-        if let Some(q) = self.parse_cache.get(query, &query.to_string()) {
-            webiq_prof::incr(ProfCounter::ParseCacheHit);
-            return q;
-        }
-        webiq_prof::incr(ProfCounter::ParseCacheMiss);
-        let q = Arc::new(query::parse(query));
-        if self
-            .parse_cache
-            .insert(query, query.to_string(), Arc::clone(&q))
-            .is_some()
-        {
-            webiq_prof::incr(ProfCounter::ParseCacheEvict);
-        }
-        q
-    }
-
-    /// Documents matching a parsed query, ascending; each with the position
-    /// of the first phrase match (or 0 when the query has no phrases).
-    fn matching_docs(&self, q: &Query) -> Vec<(u32, u32)> {
-        if q.is_empty() {
-            return Vec::new();
-        }
-        // Start from the most selective phrase, or from keyword postings.
-        let mut candidates: Option<Vec<(u32, u32)>> = None;
-        for phrase in &q.phrases {
-            let docs = self.index.phrase_docs(phrase);
-            candidates = Some(match candidates {
-                None => docs,
-                Some(prev) => intersect_keep_first_pos(&prev, &docs),
-            });
-        }
-        let mut result: Vec<(u32, u32)> = match candidates {
-            Some(c) => c,
-            None => {
-                // keyword-only query: seed with the first keyword's docs
-                let first = &q.keywords[0];
-                self.index
-                    .term_docs(first)
-                    .into_iter()
-                    .map(|d| (d, 0))
-                    .collect()
-            }
-        };
-        for kw in &q.keywords {
-            let docs = self.index.term_docs(kw);
-            result.retain(|(d, _)| docs.binary_search(d).is_ok());
-            if result.is_empty() {
-                break;
-            }
-        }
-        for ex in &q.excluded {
-            let docs = self.index.term_docs(ex);
-            result.retain(|(d, _)| docs.binary_search(d).is_err());
-            if result.is_empty() {
-                break;
-            }
-        }
-        result
-    }
-
     /// Number of pages matching `query` — the `NumHits` oracle of §2.2.
     /// Results are memoised in a sharded cache, and [`EngineStats`] counts
     /// *cache misses* only. Racing threads that miss on the same fresh
@@ -297,8 +232,7 @@ impl SearchEngine {
         webiq_prof::incr(ProfCounter::HitCacheMiss);
         webiq_prof::time(Stage::EngineQuery, || {
             self.simulate_round_trip();
-            let q = self.parse_cached(query);
-            let hits = self.matching_docs(&q).len() as u64;
+            let hits = self.index.matches(&query::parse(query)).count() as u64;
             self.hit_cache.insert(query.to_string(), hits);
             hits
         })
@@ -321,10 +255,9 @@ impl SearchEngine {
         webiq_prof::incr(ProfCounter::SearchCacheMiss);
         webiq_prof::time(Stage::EngineQuery, || {
             self.simulate_round_trip();
-            let q = self.parse_cached(query);
             let snippets: Vec<Snippet> = self
-                .matching_docs(&q)
-                .into_iter()
+                .index
+                .matches(&query::parse(query))
                 .take(k)
                 .filter_map(|(doc_id, pos)| {
                     // Doc ids come from the index; a miss means index/corpus
@@ -346,25 +279,6 @@ impl SearchEngine {
             snippets
         })
     }
-}
-
-/// Intersect two `(doc, first_pos)` lists on doc id, keeping the first
-/// list's position (the earliest phrase anchor).
-fn intersect_keep_first_pos(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// Extract a snippet window around token position `pos`: a few tokens of
@@ -555,7 +469,6 @@ mod tests {
         assert!(d.get(ProfCounter::HitCacheMiss) >= 1, "{d:?}");
         assert!(d.get(ProfCounter::HitCacheHit) >= 1, "{d:?}");
         assert!(d.get(ProfCounter::SearchCacheMiss) >= 1, "{d:?}");
-        assert!(d.get(ProfCounter::ParseCacheMiss) >= 1, "{d:?}");
         assert!(d.get(ProfCounter::ShardLockAcquire) >= 1, "{d:?}");
         assert!(d.stage_calls(Stage::EngineQuery) >= 2, "{d:?}");
     }

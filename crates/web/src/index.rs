@@ -1,8 +1,9 @@
 //! Positional inverted index.
 //!
 //! Maps each term to its postings — `(doc, positions)` pairs — enabling
-//! both boolean keyword matching and exact phrase matching by position
-//! intersection, the two operations Google's 2006 query subset needs.
+//! both boolean keyword matching and exact phrase matching by position,
+//! the two operations Google's 2006 query subset needs.
+//! [`InvertedIndex::matches`] answers a parsed query rarest-term-first.
 
 // lint:deterministic
 
@@ -10,7 +11,7 @@ use std::collections::HashMap;
 
 use crate::corpus::Corpus;
 use crate::error::WebError;
-use crate::query::webiq_nlp_like_tokens;
+use crate::query::{tokenize, Query};
 
 /// Postings for one term: documents and in-document token positions,
 /// both ascending.
@@ -24,6 +25,12 @@ impl Postings {
     /// Number of documents containing the term.
     pub fn doc_count(&self) -> usize {
         self.docs.len()
+    }
+
+    /// The term's positions in `doc`, ascending, if it occurs there.
+    pub(crate) fn positions(&self, doc: u32) -> Option<&[u32]> {
+        let i = self.docs.binary_search_by_key(&doc, |(d, _)| *d).ok()?;
+        self.docs.get(i).map(|(_, ps)| ps.as_slice())
     }
 }
 
@@ -55,7 +62,7 @@ fn build_threads() -> usize {
 fn index_chunk(docs: &[crate::corpus::Document]) -> HashMap<String, Postings> {
     let mut terms: HashMap<String, Postings> = HashMap::new();
     for doc in docs {
-        for (pos, tok) in webiq_nlp_like_tokens(&doc.text).into_iter().enumerate() {
+        for (pos, tok) in tokenize(&doc.text).into_iter().enumerate() {
             let postings = terms.entry(tok).or_default();
             match postings.docs.last_mut() {
                 Some((d, positions)) if *d == doc.id => positions.push(pos as u32),
@@ -134,69 +141,105 @@ impl InvertedIndex {
         self.terms.get(term)
     }
 
-    /// Documents containing `term`, ascending.
-    pub fn term_docs(&self, term: &str) -> Vec<u32> {
-        self.terms
-            .get(term)
-            .map(|p| p.docs.iter().map(|(d, _)| *d).collect())
-            .unwrap_or_default()
+    /// Documents matching `q`, ascending, each with the earliest start of
+    /// the query's first phrase (0 when it has no phrase).
+    ///
+    /// Evaluation is rarest-term-first: the positive term (phrase word or
+    /// keyword) with the fewest documents drives, and each of its
+    /// documents is kept only if every keyword occurs in it, every phrase
+    /// starts somewhere in it and no excluded term occurs in it, each
+    /// checked by binary search over that term's postings. A positive
+    /// term missing from the index empties the answer; a missing excluded
+    /// term excludes nothing. The iterator is lazy, so `take(k)` stops
+    /// after `k` matches.
+    pub fn matches<'a>(&'a self, q: &Query) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let plan = Plan::new(self, q);
+        let rarest: &'a [(u32, Vec<u32>)] = plan.as_ref().map_or(&[], |p| p.rarest);
+        let mut scratch = Vec::new();
+        rarest.iter().filter_map(move |&(doc, _)| {
+            let anchor = plan.as_ref()?.admit(doc, &mut scratch)?;
+            Some((doc, anchor))
+        })
+    }
+}
+
+/// A parsed query resolved against the index: every term's postings,
+/// looked up once per query.
+struct Plan<'a> {
+    /// The rarest positive term's documents.
+    rarest: &'a [(u32, Vec<u32>)],
+    keywords: Vec<&'a Postings>,
+    /// Each phrase's words, in order.
+    phrases: Vec<Vec<&'a Postings>>,
+    /// Excluded terms present in the index.
+    excluded: Vec<&'a Postings>,
+}
+
+impl<'a> Plan<'a> {
+    /// `None` when the query has no positive term or one of them is
+    /// absent from the index: either way nothing matches.
+    fn new(index: &'a InvertedIndex, q: &Query) -> Option<Self> {
+        let lookup = |t: &String| index.terms.get(t);
+        let keywords: Vec<&Postings> = q.keywords.iter().map(lookup).collect::<Option<_>>()?;
+        let phrases: Vec<Vec<&Postings>> = q
+            .phrases
+            .iter()
+            .map(|phrase| phrase.iter().map(lookup).collect::<Option<_>>())
+            .collect::<Option<_>>()?;
+        let rarest = keywords
+            .iter()
+            .chain(phrases.iter().flatten())
+            .min_by_key(|p| p.doc_count())?;
+        Some(Plan {
+            rarest: &rarest.docs,
+            excluded: q.excluded.iter().filter_map(lookup).collect(),
+            keywords,
+            phrases,
+        })
     }
 
-    /// Documents containing the exact `phrase` (sequence of lowercase
-    /// tokens), ascending, along with the first match position in each.
-    pub fn phrase_docs(&self, phrase: &[String]) -> Vec<(u32, u32)> {
-        let Some(first) = phrase.first() else {
-            return Vec::new();
-        };
-        let Some(first_postings) = self.terms.get(first) else {
-            return Vec::new();
-        };
-        if phrase.len() == 1 {
-            return first_postings
-                .docs
-                .iter()
-                .filter_map(|(d, ps)| ps.first().map(|&p| (*d, p)))
-                .collect();
+    /// The first phrase's earliest start in `doc` (0 without phrases), or
+    /// `None` when `doc` does not match. `scratch` holds one phrase's
+    /// in-document positions at a time.
+    fn admit(&self, doc: u32, scratch: &mut Vec<&'a [u32]>) -> Option<u32> {
+        if !self.keywords.iter().all(|p| p.positions(doc).is_some()) {
+            return None;
         }
-        // For each doc containing the first term, check each start position.
-        let mut rest: Vec<&Postings> = Vec::with_capacity(phrase.len().saturating_sub(1));
-        for t in phrase.iter().skip(1) {
-            match self.terms.get(t) {
-                Some(p) => rest.push(p),
-                None => return Vec::new(),
-            }
+        let mut anchor = None;
+        for phrase in &self.phrases {
+            let start = phrase_start(phrase, doc, scratch)?;
+            anchor.get_or_insert(start);
         }
-        let mut out = Vec::new();
-        'docs: for (doc, starts) in &first_postings.docs {
-            // positions of each subsequent term in this doc
-            let mut positions: Vec<&[u32]> = Vec::with_capacity(rest.len());
-            for p in &rest {
-                match p.docs.binary_search_by_key(doc, |(d, _)| *d) {
-                    Ok(idx) => match p.docs.get(idx) {
-                        Some((_, ps)) => positions.push(ps.as_slice()),
-                        None => continue 'docs,
-                    },
-                    Err(_) => continue 'docs,
-                }
-            }
-            for &s in starts {
-                let matched = positions
-                    .iter()
-                    .enumerate()
-                    .all(|(off, ps)| ps.binary_search(&(s + off as u32 + 1)).is_ok());
-                if matched {
-                    out.push((*doc, s));
-                    break;
-                }
-            }
+        if self.excluded.iter().any(|p| p.positions(doc).is_some()) {
+            return None;
         }
-        out
+        Some(anchor.unwrap_or(0))
     }
+}
+
+/// Earliest token position in `doc` at which `phrase` (its words'
+/// postings, in order) occurs contiguously.
+fn phrase_start<'a>(
+    phrase: &[&'a Postings],
+    doc: u32,
+    scratch: &mut Vec<&'a [u32]>,
+) -> Option<u32> {
+    scratch.clear();
+    for p in phrase {
+        scratch.push(p.positions(doc)?);
+    }
+    let (first, rest) = scratch.split_first()?;
+    first.iter().copied().find(|&s| {
+        rest.iter()
+            .zip(1u32..)
+            .all(|(ps, off)| ps.binary_search(&(s + off)).is_ok())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::parse;
 
     fn corpus() -> Corpus {
         Corpus::from_texts([
@@ -206,12 +249,16 @@ mod tests {
         ])
     }
 
+    fn matches(idx: &InvertedIndex, q: &str) -> Vec<(u32, u32)> {
+        idx.matches(&parse(q)).collect()
+    }
+
     #[test]
     fn term_lookup() {
         let idx = InvertedIndex::build(&corpus()).expect("build");
-        assert_eq!(idx.term_docs("delta"), vec![0, 1]);
-        assert_eq!(idx.term_docs("boston"), vec![0, 2]);
-        assert_eq!(idx.term_docs("zurich"), Vec::<u32>::new());
+        assert_eq!(matches(&idx, "delta"), vec![(0, 0), (1, 0)]);
+        assert_eq!(matches(&idx, "boston"), vec![(0, 0), (2, 0)]);
+        assert!(matches(&idx, "zurich").is_empty());
         assert_eq!(idx.doc_count(), 3);
     }
 
@@ -221,42 +268,121 @@ mod tests {
         let p = idx.postings("such").expect("postings");
         assert_eq!(p.doc_count(), 2);
         assert_eq!(p.docs[0], (0, vec![1]));
+        assert_eq!(p.positions(2), Some(&[1][..]));
+        assert_eq!(p.positions(1), None);
     }
 
     #[test]
     fn phrase_match() {
         let idx = InvertedIndex::build(&corpus()).expect("build");
-        let phrase: Vec<String> = ["airlines", "such", "as"].map(String::from).to_vec();
-        assert_eq!(idx.phrase_docs(&phrase), vec![(0, 0)]);
-        let phrase: Vec<String> = ["such", "as"].map(String::from).to_vec();
-        assert_eq!(idx.phrase_docs(&phrase).len(), 2);
+        assert_eq!(matches(&idx, "\"airlines such as\""), vec![(0, 0)]);
+        assert_eq!(matches(&idx, "\"such as\""), vec![(0, 1), (2, 1)]);
     }
 
     #[test]
     fn phrase_requires_adjacency() {
         let idx = InvertedIndex::build(&corpus()).expect("build");
-        let phrase: Vec<String> = ["delta", "united"].map(String::from).to_vec();
-        assert!(idx.phrase_docs(&phrase).is_empty());
+        assert!(matches(&idx, "\"delta united\"").is_empty());
     }
 
     #[test]
     fn phrase_with_unknown_term() {
         let idx = InvertedIndex::build(&corpus()).expect("build");
-        let phrase: Vec<String> = ["such", "zebras"].map(String::from).to_vec();
-        assert!(idx.phrase_docs(&phrase).is_empty());
+        assert!(matches(&idx, "\"such zebras\"").is_empty());
     }
 
     #[test]
     fn single_word_phrase() {
         let idx = InvertedIndex::build(&corpus()).expect("build");
-        let phrase = vec!["boston".to_string()];
-        assert_eq!(idx.phrase_docs(&phrase).len(), 2);
+        assert_eq!(matches(&idx, "\"boston\""), vec![(0, 8), (2, 3)]);
     }
 
     #[test]
     fn empty_phrase() {
         let idx = InvertedIndex::build(&corpus()).expect("build");
-        assert!(idx.phrase_docs(&[]).is_empty());
+        assert!(matches(&idx, "\"\"").is_empty());
+        assert!(matches(&idx, "-delta").is_empty());
+    }
+
+    #[test]
+    fn first_phrase_anchors_whichever_term_drives() {
+        let idx = InvertedIndex::build(&corpus()).expect("build");
+        // "atlanta" (1 doc) drives; the anchor is still the phrase's start
+        assert_eq!(matches(&idx, "\"an airline\" +atlanta"), vec![(1, 2)]);
+        // the rarer second phrase drives; the first phrase anchors
+        assert_eq!(matches(&idx, "\"such as\" \"from boston\""), vec![(0, 1)]);
+        assert_eq!(matches(&idx, "\"from boston\" \"such as\""), vec![(0, 7)]);
+    }
+
+    #[test]
+    fn unknown_exclusion_excludes_nothing() {
+        let idx = InvertedIndex::build(&corpus()).expect("build");
+        assert_eq!(matches(&idx, "delta -zurich"), matches(&idx, "delta"));
+        assert_eq!(matches(&idx, "delta -atlanta"), vec![(0, 0)]);
+    }
+
+    /// A generated corpus plus pages with repeated words and tokens that
+    /// keep internal punctuation (`3,000`, `u.s`, `$400`).
+    fn oracle_corpus() -> Corpus {
+        let concept = |key: &str, lex: &[&str], instances: &[&str]| crate::gen::ConceptSpec {
+            key: key.into(),
+            lexicalizations: lex.iter().map(|s| (*s).to_string()).collect(),
+            object: "flight".into(),
+            domain_terms: vec!["airfare".into(), "travel".into()],
+            instances: instances.iter().map(|s| (*s).to_string()).collect(),
+            confusers: vec!["the following".into()],
+            richness: 1.0,
+        };
+        let mut corpus = crate::gen::generate(
+            &[
+                concept(
+                    "airfare/city",
+                    &["departure city", "city"],
+                    &["Boston", "New York", "São Paulo", "Zürich", "St. Louis"],
+                ),
+                concept(
+                    "airfare/airline",
+                    &["airline"],
+                    &["Delta", "U.S. Airways", "Air Canada", "JetBlue"],
+                ),
+                concept("airfare/fare", &["fare"], &["$400", "$3,000", "$1,250.50"]),
+            ],
+            &crate::gen::GenConfig {
+                docs_per_concept: 60,
+                noise_docs: 40,
+                ..crate::gen::GenConfig::default()
+            },
+        );
+        for text in [
+            "boston boston boston",
+            "Fares from $400 to $3,000 in the U.S. market, Boston to Boston.",
+            "such as such as such as Delta",
+            "3,000 miles; U.S. carriers such as Delta fly 3,000 routes",
+        ] {
+            corpus.push(text);
+        }
+        corpus
+    }
+
+    /// The oracle: on 2,400 seeded queries, rarest-term-first evaluation
+    /// gives the brute-force reference's `(doc, first-phrase start)` list.
+    #[test]
+    fn matches_agree_with_brute_force_reference() {
+        let corpus = oracle_corpus();
+        let idx = InvertedIndex::build(&corpus).expect("build");
+        let reference = crate::reference::Reference::new(corpus.iter().map(|d| tokenize(&d.text)));
+        let (mut hits, mut phrase_hits) = (0, 0);
+        webiq_rng::prop::cases(2_400, |rng| {
+            let text = reference.random_query(rng);
+            let q = parse(&text);
+            let want = reference.answer(&q.phrases, &q.keywords, &q.excluded);
+            let got: Vec<(u32, u32)> = idx.matches(&q).collect();
+            assert_eq!(got, want, "query {text:?}");
+            hits += usize::from(!want.is_empty());
+            phrase_hits += usize::from(want.iter().any(|&(_, pos)| pos > 0));
+        });
+        // not vacuous: many queries match, many at a phrase past token 0
+        assert!(hits > 650 && phrase_hits > 330, "{hits} {phrase_hits}");
     }
 
     #[test]
@@ -292,6 +418,6 @@ mod tests {
     fn build_with_more_threads_than_docs() {
         let c = Corpus::from_texts(["one doc"]);
         let idx = InvertedIndex::build_with_threads(&c, 64).expect("build");
-        assert_eq!(idx.term_docs("doc"), vec![0]);
+        assert_eq!(matches(&idx, "doc"), vec![(0, 0)]);
     }
 }

@@ -25,6 +25,10 @@ pub mod gen;
 pub mod index;
 pub mod query;
 
+#[cfg(test)]
+#[path = "../tests/support/reference.rs"]
+mod reference;
+
 pub use corpus::{Corpus, Document};
 pub use engine::{EngineStats, QueryEngine, SearchEngine, Snippet};
 pub use error::WebError;

@@ -31,15 +31,10 @@ impl Query {
     }
 }
 
-/// Tokenize a fragment into the same lowercase word/number tokens used by
-/// the index.
-fn fragment_tokens(s: &str) -> Vec<String> {
-    webiq_nlp_like_tokens(s)
-}
-
-/// Word tokenization consistent with the document indexer: alphanumeric
-/// runs (plus internal `'`/`-`/`.`/`,` between digits) lowercased.
-pub(crate) fn webiq_nlp_like_tokens(s: &str) -> Vec<String> {
+/// The word tokenization shared by the document indexer and the query
+/// parser: alphanumeric runs (plus internal `'`/`-`/`.`/`,` followed by an
+/// alphanumeric, and a leading `$` before a digit), lowercased.
+pub fn tokenize(s: &str) -> Vec<String> {
     let chars: Vec<char> = s.chars().collect();
     let mut out = Vec::new();
     let mut i = 0;
@@ -83,7 +78,7 @@ pub fn parse(query: &str) -> Query {
                 Some(e) => (&query[i + 1..e], e + 1),
                 None => (&query[i + 1..], query.len()),
             };
-            let toks = fragment_tokens(content);
+            let toks = tokenize(content);
             if !toks.is_empty() {
                 phrases.push(toks);
             }
@@ -98,9 +93,9 @@ pub fn parse(query: &str) -> Query {
             }
             let raw = &query[start..i];
             if let Some(negated) = raw.strip_prefix('-') {
-                excluded.extend(fragment_tokens(negated));
+                excluded.extend(tokenize(negated));
             } else {
-                keywords.extend(fragment_tokens(raw.trim_start_matches('+')));
+                keywords.extend(tokenize(raw.trim_start_matches('+')));
             }
         }
     }
@@ -178,10 +173,10 @@ mod tests {
     #[test]
     fn tokens_keep_hyphens_and_apostrophes() {
         assert_eq!(
-            webiq_nlp_like_tokens("O'Hare first-class"),
+            tokenize("O'Hare first-class"),
             vec!["o'hare", "first-class"]
         );
-        assert_eq!(webiq_nlp_like_tokens("$15,200"), vec!["$15,200"]);
-        assert_eq!(webiq_nlp_like_tokens("3.14"), vec!["3.14"]);
+        assert_eq!(tokenize("$15,200"), vec!["$15,200"]);
+        assert_eq!(tokenize("3.14"), vec!["3.14"]);
     }
 }
