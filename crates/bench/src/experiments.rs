@@ -158,12 +158,6 @@ pub struct Fig8Row {
     pub domain: &'static str,
     /// Wall-clock seconds spent matching the enriched attributes.
     pub matching_secs: f64,
-    /// Wall-clock seconds in the Surface component (in-process).
-    pub surface_secs: f64,
-    /// Wall-clock seconds in Attr-Surface.
-    pub attr_surface_secs: f64,
-    /// Wall-clock seconds in Attr-Deep.
-    pub attr_deep_secs: f64,
     /// Search and hit-count calls the Surface component issued, cache
     /// hits included.
     pub surface_queries: u64,
@@ -210,9 +204,6 @@ pub fn fig8(seed: u64) -> Vec<Fig8Row> {
         Fig8Row {
             domain: def.display,
             matching_secs,
-            surface_secs: acq.report.surface_cost.secs,
-            attr_surface_secs: acq.report.attr_surface_cost.secs,
-            attr_deep_secs: acq.report.attr_deep_cost.secs,
             surface_queries: acq.report.surface_cost.engine_queries,
             attr_surface_queries: acq.report.attr_surface_cost.engine_queries,
             probes: acq.report.attr_deep_cost.probes,
@@ -473,9 +464,6 @@ impl ToJson for Fig8Row {
         obj([
             ("domain", self.domain.into()),
             ("matching_secs", self.matching_secs.into()),
-            ("surface_secs", self.surface_secs.into()),
-            ("attr_surface_secs", self.attr_surface_secs.into()),
-            ("attr_deep_secs", self.attr_deep_secs.into()),
             ("surface_queries", self.surface_queries.into()),
             ("attr_surface_queries", self.attr_surface_queries.into()),
             ("probes", self.probes.into()),

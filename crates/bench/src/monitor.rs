@@ -18,7 +18,8 @@
 //! - a [`webiq::obs::LiveRegistry`] the pipeline publishes into, served
 //!   over HTTP by a [`webiq::obs::MetricsServer`] on an ephemeral
 //!   localhost port and scraped once after the run (`/metrics` and
-//!   `/healthz`);
+//!   `/healthz`); the scrape without its `webiq_prof_*` appendix is what
+//!   `METRICS_BASELINE.txt` is (CI compares them with `cmp`);
 //! - a summary object (`OBS_BASELINE.json`) recording the funnel, the
 //!   decision counts, the F-1 and the scrape's health, written through
 //!   the workspace codec ([`webiq::trace::json`]).

@@ -26,7 +26,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use webiq::core::{Acquisition, AcquisitionReport, Components, WebIQConfig};
+use webiq::core::{Acquisition, Components, WebIQConfig};
 use webiq::fault::DiskFaultPlan;
 use webiq::pipeline::DomainPipeline;
 use webiq::store::{fsck, scan, Record, State, Store, SNAPSHOT_FILE, WAL_FILE};
@@ -76,7 +76,7 @@ pub struct StoreOutcome {
     /// The warm run issued zero engine queries.
     pub warm_engine_queries: u64,
     /// The warm run's instances, degraded set, and report matched the
-    /// cold run's (wall-clock secs excluded).
+    /// cold run's.
     pub warm_identical: bool,
     /// All of the above held.
     pub pass: bool,
@@ -231,17 +231,6 @@ fn fault_phase(records: &[Record], fault_seed: u64) -> Result<(usize, usize, boo
     Ok((records.len(), injected, consistent))
 }
 
-/// A report with its wall-clock `secs` zeroed — the warm run's secs are
-/// zero by construction (no time was re-spent), every other field is
-/// counter-derived and must match exactly.
-fn no_secs(r: &AcquisitionReport) -> AcquisitionReport {
-    let mut r = r.clone();
-    r.surface_cost.secs = 0.0;
-    r.attr_surface_cost.secs = 0.0;
-    r.attr_deep_cost.secs = 0.0;
-    r
-}
-
 fn engine_queries_of(acq: &Acquisition) -> u64 {
     let r = &acq.report;
     r.surface_cost.engine_queries
@@ -327,7 +316,7 @@ pub fn run(
     let warm_engine_queries = local_engine_queries() - before;
     let warm_identical = warm.acquired == cold.acquired
         && warm.degraded == cold.degraded
-        && warm.report == no_secs(&cold.report);
+        && warm.report == cold.report;
     if keep.is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }

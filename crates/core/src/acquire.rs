@@ -28,7 +28,6 @@ use webiq_fault::{FaultConfig, QuotaTracker};
 use webiq_match::domsim::ValueSet;
 use webiq_match::Profile;
 use webiq_prof::Stage;
-use webiq_trace::timing::Stopwatch;
 use webiq_trace::{Counter, Gauge, HistKey, ItemBuf, MetricSet};
 use webiq_web::{QueryEngine, SearchEngine};
 
@@ -43,11 +42,11 @@ use crate::persist;
 use crate::resilience::{Resilience, ResilientEngine, ResilientSource};
 use crate::surface;
 
-/// Per-component accounting for the overhead analysis (Fig. 8).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Per-component accounting for the overhead analysis (Fig. 8): what a
+/// component issued, counted deterministically. Its wall-clock time is
+/// the `webiq_prof` stage that covers it (`extract`, `borrow`, `bayes`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComponentCost {
-    /// Wall-clock seconds spent in the component.
-    pub secs: f64,
     /// Search-engine queries issued (search + hit-count calls).
     pub engine_queries: u64,
     /// Deep-Web probe submissions issued.
@@ -55,7 +54,7 @@ pub struct ComponentCost {
 }
 
 /// Acquisition statistics and costs.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AcquisitionReport {
     /// Attributes that had no pre-defined instances.
     pub no_inst_attrs: usize,
@@ -85,12 +84,11 @@ pub struct AcquisitionReport {
 }
 
 impl AcquisitionReport {
-    /// Derive the report's deterministic fields from a set of trace
-    /// counters (the merged per-item deltas of one acquisition run). The
-    /// wall-clock `secs` fields are *not* counters — they stay zero here
-    /// and are filled in by [`acquire`] from its stopwatches — so the
-    /// report is the counters' aggregate by construction: there is one
-    /// source of truth for every number shared between the two views.
+    /// Derive the report from a set of trace counters (the merged
+    /// per-item deltas of one acquisition run). Every field is a
+    /// counter, so the report is the counters' aggregate by
+    /// construction: there is one source of truth for every number
+    /// shared between the two views.
     pub fn from_metrics(m: &MetricSet) -> Self {
         AcquisitionReport {
             no_inst_attrs: m.get(Counter::AttrsNoInstance) as usize,
@@ -297,13 +295,11 @@ pub fn case2_candidates(table: &AttrTable<'_>, r1: AttrRef, cfg: &WebIQConfig) -
 /// [`Acquisition`] happens sequentially in attribute order, making the
 /// parallel result identical to the sequential one. Success flags and
 /// query counts live in the item's trace counters (its [`ItemBuf`]); only
-/// the acquired instances and the report-only wall-clock secs ride here.
+/// the acquired instances and what the store keeps ride here.
 enum ItemOutcome {
     /// An instance-less attribute (§5 case 1).
     NoInst {
         got: Vec<String>,
-        surface_secs: f64,
-        deep_secs: f64,
         /// Deep-Web probe verdicts, `(lender reference, accepted)` in
         /// probe order — the expensive facts the knowledge store keeps.
         borrows: Vec<(String, bool)>,
@@ -311,7 +307,6 @@ enum ItemOutcome {
     /// A pre-defined attribute run through Attr-Surface (§5 case 2).
     Predefined {
         accepted: Vec<String>,
-        secs: f64,
         /// The trained validation classifier's parameters, if training
         /// succeeded — persisted so a later run can rebuild the model
         /// without re-issuing its training queries.
@@ -405,8 +400,6 @@ fn attribute_body<E: QueryEngine>(
     if !a1.has_instances() {
         webiq_trace::incr(Counter::AttrsNoInstance);
         let mut got: Vec<String> = Vec::new();
-        let mut surface_secs = 0.0;
-        let mut deep_secs = 0.0;
         let mut borrows: Vec<(String, bool)> = Vec::new();
 
         // Step 1.a: discover from the Surface Web, scoping queries with
@@ -415,13 +408,11 @@ fn attribute_body<E: QueryEngine>(
         if components.surface {
             let _span = webiq_trace::span("surface");
             let before = webiq_trace::snapshot();
-            let sw = Stopwatch::start();
             let mut attr_info = info.clone();
             attr_info.sibling_terms = sibling_terms(ds, r1);
             let result = webiq_prof::time(Stage::Extract, || {
                 surface::discover(engine, &a1.label, &attr_info, cfg)
             });
-            surface_secs = sw.elapsed_secs();
             let delta = webiq_trace::snapshot().diff(&before);
             webiq_trace::add(Counter::SurfaceQueries, engine_queries(&delta));
             got = result.texts();
@@ -438,7 +429,6 @@ fn attribute_body<E: QueryEngine>(
             // then tests a genuinely new domain.
             let _span = webiq_trace::span("attr_deep");
             let before = webiq_trace::snapshot();
-            let sw = Stopwatch::start();
             let candidates = case1_candidates(table, r1, cfg);
             let mut accepted_domains: Vec<&ValueSet> = Vec::new();
             let mut failed_domains: Vec<&ValueSet> = Vec::new();
@@ -526,7 +516,6 @@ fn attribute_body<E: QueryEngine>(
                     break;
                 }
             }
-            deep_secs = sw.elapsed_secs();
             let probes = webiq_trace::snapshot()
                 .diff(&before)
                 .get(Counter::ProbesIssued);
@@ -537,12 +526,7 @@ fn attribute_body<E: QueryEngine>(
         if surface_deep_success {
             webiq_trace::incr(Counter::SurfaceDeepSuccess);
         }
-        Ok(ItemOutcome::NoInst {
-            got,
-            surface_secs,
-            deep_secs,
-            borrows,
-        })
+        Ok(ItemOutcome::NoInst { got, borrows })
     } else if components.attr_surface {
         // Step 2: borrow for a pre-defined attribute, validate via the
         // Surface Web (the Deep Web cannot be probed with values outside
@@ -550,7 +534,6 @@ fn attribute_body<E: QueryEngine>(
         webiq_trace::incr(Counter::AttrsPredefined);
         let _span = webiq_trace::span("attr_surface");
         let before = webiq_trace::snapshot();
-        let sw = Stopwatch::start();
         let candidates = case2_candidates(table, r1, cfg);
         let mut pool: Vec<String> = Vec::new();
         for cand in candidates.into_iter().take(8) {
@@ -587,11 +570,7 @@ fn attribute_body<E: QueryEngine>(
         if !accepted.is_empty() {
             webiq_trace::incr(Counter::AttrSurfaceEnriched);
         }
-        Ok(ItemOutcome::Predefined {
-            accepted,
-            secs: sw.elapsed_secs(),
-            model,
-        })
+        Ok(ItemOutcome::Predefined { accepted, model })
     } else {
         webiq_trace::incr(Counter::AttrsSkipped);
         Ok(ItemOutcome::Skipped)
@@ -607,11 +586,10 @@ fn attribute_body<E: QueryEngine>(
 /// pool ([`WebIQConfig::resolved_threads`] workers; see also the
 /// `WEBIQ_THREADS` env var). Outcomes — including each item's trace
 /// buffer — are merged in attribute order, so the acquired-instance maps,
-/// every report counter except the wall-clock `secs` fields, and the
-/// emitted trace-event stream are byte-identical to a single-threaded
-/// run. The report itself is [`AcquisitionReport::from_metrics`] over the
-/// merged per-item counter deltas, so it always equals the trace
-/// aggregate.
+/// the report, and the emitted trace-event stream are byte-identical to
+/// a single-threaded run. The report itself is
+/// [`AcquisitionReport::from_metrics`] over the merged per-item counter
+/// deltas, so it always equals the trace aggregate.
 ///
 /// # Errors
 ///
@@ -664,11 +642,6 @@ pub fn acquire(
         quota: &quota,
     };
     let items: Vec<(AttrRef, &Attribute)> = ds.attributes().collect();
-    cfg.tracer
-        .gauge(Gauge::Interfaces, ds.interfaces.len() as u64);
-    cfg.tracer.gauge(Gauge::Attributes, items.len() as u64);
-    cfg.tracer
-        .gauge(Gauge::CorpusDocs, engine.doc_count() as u64);
     if let Some(obs) = &cfg.obs {
         obs.gauge(Gauge::Interfaces, ds.interfaces.len() as u64);
         obs.gauge(Gauge::Attributes, items.len() as u64);
@@ -730,10 +703,9 @@ pub fn acquire(
 
     // The deterministic merge: fold item buffers into the run totals and
     // the tracer (assigning the logical clock here, in attribute order),
-    // and collect the acquired instances and wall-clock costs.
+    // and collect the acquired instances.
     let mut acq = Acquisition::default();
     let mut total = MetricSet::new();
-    let (mut surface_secs, mut attr_surface_secs, mut attr_deep_secs) = (0.0, 0.0, 0.0);
     for (&(r1, a1), (outcome, degraded, buf)) in items.iter().zip(outcomes) {
         if degraded {
             acq.degraded.insert(r1);
@@ -798,31 +770,18 @@ pub fn acquire(
             }
         }
         match outcome {
-            ItemOutcome::NoInst {
-                got,
-                surface_secs: s,
-                deep_secs: d,
-                ..
+            ItemOutcome::NoInst { got: values, .. }
+            | ItemOutcome::Predefined {
+                accepted: values, ..
             } => {
-                surface_secs += s;
-                attr_deep_secs += d;
-                if !got.is_empty() {
-                    acq.acquired.insert(r1, got);
-                }
-            }
-            ItemOutcome::Predefined { accepted, secs, .. } => {
-                attr_surface_secs += secs;
-                if !accepted.is_empty() {
-                    acq.acquired.insert(r1, accepted);
+                if !values.is_empty() {
+                    acq.acquired.insert(r1, values);
                 }
             }
             ItemOutcome::Skipped => {}
         }
     }
     acq.report = AcquisitionReport::from_metrics(&total);
-    acq.report.surface_cost.secs = surface_secs;
-    acq.report.attr_surface_cost.secs = attr_surface_secs;
-    acq.report.attr_deep_cost.secs = attr_deep_secs;
     if let Some(store) = &cfg.store {
         // The commit marker: its counters are both the warm-start
         // report source and the proof the run persisted completely. It

@@ -58,6 +58,10 @@ impl Fnv {
 /// ([`WebIQConfig::resolved_fault`]) so the ambient env knobs are part
 /// of the identity, and `corpus_docs` the engine's document count (a
 /// cheap proxy for the simulated-Web corpus the run queries).
+///
+/// Every [`WebIQConfig`] field is classified below, without `..`, so a
+/// new field does not compile until someone decides whether it is
+/// identity material.
 pub fn run_fingerprint(
     ds: &Dataset,
     def: &DomainDef,
@@ -66,6 +70,30 @@ pub fn run_fingerprint(
     fault: &FaultConfig,
     corpus_docs: u64,
 ) -> u64 {
+    let WebIQConfig {
+        k,
+        snippets_per_query,
+        scope_keywords,
+        sibling_keywords,
+        min_validation_score,
+        outlier_phase,
+        discordancy,
+        use_pmi,
+        borrow_label_sim,
+        borrow_sibling_dom_sim,
+        probe_limit,
+        probe_accept_ratio,
+        borrow_prefilter,
+        info_gain_thresholds,
+        // Not identity: any worker count, tracer or registry produces
+        // byte-identical output, and the store is where the run is kept.
+        threads: _,
+        tracer: _,
+        obs: _,
+        store: _,
+        // Hashed below in its resolved form (the `fault` argument).
+        fault: _,
+    } = cfg;
     let mut h = Fnv::new();
     h.str(&ds.domain);
     h.u64(ds.interfaces.len() as u64);
@@ -98,20 +126,20 @@ pub fn run_fingerprint(
     h.bool(components.surface);
     h.bool(components.attr_deep);
     h.bool(components.attr_surface);
-    h.u64(cfg.k as u64);
-    h.u64(cfg.snippets_per_query as u64);
-    h.u64(cfg.scope_keywords as u64);
-    h.u64(cfg.sibling_keywords as u64);
-    h.f64(cfg.min_validation_score);
-    h.bool(cfg.outlier_phase);
-    h.str(&format!("{:?}", cfg.discordancy));
-    h.bool(cfg.use_pmi);
-    h.f64(cfg.borrow_label_sim);
-    h.f64(cfg.borrow_sibling_dom_sim);
-    h.u64(cfg.probe_limit as u64);
-    h.f64(cfg.probe_accept_ratio);
-    h.bool(cfg.borrow_prefilter);
-    h.bool(cfg.info_gain_thresholds);
+    h.u64(*k as u64);
+    h.u64(*snippets_per_query as u64);
+    h.u64(*scope_keywords as u64);
+    h.u64(*sibling_keywords as u64);
+    h.f64(*min_validation_score);
+    h.bool(*outlier_phase);
+    h.str(&format!("{discordancy:?}"));
+    h.bool(*use_pmi);
+    h.f64(*borrow_label_sim);
+    h.f64(*borrow_sibling_dom_sim);
+    h.u64(*probe_limit as u64);
+    h.f64(*probe_accept_ratio);
+    h.bool(*borrow_prefilter);
+    h.bool(*info_gain_thresholds);
     // The resolved fault plan changes outcomes (degraded attributes,
     // retry counts), so it is identity material; its Debug rendering
     // covers every knob without chasing the struct's evolution here.
@@ -146,8 +174,7 @@ pub fn metrics_from_pairs(pairs: &[(String, u64)]) -> MetricSet {
 /// instances and degraded flags from the instance records, the report
 /// from the stored counter totals — the same
 /// [`AcquisitionReport::from_metrics`] derivation the cold run uses, so
-/// the two reports agree field for field (wall-clock `secs` stay zero:
-/// no time was spent).
+/// the two reports are equal.
 pub fn rebuild_acquisition(warm: &WarmRun) -> Acquisition {
     let mut acq = Acquisition::default();
     for (iface, attr, values, degraded) in &warm.attrs {
@@ -166,7 +193,12 @@ pub fn rebuild_acquisition(warm: &WarmRun) -> Acquisition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use webiq_data::{generate_domain, kb, GenOptions};
+    use webiq_obs::LiveRegistry;
+    use webiq_stats::DiscordancyTest;
+    use webiq_store::Store;
+    use webiq_trace::Tracer;
 
     fn fingerprint_of(domain: &str, cfg: &WebIQConfig) -> u64 {
         let def = kb::domain(domain).expect("domain");
@@ -180,29 +212,71 @@ mod tests {
         let a = fingerprint_of("book", &cfg);
         assert_eq!(a, fingerprint_of("book", &cfg), "not reproducible");
         assert_ne!(a, fingerprint_of("airfare", &cfg), "domain ignored");
-        let other = WebIQConfig {
-            k: 12,
-            ..WebIQConfig::default()
-        };
-        assert_ne!(a, fingerprint_of("book", &other), "config knob ignored");
+        // Every knob the fingerprint hashes, flipped in turn: each flip
+        // must change it.
+        type Flip = fn(&mut WebIQConfig);
+        let flips: [(&str, Flip); 14] = [
+            ("k", |c| c.k += 1),
+            ("snippets_per_query", |c| c.snippets_per_query += 1),
+            ("scope_keywords", |c| c.scope_keywords += 1),
+            ("sibling_keywords", |c| c.sibling_keywords += 1),
+            ("min_validation_score", |c| c.min_validation_score += 0.5),
+            ("outlier_phase", |c| c.outlier_phase = !c.outlier_phase),
+            ("discordancy", |c| c.discordancy = DiscordancyTest::Grubbs),
+            ("use_pmi", |c| c.use_pmi = !c.use_pmi),
+            ("borrow_label_sim", |c| c.borrow_label_sim += 0.1),
+            ("borrow_sibling_dom_sim", |c| {
+                c.borrow_sibling_dom_sim += 0.1;
+            }),
+            ("probe_limit", |c| c.probe_limit += 1),
+            ("probe_accept_ratio", |c| c.probe_accept_ratio += 0.1),
+            ("borrow_prefilter", |c| {
+                c.borrow_prefilter = !c.borrow_prefilter;
+            }),
+            ("info_gain_thresholds", |c| {
+                c.info_gain_thresholds = !c.info_gain_thresholds;
+            }),
+        ];
+        for (knob, flip) in flips {
+            let mut other = WebIQConfig::default();
+            flip(&mut other);
+            assert_ne!(a, fingerprint_of("book", &other), "{knob} ignored");
+        }
     }
 
     #[test]
     fn fingerprint_ignores_thread_count() {
-        let def = kb::domain("book").expect("domain");
-        let ds = generate_domain(def, &GenOptions::default());
-        let one = WebIQConfig {
-            threads: Some(1),
-            ..WebIQConfig::default()
-        };
-        let eight = WebIQConfig {
-            threads: Some(8),
-            ..WebIQConfig::default()
-        };
-        assert_eq!(
-            run_fingerprint(&ds, def, Components::ALL, &one, &one.fault, 10),
-            run_fingerprint(&ds, def, Components::ALL, &eight, &eight.fault, 10),
-        );
+        let base = fingerprint_of("book", &WebIQConfig::default());
+        let dir = std::env::temp_dir().join(format!("webiq-persist-fp-{}", std::process::id()));
+        let store = Store::open(&dir).expect("store");
+        // Fields that never change the output: none may move the key.
+        let variants = [
+            WebIQConfig {
+                threads: Some(1),
+                ..WebIQConfig::default()
+            },
+            WebIQConfig {
+                threads: Some(8),
+                ..WebIQConfig::default()
+            },
+            WebIQConfig {
+                tracer: Tracer::memory().0,
+                ..WebIQConfig::default()
+            },
+            WebIQConfig {
+                obs: Some(Arc::new(LiveRegistry::new())),
+                ..WebIQConfig::default()
+            },
+            WebIQConfig {
+                store: Some(Arc::new(store)),
+                ..WebIQConfig::default()
+            },
+        ];
+        for cfg in &variants {
+            assert_eq!(base, fingerprint_of("book", cfg), "{cfg:?}");
+        }
+        drop(variants);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -75,13 +75,6 @@ fn run_on(
     (acq, buf.contents_string())
 }
 
-/// Strip the wall-clock fields, which legitimately vary run to run.
-fn zero_secs(acq: &mut Acquisition) {
-    acq.report.surface_cost.secs = 0.0;
-    acq.report.attr_surface_cost.secs = 0.0;
-    acq.report.attr_deep_cost.secs = 0.0;
-}
-
 /// Matching F-1 over the dataset with the acquisition's instances
 /// grafted onto the interfaces.
 fn enriched_f1(ds: &Dataset, acq: &Acquisition) -> f64 {
@@ -98,18 +91,14 @@ fn enriched_f1(ds: &Dataset, acq: &Acquisition) -> f64 {
 fn fault_runs_are_byte_identical_across_worker_counts() {
     for rate in [0.0, 0.05, 0.2] {
         let fault = FaultConfig::chaos(42, rate);
-        let (seq_acq, seq_trace) = run_chaos(0, 1, fault.clone());
+        let (seq, seq_trace) = run_chaos(0, 1, fault.clone());
         assert!(!seq_trace.is_empty(), "tracer emitted nothing");
-        let mut seq = seq_acq;
-        zero_secs(&mut seq);
         for threads in [2, 4] {
-            let (par_acq, par_trace) = run_chaos(0, threads, fault.clone());
+            let (par, par_trace) = run_chaos(0, threads, fault.clone());
             assert_eq!(
                 seq_trace, par_trace,
                 "trace streams differ at {threads} workers (rate {rate})"
             );
-            let mut par = par_acq;
-            zero_secs(&mut par);
             assert_eq!(seq.acquired, par.acquired, "rate {rate}");
             assert_eq!(seq.degraded, par.degraded, "rate {rate}");
             assert_eq!(seq.report, par.report, "rate {rate}");
@@ -138,10 +127,8 @@ fn armed_but_idle_faults_acquire_what_disabled_faults_do() {
     };
     assert!(idle.enabled(), "the idle config must arm the wrappers");
     for threads in [1, 2] {
-        let (mut off, _) = run_chaos(1, threads, FaultConfig::default());
-        let (mut armed, _) = run_chaos(1, threads, idle.clone());
-        zero_secs(&mut off);
-        zero_secs(&mut armed);
+        let (off, _) = run_chaos(1, threads, FaultConfig::default());
+        let (armed, _) = run_chaos(1, threads, idle.clone());
         assert_eq!(off.acquired, armed.acquired, "{threads} workers");
         assert_eq!(off.degraded, armed.degraded, "{threads} workers");
         assert_eq!(off.report, armed.report, "{threads} workers");

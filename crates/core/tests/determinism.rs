@@ -1,8 +1,7 @@
 //! The parallel acquisition executor must produce output byte-identical
 //! to the sequential path: same acquired-instance maps, same report
 //! counters, and — with an enabled tracer — the same JSONL event stream,
-//! for any worker count. Only the wall-clock `secs` fields are allowed
-//! to differ — they are zeroed before comparison here.
+//! for any worker count.
 
 use std::sync::Arc;
 
@@ -56,21 +55,12 @@ fn run_traced(domain_idx: usize, threads: usize) -> (Acquisition, String) {
     (acq, buf.contents_string())
 }
 
-/// Strip the wall-clock fields, which legitimately vary run to run.
-fn zero_secs(acq: &mut Acquisition) {
-    acq.report.surface_cost.secs = 0.0;
-    acq.report.attr_surface_cost.secs = 0.0;
-    acq.report.attr_deep_cost.secs = 0.0;
-}
-
 #[test]
 fn parallel_acquisition_matches_sequential() {
     for domain_idx in 0..2 {
-        let mut seq = run(domain_idx, 1);
-        zero_secs(&mut seq);
+        let seq = run(domain_idx, 1);
         for threads in [4, 8] {
-            let mut par = run(domain_idx, threads);
-            zero_secs(&mut par);
+            let par = run(domain_idx, threads);
             assert_eq!(
                 seq.acquired, par.acquired,
                 "acquired maps differ at {threads} threads (domain {domain_idx})"
@@ -92,12 +82,8 @@ fn trace_stream_is_byte_identical_across_worker_counts() {
     let (par_acq, par_trace) = run_traced(0, 4);
     assert!(!seq_trace.is_empty(), "tracer emitted nothing");
     assert_eq!(seq_trace, par_trace, "trace streams differ across workers");
-    let mut a = seq_acq;
-    let mut b = par_acq;
-    zero_secs(&mut a);
-    zero_secs(&mut b);
-    assert_eq!(a.acquired, b.acquired);
-    assert_eq!(a.report, b.report);
+    assert_eq!(seq_acq.acquired, par_acq.acquired);
+    assert_eq!(seq_acq.report, par_acq.report);
 }
 
 #[test]
@@ -212,10 +198,8 @@ fn metrics_exposition_is_byte_identical_across_worker_counts() {
 fn sequential_rerun_is_reproducible() {
     // Sanity for the test above: the whole pipeline (dataset generation,
     // corpus generation, probing) is deterministic at a fixed thread count.
-    let mut a = run(0, 1);
-    let mut b = run(0, 1);
-    zero_secs(&mut a);
-    zero_secs(&mut b);
+    let a = run(0, 1);
+    let b = run(0, 1);
     assert_eq!(a.acquired, b.acquired);
     assert_eq!(a.report, b.report);
 }

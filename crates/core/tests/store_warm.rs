@@ -56,16 +56,6 @@ fn f1_of(ds: &Dataset, acq: &webiq_core::Acquisition) -> f64 {
         .f1
 }
 
-/// A report with its wall-clock `secs` zeroed — every other field is
-/// counter-derived and deterministic; the secs never repeat.
-fn no_secs(r: &webiq_core::AcquisitionReport) -> webiq_core::AcquisitionReport {
-    let mut r = r.clone();
-    r.surface_cost.secs = 0.0;
-    r.attr_surface_cost.secs = 0.0;
-    r.attr_deep_cost.secs = 0.0;
-    r
-}
-
 fn engine_query_count() -> u64 {
     let m = webiq_trace::snapshot();
     m.get(Counter::EngineSearchIssued) + m.get(Counter::EngineHitIssued)
@@ -93,7 +83,7 @@ fn warm_start_is_byte_identical_and_engine_free_across_thread_counts() {
     let cold_cfg = cfg_with(Some(store), 2);
     let cold = acquire(&ds, def, &engine, &sources, Components::ALL, &cold_cfg).expect("cold");
     assert_eq!(cold.acquired, plain.acquired, "store perturbed the run");
-    assert_eq!(no_secs(&cold.report), no_secs(&plain.report));
+    assert_eq!(cold.report, plain.report);
     assert!(cold.report.surface_cost.engine_queries > 0);
     let cold_f1 = f1_of(&ds, &cold);
     drop(cold_cfg);
@@ -110,10 +100,9 @@ fn warm_start_is_byte_identical_and_engine_free_across_thread_counts() {
         assert_eq!(issued, 0, "{threads} threads: warm run queried the engine");
         assert_eq!(warm.acquired, cold.acquired, "{threads} threads");
         assert_eq!(warm.degraded, cold.degraded, "{threads} threads");
-        // The report is rebuilt from the stored counter totals — equal
-        // to the cold report except the wall-clock secs (no time was
-        // spent, so they are zero).
-        assert_eq!(warm.report, no_secs(&cold.report), "{threads} threads");
+        // The report is rebuilt from the stored counter totals, so it
+        // equals the cold report.
+        assert_eq!(warm.report, cold.report, "{threads} threads");
         let warm_f1 = f1_of(&ds, &warm);
         assert_eq!(
             warm_f1.to_bits(),
@@ -206,7 +195,7 @@ fn torn_store_falls_back_to_cold_and_heals() {
     .expect("reacquire");
     assert!(engine_query_count() > before, "torn store warm-started");
     assert_eq!(again.acquired, cold.acquired);
-    assert_eq!(no_secs(&again.report), no_secs(&cold.report));
+    assert_eq!(again.report, cold.report);
 
     // The re-run healed the store: the next run warm-starts again.
     let store = Arc::new(Store::open(&dir).expect("reopen"));

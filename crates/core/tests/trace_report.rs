@@ -1,18 +1,23 @@
 //! `AcquisitionReport` is *derived from* the trace counters, so the
 //! report and the trace aggregate can never disagree. These tests pin
 //! that contract: the report equals `AcquisitionReport::from_metrics`
-//! over the tracer's merged totals, and the `webiq-report` funnel built
-//! from the emitted event stream carries the same numbers.
+//! over the counters aggregated from the emitted event stream, the
+//! `webiq-report` funnel built from that stream carries the same
+//! numbers, and the live registry fed by the same merge loop agrees.
+
+use std::sync::Arc;
 
 use webiq_core::{acquire, AcquisitionReport, Components, WebIQConfig};
 use webiq_data::records::{build_deep_source, RecordOptions};
 use webiq_data::{corpus, generate_domain, kb, GenOptions};
+use webiq_obs::LiveRegistry;
 use webiq_trace::event::Event;
 use webiq_trace::{report, Gauge, Tracer};
 use webiq_web::{gen, GenConfig, SearchEngine};
 
-/// Acquisition over one seeded synthetic domain with a memory tracer.
-fn run(domain: &str) -> (webiq_core::Acquisition, Tracer, Vec<Event>) {
+/// Acquisition over one seeded synthetic domain with a memory tracer
+/// and a live registry attached.
+fn run(domain: &str) -> (webiq_core::Acquisition, Vec<Event>, Arc<LiveRegistry>) {
     let def = kb::domain(domain).expect("domain");
     let ds = generate_domain(def, &GenOptions::default());
     let engine = SearchEngine::new(gen::generate(
@@ -26,47 +31,34 @@ fn run(domain: &str) -> (webiq_core::Acquisition, Tracer, Vec<Event>) {
         .map(|i| build_deep_source(def, i, &RecordOptions::default()))
         .collect();
     let (tracer, handle) = Tracer::memory();
+    let registry = Arc::new(LiveRegistry::new());
     let cfg = WebIQConfig {
-        tracer: tracer.clone(),
+        tracer,
+        obs: Some(Arc::clone(&registry)),
         ..WebIQConfig::default()
     };
     let acq =
         acquire::acquire(&ds, def, &engine, &sources, Components::ALL, &cfg).expect("acquisition");
-    (acq, tracer, handle.events())
-}
-
-/// The report's deterministic fields with the wall-clock secs zeroed.
-fn zero_secs(mut r: AcquisitionReport) -> AcquisitionReport {
-    r.surface_cost.secs = 0.0;
-    r.attr_surface_cost.secs = 0.0;
-    r.attr_deep_cost.secs = 0.0;
-    r
+    (acq, handle.events(), registry)
 }
 
 #[test]
 fn report_equals_trace_aggregate() {
-    let (acq, tracer, events) = run("book");
-    let totals = tracer.totals();
+    let (acq, events, registry) = run("book");
 
-    // The report is the counters' aggregate by construction.
-    assert_eq!(
-        zero_secs(acq.report.clone()),
-        AcquisitionReport::from_metrics(&totals.counters)
-    );
-
-    // And the event stream carries the same counters: summing the close
-    // deltas of the root spans reproduces the totals.
+    // The event stream carries the report's counters: summing the close
+    // deltas of the root spans reproduces them.
     let from_events = report::aggregate(&events);
-    assert_eq!(
-        zero_secs(acq.report),
-        AcquisitionReport::from_metrics(&from_events)
-    );
+    assert_eq!(acq.report, AcquisitionReport::from_metrics(&from_events));
+
+    // The registry is fed the same per-item deltas, so it agrees too.
+    assert_eq!(registry.snapshot().counters, from_events);
 }
 
 #[test]
 fn funnel_totals_match_report() {
-    let (acq, tracer, _) = run("airfare");
-    let f = report::funnel(&tracer.totals().counters);
+    let (acq, events, _) = run("airfare");
+    let f = report::funnel(&report::aggregate(&events));
     assert_eq!(f.no_instance, acq.report.no_inst_attrs as u64);
     assert_eq!(f.surface_success, acq.report.surface_success as u64);
     assert_eq!(
@@ -93,7 +85,7 @@ fn funnel_totals_match_report() {
 fn disabled_tracer_still_yields_a_correct_report() {
     // Counters are always on (thread-local), so the derived report must
     // be identical whether the tracer records events or not.
-    let traced = zero_secs(run("book").0.report);
+    let traced = run("book").0.report;
 
     let def = kb::domain("book").expect("domain");
     let ds = generate_domain(def, &GenOptions::default());
@@ -110,13 +102,13 @@ fn disabled_tracer_still_yields_a_correct_report() {
     let cfg = WebIQConfig::default();
     let acq =
         acquire::acquire(&ds, def, &engine, &sources, Components::ALL, &cfg).expect("acquisition");
-    assert_eq!(zero_secs(acq.report), traced);
+    assert_eq!(acq.report, traced);
 }
 
 #[test]
 fn gauges_record_run_shape() {
-    let (_, tracer, _) = run("book");
-    let g = tracer.totals().gauges;
+    let (_, _, registry) = run("book");
+    let g = registry.snapshot().gauges;
     assert!(g.get(Gauge::Interfaces) > 0);
     assert!(g.get(Gauge::Attributes) >= g.get(Gauge::Interfaces));
     assert!(g.get(Gauge::CorpusDocs) > 0);

@@ -14,8 +14,6 @@
 //! counter_floor = 20
 //! rate_drop = 0.05
 //! quantile_shift = 0.0
-//! prof_counter_rise_pct = 50.0
-//! prof_contention_rise = 0.05
 //! decision_flips = 0
 //! ```
 //!
@@ -44,15 +42,6 @@ pub struct DiffThresholds {
     /// Flag a histogram quantile that rose by more than this absolute
     /// amount. Zero means any upward shift at bucket resolution flags.
     pub quantile_shift: f64,
-    /// Flag a `webiq_prof_*` counter that *rose* by more than this
-    /// percentage of its baseline value (lock traffic and cache misses
-    /// creeping up is a scalability regression). Drops never flag, and
-    /// `counter_floor` exempts tiny baselines here too.
-    pub prof_counter_rise_pct: f64,
-    /// Flag the shard-lock contention ratio rising by more than this
-    /// absolute amount (e.g. 0.05 = five percentage points of
-    /// acquisitions newly finding the lock held).
-    pub prof_contention_rise: f64,
     /// Flipped decisions tolerated by `webiq-report diff --decisions`
     /// before the run counts as a regression. The pipeline is
     /// deterministic, so the default is zero: any verdict flip between
@@ -68,8 +57,6 @@ impl Default for DiffThresholds {
             counter_floor: 20,
             rate_drop: 0.05,
             quantile_shift: 0.0,
-            prof_counter_rise_pct: 50.0,
-            prof_contention_rise: 0.05,
             decision_flips: 0,
         }
     }
@@ -132,12 +119,6 @@ impl DiffThresholds {
                 "quantile_shift" => {
                     t.quantile_shift = parse_pct(value).ok_or_else(|| bad("number"))?;
                 }
-                "prof_counter_rise_pct" => {
-                    t.prof_counter_rise_pct = parse_pct(value).ok_or_else(|| bad("percentage"))?;
-                }
-                "prof_contention_rise" => {
-                    t.prof_contention_rise = parse_pct(value).ok_or_else(|| bad("number"))?;
-                }
                 "decision_flips" => {
                     t.decision_flips = value.parse().map_err(|_| bad("integer"))?;
                 }
@@ -195,8 +176,6 @@ counter_rise_pct = 80
 counter_floor = 5
 rate_drop = 0.1
 quantile_shift = 2.0
-prof_counter_rise_pct = 120
-prof_contention_rise = 0.2
 decision_flips = 1
 ";
         let t = match DiffThresholds::parse(text) {
@@ -208,8 +187,6 @@ decision_flips = 1
         assert_eq!(t.counter_floor, 5);
         assert_eq!(t.rate_drop, 0.1);
         assert_eq!(t.quantile_shift, 2.0);
-        assert_eq!(t.prof_counter_rise_pct, 120.0);
-        assert_eq!(t.prof_contention_rise, 0.2);
         assert_eq!(t.decision_flips, 1);
     }
 

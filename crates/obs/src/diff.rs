@@ -13,12 +13,6 @@
 //! - **quantiles**: per-histogram p50/p90/p99 from the trace layer's
 //!   power-of-two buckets, flagged on an upward shift (cost creep).
 //!
-//! When two `webiq_prof_*` snapshots are attached
-//! ([`DiffReport::with_prof`]), a fourth comparison covers the
-//! profiling counter families — lock traffic, contention ratio, cache
-//! misses — so a contention regression fails the gate even when the
-//! deterministic trace is unchanged.
-//!
 //! The resulting [`DiffReport`] renders as deterministic text
 //! ([`DiffReport::render_text`]) and JSON ([`DiffReport::to_json`]);
 //! [`DiffReport::regressed`] is what `webiq-report diff` turns into its
@@ -26,10 +20,8 @@
 //! of the same code are byte-identical and the report states `zero
 //! deltas` — any delta at all is a behaviour change someone made.
 
-use webiq_prof::{ProfCounter, ProfSnapshot};
 use webiq_trace::json::{obj, Json};
-use webiq_trace::report::aggregate_run;
-use webiq_trace::tracer::Totals;
+use webiq_trace::report::{aggregate_run, Totals};
 use webiq_trace::{Counter, Event, HistKey, MetricSet};
 
 use crate::config::DiffThresholds;
@@ -113,25 +105,6 @@ pub struct StageDelta {
     pub regressed: bool,
 }
 
-/// One profiling series' change between baseline and candidate —
-/// attached when the diff is given two `webiq_prof_*` snapshots
-/// (`webiq-report diff --prof-baseline/--prof-candidate`).
-///
-/// Only rises gate: falling lock traffic, contention, or cache misses
-/// is an improvement. Stage wall-clock never appears here — timing is
-/// nondeterministic by nature and must not fail a regression gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfDelta {
-    /// Series name: a [`ProfCounter`] name, or `contention_ratio`.
-    pub name: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Candidate value.
-    pub candidate: f64,
-    /// True when the rise crossed its threshold.
-    pub regressed: bool,
-}
-
 /// One histogram quantile's shift.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileDelta {
@@ -160,40 +133,20 @@ pub struct DiffReport {
     pub stages: Vec<StageDelta>,
     /// Quantiles whose values differ (changed quantiles only).
     pub quantiles: Vec<QuantileDelta>,
-    /// Profiling series that differ (empty unless prof snapshots were
-    /// attached via [`DiffReport::with_prof`]).
-    pub prof: Vec<ProfDelta>,
 }
 
 impl DiffReport {
-    /// Attach a profiling comparison: non-peak `webiq_prof_*` counters
-    /// gated on `prof_counter_rise_pct` (above the shared
-    /// `counter_floor`), plus the shard-lock contention ratio gated on
-    /// the absolute `prof_contention_rise`.
-    #[must_use]
-    pub fn with_prof(
-        mut self,
-        base: &ProfSnapshot,
-        cand: &ProfSnapshot,
-        t: &DiffThresholds,
-    ) -> DiffReport {
-        self.prof = diff_prof(base, cand, t);
-        self
-    }
-
     /// True when any comparison crossed its threshold — the CI gate.
     pub fn regressed(&self) -> bool {
         self.counters.iter().any(|d| d.regressed)
             || self.stages.iter().any(|d| d.regressed)
             || self.quantiles.iter().any(|d| d.regressed)
-            || self.prof.iter().any(|d| d.regressed)
     }
 
     /// True when the two runs are metric-identical.
     pub fn is_zero(&self) -> bool {
         self.counters.is_empty()
             && self.quantiles.is_empty()
-            && self.prof.is_empty()
             && self.stages.iter().all(|d| d.baseline == d.candidate)
     }
 
@@ -214,11 +167,6 @@ impl DiffReport {
         for d in &self.quantiles {
             if d.regressed {
                 out.push(format!("quantile {} {}", d.hist.name(), d.quantile));
-            }
-        }
-        for d in &self.prof {
-            if d.regressed {
-                out.push(format!("prof {}", d.name));
             }
         }
         out
@@ -271,18 +219,6 @@ impl DiffReport {
                 ));
             }
         }
-        if !self.prof.is_empty() {
-            out.push_str("\nprof series changed:\n");
-            for d in &self.prof {
-                out.push_str(&format!(
-                    "  {:<24} {:>10} -> {:<10}{}\n",
-                    d.name,
-                    fmt_prof(d.baseline),
-                    fmt_prof(d.candidate),
-                    if d.regressed { "  REGRESSION" } else { "" }
-                ));
-            }
-        }
         let failing = self.regressions();
         if failing.is_empty() {
             out.push_str("\nverdict: OK (changes within thresholds)\n");
@@ -325,14 +261,6 @@ impl DiffReport {
                 ("regressed", Json::from(d.regressed)),
             ])
         });
-        let prof = self.prof.iter().map(|d| {
-            obj([
-                ("name", Json::from(d.name.as_str())),
-                ("baseline", Json::from(d.baseline)),
-                ("candidate", Json::from(d.candidate)),
-                ("regressed", Json::from(d.regressed)),
-            ])
-        });
         obj([
             ("baseline", Json::from(self.baseline_label.as_str())),
             ("candidate", Json::from(self.candidate_label.as_str())),
@@ -341,20 +269,9 @@ impl DiffReport {
             ("counters", Json::Arr(counters.collect())),
             ("stages", Json::Arr(stages.collect())),
             ("quantiles", Json::Arr(quantiles.collect())),
-            ("prof", Json::Arr(prof.collect())),
             ("failures", Json::from(self.regressions())),
         ])
         .compact()
-    }
-}
-
-/// Format a prof value: whole counters as integers, ratios with four
-/// decimals.
-fn fmt_prof(v: f64) -> String {
-    if v.fract() == 0.0 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.4}")
     }
 }
 
@@ -483,46 +400,7 @@ pub fn diff_totals(
         counters,
         stages,
         quantiles,
-        prof: Vec::new(),
     }
-}
-
-/// Compare two profiling snapshots: every non-peak [`ProfCounter`] whose
-/// value changed (rises past `prof_counter_rise_pct` gate, small values
-/// exempt via the shared `counter_floor`), plus the contention ratio
-/// (absolute rise past `prof_contention_rise` gates). Peaks and stage
-/// wall-clock are excluded — peaks are not comparable across different
-/// worker counts, and timing is nondeterministic.
-pub fn diff_prof(base: &ProfSnapshot, cand: &ProfSnapshot, t: &DiffThresholds) -> Vec<ProfDelta> {
-    let mut out = Vec::new();
-    for c in ProfCounter::ALL {
-        if c.is_peak() {
-            continue;
-        }
-        let b = base.get(c);
-        let v = cand.get(c);
-        if b == v {
-            continue;
-        }
-        let change_pct = ((v as f64 - b as f64) / (b.max(1) as f64)) * 100.0;
-        let above_floor = b >= t.counter_floor || v >= t.counter_floor;
-        out.push(ProfDelta {
-            name: c.name().to_string(),
-            baseline: b as f64,
-            candidate: v as f64,
-            regressed: above_floor && change_pct > t.prof_counter_rise_pct,
-        });
-    }
-    let (b, v) = (base.contention_ratio(), cand.contention_ratio());
-    if b != v {
-        out.push(ProfDelta {
-            name: "contention_ratio".to_string(),
-            baseline: b,
-            candidate: v,
-            regressed: v - b > t.prof_contention_rise,
-        });
-    }
-    out
 }
 
 /// `accepted / attempted`, or `None` when the stage never ran.
@@ -646,53 +524,6 @@ mod tests {
         // Blank lines are fine.
         let text = format!("{}\n\n{}\n", good[0].to_jsonl(), good[1].to_jsonl());
         assert_eq!(parse_jsonl("t.jsonl", &text).map(|v| v.len()), Ok(2));
-    }
-
-    #[test]
-    fn prof_rises_gate_and_drops_do_not() {
-        let t = DiffThresholds::default();
-        let mut base = ProfSnapshot::new();
-        base.set(ProfCounter::ShardLockAcquire, 1000);
-        base.set(ProfCounter::ShardLockContended, 10);
-        base.set(ProfCounter::SearchCacheMiss, 100);
-        let mut cand = base;
-        // contention ratio 0.01 -> 0.20: past the 0.05 absolute rise.
-        cand.set(ProfCounter::ShardLockContended, 200);
-        // misses halve: a drop never regresses.
-        cand.set(ProfCounter::SearchCacheMiss, 50);
-        let r =
-            diff_events("a", &run(75, 25, 3), "b", &run(75, 25, 3), &t).with_prof(&base, &cand, &t);
-        assert!(!r.is_zero());
-        assert!(r.regressed());
-        let names = r.regressions();
-        assert!(names.iter().any(|n| n == "prof lock_shard_contended"));
-        assert!(names.iter().any(|n| n == "prof contention_ratio"));
-        assert!(names.iter().all(|n| n != "prof search_cache_miss"));
-        assert!(r.render_text().contains("prof series changed:"));
-        assert!(r.to_json().contains("\"name\":\"contention_ratio\""));
-
-        // identical snapshots attach nothing and stay zero-delta
-        let r =
-            diff_events("a", &run(75, 25, 3), "b", &run(75, 25, 3), &t).with_prof(&base, &base, &t);
-        assert!(r.is_zero());
-        assert!(!r.regressed());
-    }
-
-    #[test]
-    fn prof_floor_and_peaks_are_respected() {
-        let t = DiffThresholds::default();
-        let mut base = ProfSnapshot::new();
-        base.set(ProfCounter::SearchCacheEvict, 2);
-        base.set(ProfCounter::WorkerMaxItems, 4);
-        let mut cand = ProfSnapshot::new();
-        // 2 -> 8 is +300% but below the floor of 20: reported, not gated.
-        cand.set(ProfCounter::SearchCacheEvict, 8);
-        // peaks never enter the comparison at all
-        cand.set(ProfCounter::WorkerMaxItems, 40);
-        let deltas = diff_prof(&base, &cand, &t);
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].name, "search_cache_evict");
-        assert!(!deltas[0].regressed);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   `/healthz` liveness probe). Because the registry is fed from the
 //!   pipeline's deterministic merge loop — never from raw worker-thread
 //!   state — a scrape taken after a run completes is byte-identical at
-//!   any worker count, exactly like the trace itself.
+//!   any worker count, exactly like the trace itself. [`prom`] is the
+//!   workspace's only Prometheus writer: it also renders the
+//!   scheduling-dependent `webiq_prof_*` appendix the live endpoint adds
+//!   ([`prom::render_prof`]).
 //! - **Windowed aggregation** ([`window`]): [`WindowedMetrics`] keeps a
 //!   ring of recent epoch snapshots and reports the counter delta across
 //!   the window, so "what happened lately" is answerable without
@@ -21,10 +24,8 @@
 //! - **Regression gating** ([`diff`], [`config`]): [`diff::diff`]
 //!   aggregates two JSONL traces ([`webiq_trace::report::aggregate_run`])
 //!   and compares funnel-stage rates, counter deltas, and histogram
-//!   quantile shifts against configurable [`DiffThresholds`] —
-//!   optionally also two `webiq_prof_*` snapshots
-//!   ([`DiffReport::with_prof`]), so lock-contention creep gates too.
-//!   The `webiq-report diff` subcommand turns the verdict into an exit
+//!   quantile shifts against configurable [`DiffThresholds`]. The
+//!   `webiq-report diff` subcommand turns the verdict into an exit
 //!   code CI can gate merges on.
 //! - **Profiling attribution** ([`profile`]): the read side of the
 //!   `experiments profile` sweep — parse `PROF_BASELINE.json`, fit the
@@ -47,7 +48,7 @@ pub mod server;
 pub mod window;
 
 pub use config::DiffThresholds;
-pub use diff::{diff, diff_events, diff_prof, parse_jsonl, DiffReport};
+pub use diff::{diff, diff_events, parse_jsonl, DiffReport};
 pub use error::ObsError;
 pub use live::{LiveRegistry, RegistrySnapshot};
 pub use profile::{ProfBaseline, ScalingFit, SweepPoint};

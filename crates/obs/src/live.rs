@@ -9,15 +9,17 @@
 //! cache state — a scrape taken after a run completes is byte-identical
 //! at any worker count.
 //!
-//! Counters live in a lock-free [`SharedMetrics`]; gauges, histograms,
-//! and the sliding window sit behind one mutex taken only on publish and
-//! scrape (both far off the per-query hot path; the benchmark's
+//! Everything the registry holds sits behind one mutex, taken once per
+//! published item and once per scrape. Items are published from the
+//! single merge thread, so the lock is uncontended, and every scrape is
+//! one consistent cut: its counters, histograms and item count all
+//! describe the same prefix of published items, even mid-run. Both
+//! operations sit far off the per-query hot path (the benchmark's
 //! `observed` workload measures them with the other optional layers).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use webiq_trace::{Gauge, GaugeSet, HistSet, MetricSet, SharedMetrics};
+use webiq_trace::{Gauge, GaugeSet, HistSet, MetricSet};
 
 use crate::prom;
 use crate::window::WindowedMetrics;
@@ -34,22 +36,20 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// State behind the registry's single mutex: everything that is not a
-/// plain counter.
+/// State behind the registry's single mutex.
 #[derive(Debug)]
 struct Inner {
+    counters: MetricSet,
+    items: u64,
     gauges: GaugeSet,
     hists: HistSet,
     window: WindowedMetrics,
-    epochs: u64,
 }
 
 /// Aggregated live metrics, fed by the pipeline and scraped by
 /// [`crate::MetricsServer`].
 #[derive(Debug)]
 pub struct LiveRegistry {
-    counters: SharedMetrics,
-    items: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -68,13 +68,12 @@ impl LiveRegistry {
     /// A registry whose sliding window spans `window` epochs.
     pub fn with_window(window: usize) -> Self {
         LiveRegistry {
-            counters: SharedMetrics::new(),
-            items: AtomicU64::new(0),
             inner: Mutex::new(Inner {
+                counters: MetricSet::new(),
+                items: 0,
                 gauges: GaugeSet::new(),
                 hists: HistSet::new(),
                 window: WindowedMetrics::new(window),
-                epochs: 0,
             }),
         }
     }
@@ -83,14 +82,13 @@ impl LiveRegistry {
     /// the registry. Called from the pipeline's merge loop, once per
     /// item, in deterministic order.
     pub fn publish_item(&self, counters: &MetricSet, hists: &HistSet) {
-        self.counters.merge(counters);
-        if hists != &HistSet::new() {
-            lock(&self.inner).hists.merge(hists);
-        }
-        self.items.fetch_add(1, Ordering::Relaxed);
+        let mut inner = lock(&self.inner);
+        inner.counters.merge(counters);
+        inner.hists.merge(hists);
+        inner.items = inner.items.saturating_add(1);
     }
 
-    /// Record a dataset-shape gauge (max-merged, like the tracer's).
+    /// Record a dataset-shape gauge (the maximum recorded is kept).
     pub fn gauge(&self, g: Gauge, v: u64) {
         lock(&self.inner).gauges.set(g, v);
     }
@@ -98,33 +96,28 @@ impl LiveRegistry {
     /// Mark an epoch boundary (one domain's acquisition finished): the
     /// current cumulative counters enter the sliding window.
     pub fn end_epoch(&self) {
-        let snap = self.counters.snapshot();
         let mut inner = lock(&self.inner);
-        inner.window.push(snap);
-        inner.epochs = inner.epochs.saturating_add(1);
+        let cumulative = inner.counters;
+        inner.window.push(cumulative);
     }
 
     /// Work items published so far.
     pub fn items(&self) -> u64 {
-        self.items.load(Ordering::Relaxed)
+        lock(&self.inner).items
     }
 
-    /// A coherent copy of everything the registry holds.
+    /// A consistent copy of everything the registry holds, taken under
+    /// its one lock.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        // Counters first: a concurrent publish between the two reads can
-        // only make counters *older* than the locked state, never ahead
-        // of histograms they belong with after the run has quiesced.
-        let counters = self.counters.snapshot();
-        let items = self.items();
         let inner = lock(&self.inner);
         RegistrySnapshot {
-            counters,
+            counters: inner.counters,
             gauges: inner.gauges,
             hists: inner.hists,
             window_delta: inner.window.delta(),
             window_epochs: inner.window.len(),
-            epochs: inner.epochs,
-            items,
+            epochs: inner.window.total_epochs(),
+            items: inner.items,
         }
     }
 
@@ -148,7 +141,7 @@ impl LiveRegistry {
     /// strip the `webiq_prof_` families from a scrape.
     pub fn render_live(&self) -> String {
         let mut out = self.render();
-        out.push_str(&webiq_prof::snapshot().render_prom());
+        out.push_str(&prom::render_prof(&webiq_prof::snapshot()));
         out
     }
 }
@@ -213,5 +206,36 @@ mod tests {
         assert_eq!(snap.epochs, 2);
         assert_eq!(snap.window_epochs, 2);
         assert_eq!(snap.window_delta.get(Counter::AttrsTotal), 8);
+    }
+
+    #[test]
+    fn every_snapshot_is_one_consistent_cut() {
+        const ITEMS: u64 = 2_000;
+        let reg = LiveRegistry::new();
+        let mut m = MetricSet::new();
+        m.add(Counter::ProbesIssued, 1);
+        let mut h = HistSet::new();
+        h.observe(HistKey::ProbesPerAttr, 1);
+        let cut_is_consistent = |snap: &RegistrySnapshot| {
+            let probes = snap.counters.get(Counter::ProbesIssued);
+            probes == snap.items && probes == snap.hists.count(HistKey::ProbesPerAttr)
+        };
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let publisher = s.spawn(|| {
+                start.wait();
+                for _ in 0..ITEMS {
+                    reg.publish_item(&m, &h);
+                }
+            });
+            start.wait();
+            while !publisher.is_finished() {
+                let snap = reg.snapshot();
+                assert!(cut_is_consistent(&snap), "torn scrape: {snap:?}");
+            }
+        });
+        let last = reg.snapshot();
+        assert!(cut_is_consistent(&last));
+        assert_eq!(last.items, ITEMS);
     }
 }

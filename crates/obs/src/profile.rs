@@ -350,8 +350,8 @@ pub fn parse_baseline(label: &str, text: &str) -> Result<ProfBaseline, ObsError>
         let mut prof = ProfSnapshot::new();
         if let Some(entries) = p.get("counters").and_then(Json::as_obj) {
             for (name, v) in entries {
-                // Unknown names and non-integer values are skipped, like
-                // ProfSnapshot::from_prom_text — absent series stay zero.
+                // Unknown names and non-integer values are skipped, so
+                // absent series stay zero.
                 if let (Some(c), Some(v)) = (ProfCounter::from_name(name), v.as_u64()) {
                     prof.set(c, v);
                 }

@@ -1,16 +1,20 @@
-//! Prometheus text exposition rendering.
+//! Prometheus text exposition rendering — the workspace's only writer
+//! of the format.
 //!
 //! [`render`] turns a [`RegistrySnapshot`] into the Prometheus text
 //! format (version 0.0.4): one `# TYPE` header per family, counters
 //! suffixed `_total`, histograms as cumulative `_bucket{le="…"}` series
 //! derived from the trace layer's power-of-two buckets, and quantile
-//! gauges computed by [`webiq_trace::HistSet::quantile`]. Every family
-//! is emitted in a fixed order and zero-valued series are not skipped,
-//! so two snapshots with equal contents render byte-identically — the
-//! property the `/metrics` determinism test pins.
+//! gauges computed by [`webiq_trace::HistSet::quantile`]. [`render_prof`]
+//! writes the scheduling-dependent `webiq_prof_*` appendix the live
+//! endpoint adds. Every family is emitted in a fixed order and
+//! zero-valued series are not skipped, so two snapshots with equal
+//! contents render byte-identically — the property the `/metrics`
+//! determinism test pins.
 
-use std::fmt::Write as _;
+use std::fmt::{Arguments, Write as _};
 
+use webiq_prof::{ProfCounter, ProfSnapshot, Stage};
 use webiq_trace::metrics::{bucket_bounds, NUM_BUCKETS};
 use webiq_trace::{Counter, Gauge, HistKey};
 
@@ -21,6 +25,13 @@ const PREFIX: &str = "webiq";
 
 /// Quantiles exported per histogram.
 const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
+
+/// Write one single-sample family `webiq_<name>`: its `# TYPE` line,
+/// then the sample.
+fn sample(out: &mut String, kind: &str, name: Arguments<'_>, value: u64) {
+    let _ = writeln!(out, "# TYPE {PREFIX}_{name} {kind}");
+    let _ = writeln!(out, "{PREFIX}_{name} {value}");
+}
 
 /// Render a snapshot in Prometheus text exposition format.
 pub fn render(snap: &RegistrySnapshot) -> String {
@@ -38,32 +49,28 @@ pub fn render(snap: &RegistrySnapshot) -> String {
 
     // Pipeline counters, cumulative since process start.
     for c in Counter::ALL {
-        let name = c.name();
-        let _ = writeln!(out, "# TYPE {PREFIX}_{name}_total counter");
-        let _ = writeln!(out, "{PREFIX}_{name}_total {}", snap.counters.get(c));
+        let (name, v) = (c.name(), snap.counters.get(c));
+        sample(&mut out, "counter", format_args!("{name}_total"), v);
     }
 
     // Dataset-shape gauges.
     for g in Gauge::ALL {
-        let name = g.name();
-        let _ = writeln!(out, "# TYPE {PREFIX}_{name} gauge");
-        let _ = writeln!(out, "{PREFIX}_{name} {}", snap.gauges.get(g));
+        let (name, v) = (g.name(), snap.gauges.get(g));
+        sample(&mut out, "gauge", format_args!("{name}"), v);
     }
 
     // Progress meta-counters.
-    let _ = writeln!(out, "# TYPE {PREFIX}_items_total counter");
-    let _ = writeln!(out, "{PREFIX}_items_total {}", snap.items);
-    let _ = writeln!(out, "# TYPE {PREFIX}_epochs_total counter");
-    let _ = writeln!(out, "{PREFIX}_epochs_total {}", snap.epochs);
+    let (items, epochs) = (snap.items, snap.epochs);
+    sample(&mut out, "counter", format_args!("items_total"), items);
+    sample(&mut out, "counter", format_args!("epochs_total"), epochs);
 
     // Sliding-window deltas (counters accumulated across the last N
     // epochs) — gauges, since they can fall as the window slides.
-    let _ = writeln!(out, "# TYPE {PREFIX}_window_epochs gauge");
-    let _ = writeln!(out, "{PREFIX}_window_epochs {}", snap.window_epochs);
+    let n = snap.window_epochs as u64;
+    sample(&mut out, "gauge", format_args!("window_epochs"), n);
     for c in Counter::ALL {
-        let name = c.name();
-        let _ = writeln!(out, "# TYPE {PREFIX}_window_{name} gauge");
-        let _ = writeln!(out, "{PREFIX}_window_{name} {}", snap.window_delta.get(c));
+        let (name, v) = (c.name(), snap.window_delta.get(c));
+        sample(&mut out, "gauge", format_args!("window_{name}"), v);
     }
 
     // Histograms: cumulative le-buckets from the power-of-two layout,
@@ -91,6 +98,35 @@ pub fn render(snap: &RegistrySnapshot) -> String {
         }
     }
 
+    out
+}
+
+/// Render the process-wide profiling registry: `webiq_prof_*_total`
+/// counters, `webiq_prof_worker_max_*` peak gauges, and per-stage
+/// `webiq_prof_stage_<name>_{nanos,calls}_total` accumulators. This is
+/// the appendix [`crate::LiveRegistry::render_live`] serves; its values
+/// depend on scheduling, so it is never part of a deterministic
+/// artifact.
+pub fn render_prof(snap: &ProfSnapshot) -> String {
+    let mut out = String::new();
+    for c in ProfCounter::ALL {
+        let (name, v) = (c.name(), snap.get(c));
+        if c.is_peak() {
+            sample(&mut out, "gauge", format_args!("prof_{name}"), v);
+        } else {
+            sample(&mut out, "counter", format_args!("prof_{name}_total"), v);
+        }
+    }
+    for s in Stage::ALL {
+        let name = s.name();
+        for (series, v) in [
+            ("nanos", snap.stage_nanos(s)),
+            ("calls", snap.stage_calls(s)),
+        ] {
+            let family = format_args!("prof_stage_{name}_{series}_total");
+            sample(&mut out, "counter", family, v);
+        }
+    }
     out
 }
 
@@ -162,5 +198,70 @@ mod tests {
     #[test]
     fn equal_snapshots_render_identically() {
         assert_eq!(render(&snap()), render(&snap()));
+    }
+
+    #[test]
+    fn prof_appendix_is_pinned_byte_for_byte() {
+        let mut s = ProfSnapshot::new();
+        s.set(ProfCounter::ShardLockAcquire, 42);
+        s.set(ProfCounter::SearchCacheEvict, 7);
+        s.set(ProfCounter::WorkerMaxQueries, 99);
+        s.set_stage(Stage::EngineQuery, 123_456, 78);
+        // 12 counter families, then nanos and calls for each of 7 stages.
+        let expected = "\
+# TYPE webiq_prof_lock_shard_acquire_total counter
+webiq_prof_lock_shard_acquire_total 42
+# TYPE webiq_prof_lock_shard_contended_total counter
+webiq_prof_lock_shard_contended_total 0
+# TYPE webiq_prof_search_cache_hit_total counter
+webiq_prof_search_cache_hit_total 0
+# TYPE webiq_prof_search_cache_miss_total counter
+webiq_prof_search_cache_miss_total 0
+# TYPE webiq_prof_search_cache_evict_total counter
+webiq_prof_search_cache_evict_total 7
+# TYPE webiq_prof_hit_cache_hit_total counter
+webiq_prof_hit_cache_hit_total 0
+# TYPE webiq_prof_hit_cache_miss_total counter
+webiq_prof_hit_cache_miss_total 0
+# TYPE webiq_prof_worker_runs_total counter
+webiq_prof_worker_runs_total 0
+# TYPE webiq_prof_worker_items_total counter
+webiq_prof_worker_items_total 0
+# TYPE webiq_prof_worker_queries_total counter
+webiq_prof_worker_queries_total 0
+# TYPE webiq_prof_worker_max_items gauge
+webiq_prof_worker_max_items 0
+# TYPE webiq_prof_worker_max_queries gauge
+webiq_prof_worker_max_queries 99
+# TYPE webiq_prof_stage_engine_query_nanos_total counter
+webiq_prof_stage_engine_query_nanos_total 123456
+# TYPE webiq_prof_stage_engine_query_calls_total counter
+webiq_prof_stage_engine_query_calls_total 78
+# TYPE webiq_prof_stage_extract_nanos_total counter
+webiq_prof_stage_extract_nanos_total 0
+# TYPE webiq_prof_stage_extract_calls_total counter
+webiq_prof_stage_extract_calls_total 0
+# TYPE webiq_prof_stage_verify_nanos_total counter
+webiq_prof_stage_verify_nanos_total 0
+# TYPE webiq_prof_stage_verify_calls_total counter
+webiq_prof_stage_verify_calls_total 0
+# TYPE webiq_prof_stage_borrow_nanos_total counter
+webiq_prof_stage_borrow_nanos_total 0
+# TYPE webiq_prof_stage_borrow_calls_total counter
+webiq_prof_stage_borrow_calls_total 0
+# TYPE webiq_prof_stage_bayes_nanos_total counter
+webiq_prof_stage_bayes_nanos_total 0
+# TYPE webiq_prof_stage_bayes_calls_total counter
+webiq_prof_stage_bayes_calls_total 0
+# TYPE webiq_prof_stage_probe_nanos_total counter
+webiq_prof_stage_probe_nanos_total 0
+# TYPE webiq_prof_stage_probe_calls_total counter
+webiq_prof_stage_probe_calls_total 0
+# TYPE webiq_prof_stage_cluster_merge_nanos_total counter
+webiq_prof_stage_cluster_merge_nanos_total 0
+# TYPE webiq_prof_stage_cluster_merge_calls_total counter
+webiq_prof_stage_cluster_merge_calls_total 0
+";
+        assert_eq!(render_prof(&s), expected);
     }
 }

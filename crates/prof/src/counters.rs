@@ -284,7 +284,7 @@ impl ProfSnapshot {
     }
 
     /// Set `c` to `v` — for building snapshots from parsed artifacts
-    /// (Prometheus text, `PROF_BASELINE.json` sweep points).
+    /// (`PROF_BASELINE.json` sweep points).
     pub fn set(&mut self, c: ProfCounter, v: u64) {
         self.counts[c.idx()] = v;
     }
@@ -363,85 +363,6 @@ impl ProfSnapshot {
         }
         let mean = items as f64 / runs as f64;
         (self.get(ProfCounter::WorkerMaxItems) as f64 / mean - 1.0).max(0.0)
-    }
-
-    /// Render as Prometheus text: `webiq_prof_*_total` counters,
-    /// `webiq_prof_worker_max_*` peak gauges, and per-stage
-    /// `webiq_prof_stage_<name>_{nanos,calls}_total` accumulators.
-    /// Families appear in fixed order with zero values included, so
-    /// equal snapshots render byte-identically.
-    pub fn render_prom(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for &c in &ProfCounter::ALL {
-            let name = c.name();
-            if c.is_peak() {
-                let _ = writeln!(out, "# TYPE webiq_prof_{name} gauge");
-                let _ = writeln!(out, "webiq_prof_{name} {}", self.get(c));
-            } else {
-                let _ = writeln!(out, "# TYPE webiq_prof_{name}_total counter");
-                let _ = writeln!(out, "webiq_prof_{name}_total {}", self.get(c));
-            }
-        }
-        for &s in &Stage::ALL {
-            let name = s.name();
-            let _ = writeln!(out, "# TYPE webiq_prof_stage_{name}_nanos_total counter");
-            let _ = writeln!(
-                out,
-                "webiq_prof_stage_{name}_nanos_total {}",
-                self.stage_nanos(s)
-            );
-            let _ = writeln!(out, "# TYPE webiq_prof_stage_{name}_calls_total counter");
-            let _ = writeln!(
-                out,
-                "webiq_prof_stage_{name}_calls_total {}",
-                self.stage_calls(s)
-            );
-        }
-        out
-    }
-
-    /// Parse the `webiq_prof_*` series out of Prometheus text (a
-    /// `/metrics` scrape or a [`ProfSnapshot::render_prom`] file).
-    /// Comment lines, non-prof families, and malformed values are
-    /// skipped — absent series simply stay zero.
-    pub fn from_prom_text(text: &str) -> ProfSnapshot {
-        let mut s = ProfSnapshot::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((name, value)) = line.split_once(' ') else {
-                continue;
-            };
-            let Ok(v) = value.trim().parse::<u64>() else {
-                continue;
-            };
-            let Some(rest) = name.strip_prefix("webiq_prof_") else {
-                continue;
-            };
-            if let Some(stage_part) = rest.strip_prefix("stage_") {
-                if let Some(stage) = stage_part
-                    .strip_suffix("_nanos_total")
-                    .and_then(Stage::from_name)
-                {
-                    s.stage_nanos[stage.idx()] = v;
-                } else if let Some(stage) = stage_part
-                    .strip_suffix("_calls_total")
-                    .and_then(Stage::from_name)
-                {
-                    s.stage_calls[stage.idx()] = v;
-                }
-            } else if let Some(c) = rest
-                .strip_suffix("_total")
-                .and_then(ProfCounter::from_name)
-                .or_else(|| ProfCounter::from_name(rest).filter(|c| c.is_peak()))
-            {
-                s.set(c, v);
-            }
-        }
-        s
     }
 }
 
@@ -557,45 +478,5 @@ mod tests {
             (s.hit_rate(ProfCounter::SearchCacheHit, ProfCounter::SearchCacheMiss) - 0.75).abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn render_parse_roundtrip() {
-        let mut s = ProfSnapshot::new();
-        s.set(ProfCounter::ShardLockAcquire, 42);
-        s.set(ProfCounter::SearchCacheEvict, 7);
-        s.set(ProfCounter::WorkerMaxQueries, 99);
-        s.stage_nanos[Stage::EngineQuery as usize] = 123_456;
-        s.stage_calls[Stage::EngineQuery as usize] = 78;
-        let text = s.render_prom();
-        assert!(text.contains("# TYPE webiq_prof_lock_shard_acquire_total counter\n"));
-        assert!(text.contains("webiq_prof_lock_shard_acquire_total 42\n"));
-        assert!(text.contains("# TYPE webiq_prof_worker_max_queries gauge\n"));
-        assert!(text.contains("webiq_prof_worker_max_queries 99\n"));
-        assert!(text.contains("webiq_prof_stage_engine_query_nanos_total 123456\n"));
-        assert!(text.contains("webiq_prof_stage_engine_query_calls_total 78\n"));
-        // zero-valued families are present, not skipped
-        assert!(text.contains("webiq_prof_hit_cache_miss_total 0\n"));
-        assert_eq!(ProfSnapshot::from_prom_text(&text), s);
-        // equal snapshots render byte-identically
-        assert_eq!(s.render_prom(), s.render_prom());
-    }
-
-    #[test]
-    fn parse_skips_foreign_and_malformed_lines() {
-        let text = "\
-# HELP something
-webiq_items_total 5
-webiq_prof_lock_shard_acquire_total notanumber
-webiq_prof_lock_shard_contended_total 3
-webiq_prof_stage_bogus_nanos_total 9
-garbage
-";
-        let s = ProfSnapshot::from_prom_text(text);
-        assert_eq!(s.get(ProfCounter::ShardLockContended), 3);
-        assert_eq!(s.get(ProfCounter::ShardLockAcquire), 0);
-        for &stage in &Stage::ALL {
-            assert_eq!(s.stage_nanos(stage), 0);
-        }
     }
 }

@@ -20,11 +20,12 @@
 //!   still certifies that no wall-clock value leaks into the
 //!   deterministic streams.
 //!
-//! A [`ProfSnapshot`] is a point-in-time copy of everything, renderable
-//! as `webiq_prof_*` Prometheus series ([`ProfSnapshot::render_prom`])
-//! and parseable back from a scrape ([`ProfSnapshot::from_prom_text`])
-//! so regression gates can diff two profiles. The registry cannot be
-//! switched off, so every `webiq-benchmark` pass includes its cost.
+//! A [`ProfSnapshot`] is a point-in-time copy of everything. The live
+//! `/metrics` endpoint renders it as `webiq_prof_*` Prometheus series
+//! (`webiq_obs::prom::render_prof`), and `webiq-benchmark` reads lock
+//! contention, cache hit ratio and duplicate round-trips from it. The
+//! registry cannot be switched off, so every `webiq-benchmark` pass
+//! includes its cost.
 //!
 //! Like every library crate in the workspace, webiq-prof is
 //! dependency-free and panic-free.

@@ -9,22 +9,19 @@
 //!   and the *delta* of a thread-local set around a work item is a
 //!   deterministic measure of that item's activity, independent of cache
 //!   state, scheduling, or worker count.
-//! - [`Gauge`]: last-known magnitudes (dataset sizes). Merging takes the
-//!   maximum, which is order-independent and therefore deterministic.
+//! - [`Gauge`]: last-known magnitudes (dataset sizes) in a [`GaugeSet`],
+//!   which keeps the maximum recorded, so the value does not depend on
+//!   recording order.
 //! - [`HistKey`]: power-of-two bucketed histograms in a [`HistSet`].
 //!   Merging adds bucket-wise.
 //!
-//! [`SharedMetrics`] is the atomic variant used for per-instance state
-//! shared across threads (e.g. a search engine's cache hit/miss tallies).
-//! Those tallies depend on scheduling (racing threads may both count a
-//! miss on the same fresh query), which is exactly why the deterministic
-//! trace-event stream is built from thread-local [`MetricSet`] deltas and
-//! never from [`SharedMetrics`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Every counter here is deterministic. Tallies that depend on
+//! scheduling (engine cache hits and misses, lock contention) live
+//! elsewhere: per engine in `webiq_web::EngineStats`, per process in
+//! `webiq_prof`.
 
 /// Number of [`Counter`] variants (the fixed size of a [`MetricSet`]).
-pub const NUM_COUNTERS: usize = 49;
+pub const NUM_COUNTERS: usize = 45;
 
 /// Every counter the pipeline records, in serialization order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,14 +30,6 @@ pub enum Counter {
     EngineSearchIssued,
     /// `num_hits` calls issued (cache hits and misses alike).
     EngineHitIssued,
-    /// Snippet-cache lookups served from the LRU (per-engine only).
-    SearchCacheHit,
-    /// Snippet-cache lookups that missed (per-engine only).
-    SearchCacheMiss,
-    /// Hit-count-cache lookups served from the sharded map (per-engine only).
-    HitCacheHit,
-    /// Hit-count-cache lookups that missed (per-engine only).
-    HitCacheMiss,
     /// Attributes visited by the acquisition strategy.
     AttrsTotal,
     /// Attributes with no pre-defined instances (§5 case 1).
@@ -134,10 +123,6 @@ impl Counter {
     pub const ALL: [Counter; NUM_COUNTERS] = [
         Counter::EngineSearchIssued,
         Counter::EngineHitIssued,
-        Counter::SearchCacheHit,
-        Counter::SearchCacheMiss,
-        Counter::HitCacheHit,
-        Counter::HitCacheMiss,
         Counter::AttrsTotal,
         Counter::AttrsNoInstance,
         Counter::AttrsPredefined,
@@ -188,10 +173,6 @@ impl Counter {
         match self {
             Counter::EngineSearchIssued => "engine_search_issued",
             Counter::EngineHitIssued => "engine_hit_issued",
-            Counter::SearchCacheHit => "search_cache_hit",
-            Counter::SearchCacheMiss => "search_cache_miss",
-            Counter::HitCacheHit => "hit_cache_hit",
-            Counter::HitCacheMiss => "hit_cache_miss",
             Counter::AttrsTotal => "attrs_total",
             Counter::AttrsNoInstance => "attrs_no_instance",
             Counter::AttrsPredefined => "attrs_predefined",
@@ -318,67 +299,6 @@ impl MetricSet {
     }
 }
 
-/// Atomic counter array for state shared across threads (per-engine cache
-/// statistics). Values here may depend on scheduling; they feed run
-/// summaries, never the deterministic event stream.
-#[derive(Debug)]
-pub struct SharedMetrics {
-    counts: [AtomicU64; NUM_COUNTERS],
-}
-
-impl Default for SharedMetrics {
-    fn default() -> Self {
-        SharedMetrics {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl SharedMetrics {
-    /// An all-zero set.
-    pub fn new() -> Self {
-        SharedMetrics::default()
-    }
-
-    /// Add `n` to `c`.
-    pub fn add(&self, c: Counter, n: u64) {
-        self.counts[c.idx()].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value of `c`.
-    pub fn get(&self, c: Counter) -> u64 {
-        self.counts[c.idx()].load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricSet {
-        let mut out = MetricSet::new();
-        for &c in &Counter::ALL {
-            out.add(c, self.get(c));
-        }
-        out
-    }
-
-    /// Bulk-add a deterministic delta set into the shared counters — the
-    /// publish hook a live metrics registry uses to fold per-item
-    /// [`MetricSet`] deltas in as work items complete.
-    pub fn merge(&self, delta: &MetricSet) {
-        for &c in &Counter::ALL {
-            let v = delta.get(c);
-            if v > 0 {
-                self.add(c, v);
-            }
-        }
-    }
-
-    /// Reset every counter to zero.
-    pub fn reset(&self) {
-        for a in &self.counts {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Number of [`Gauge`] variants.
 pub const NUM_GAUGES: usize = 3;
 
@@ -411,8 +331,7 @@ impl Gauge {
     }
 }
 
-/// A fixed-size set of gauge values; merging takes the element-wise
-/// maximum (order-independent, hence deterministic at scope-join).
+/// A fixed-size set of gauge values, each the maximum recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GaugeSet {
     values: [u64; NUM_GAUGES],
@@ -435,13 +354,6 @@ impl GaugeSet {
     pub fn get(&self, g: Gauge) -> u64 {
         self.values[g.idx()]
     }
-
-    /// Element-wise maximum of `other` into `self`.
-    pub fn merge(&mut self, other: &GaugeSet) {
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a = (*a).max(*b);
-        }
-    }
 }
 
 /// Number of [`HistKey`] variants.
@@ -449,11 +361,6 @@ pub const NUM_HISTS: usize = 2;
 
 /// Number of buckets per histogram.
 pub const NUM_BUCKETS: usize = 8;
-
-/// Human-readable bucket bounds: value `v` lands in bucket
-/// `bit_length(v)` capped at the last bucket.
-pub const BUCKET_LABELS: [&str; NUM_BUCKETS] =
-    ["0", "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64+"];
 
 /// Bucketed distributions of per-item magnitudes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -674,39 +581,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_metrics_snapshot() {
-        let s = SharedMetrics::new();
-        s.add(Counter::SearchCacheHit, 4);
-        assert_eq!(s.get(Counter::SearchCacheHit), 4);
-        assert_eq!(s.snapshot().get(Counter::SearchCacheHit), 4);
-        s.reset();
-        assert!(s.snapshot().is_zero());
-    }
-
-    #[test]
-    fn shared_metrics_merge_folds_deltas() {
-        let s = SharedMetrics::new();
-        let mut d = MetricSet::new();
-        d.add(Counter::ProbesIssued, 3);
-        d.add(Counter::AttrsTotal, 1);
-        s.merge(&d);
-        s.merge(&d);
-        assert_eq!(s.get(Counter::ProbesIssued), 6);
-        assert_eq!(s.get(Counter::AttrsTotal), 2);
-        assert_eq!(s.get(Counter::EngineHitIssued), 0);
-    }
-
-    #[test]
-    fn gauges_merge_by_max() {
+    fn gauges_keep_the_max() {
         let mut a = GaugeSet::new();
         a.set(Gauge::Interfaces, 20);
         a.set(Gauge::Interfaces, 5); // keeps max
-        let mut b = GaugeSet::new();
-        b.set(Gauge::Interfaces, 12);
-        b.set(Gauge::Attributes, 80);
-        a.merge(&b);
+        a.set(Gauge::Attributes, 80);
         assert_eq!(a.get(Gauge::Interfaces), 20);
         assert_eq!(a.get(Gauge::Attributes), 80);
+        assert_eq!(a.get(Gauge::CorpusDocs), 0);
     }
 
     #[test]

@@ -13,8 +13,17 @@
 use std::collections::HashMap;
 
 use crate::event::Event;
-use crate::metrics::{Counter, Gauge, HistKey, MetricSet, BUCKET_LABELS};
-use crate::tracer::Totals;
+use crate::metrics::{Counter, HistSet, MetricSet};
+
+/// A run's totals read back from its trace: the counter and histogram
+/// deltas of its root spans, as produced by [`aggregate_run`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Summed counter deltas.
+    pub counters: MetricSet,
+    /// Summed histogram deltas.
+    pub hists: HistSet,
+}
 
 /// The per-stage funnel totals extracted from a counter set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,9 +85,8 @@ pub fn aggregate(events: &[Event]) -> MetricSet {
 }
 
 /// Aggregate a full event stream into run [`Totals`]: the counter *and*
-/// histogram deltas of all root spans (parent-less). Gauges are not part
-/// of the wire format and stay zero. This is what `webiq-report diff`
-/// compares two runs by.
+/// histogram deltas of all root spans (parent-less). This is what
+/// `webiq-report diff` compares two runs by.
 pub fn aggregate_run(events: &[Event]) -> Totals {
     let mut roots: HashMap<u64, bool> = HashMap::new();
     for e in events {
@@ -210,37 +218,10 @@ pub fn render_funnel(label: &str, m: &MetricSet) -> String {
     out
 }
 
-/// Render a full run summary: funnel, gauges, and histograms.
-pub fn render(totals: &Totals) -> String {
-    let mut out = render_funnel("run totals", &totals.counters);
-    let gauges: Vec<String> = Gauge::ALL
-        .iter()
-        .filter(|&&g| totals.gauges.get(g) > 0)
-        .map(|&g| format!("{} {}", g.name(), totals.gauges.get(g)))
-        .collect();
-    if !gauges.is_empty() {
-        out.push_str(&format!("  gauges: {}\n", gauges.join(", ")));
-    }
-    for &h in &HistKey::ALL {
-        if totals.hists.count(h) == 0 {
-            continue;
-        }
-        out.push_str(&format!("  {} (n={}):", h.name(), totals.hists.count(h)));
-        for (b, label) in BUCKET_LABELS.iter().enumerate() {
-            let n = totals.hists.bucket(h, b);
-            if n > 0 {
-                out.push_str(&format!(" [{label}]={n}"));
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistSet;
+    use crate::metrics::HistKey;
 
     fn counters(entries: &[(Counter, u64)]) -> MetricSet {
         let mut m = MetricSet::new();
@@ -372,28 +353,5 @@ mod tests {
         assert_eq!(groups[0].1.get(Counter::AttrsTotal), 3);
         assert_eq!(groups[1].0, "acquire · auto");
         assert_eq!(groups[1].1.get(Counter::AttrsTotal), 7);
-    }
-
-    #[test]
-    fn render_includes_all_stages() {
-        let mut totals = Totals::default();
-        totals.counters.add(Counter::AttrsTotal, 5);
-        totals.gauges.set(crate::metrics::Gauge::Interfaces, 20);
-        let mut h = HistSet::new();
-        h.observe(HistKey::CandidatesPerAttr, 12);
-        totals.hists.merge(&h);
-        let text = render(&totals);
-        for needle in [
-            "attrs in",
-            "candidates",
-            "verified",
-            "borrowed",
-            "probed",
-            "matched",
-            "gauges: interfaces 20",
-            "candidates_per_attr (n=1)",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
     }
 }

@@ -1,11 +1,9 @@
 //! Pluggable trace sinks.
 //!
 //! A [`TraceSink`] receives the merged, logical-clock-ordered event
-//! stream from the [`crate::tracer::Tracer`]. Three implementations
-//! cover the pipeline's needs:
+//! stream from the [`crate::tracer::Tracer`]. A disabled tracer never
+//! reaches a sink at all; two implementations cover the rest:
 //!
-//! - [`NoopSink`]: discards everything. A disabled tracer never reaches
-//!   a sink at all.
 //! - [`MemorySink`]: collects events behind a shared handle, for tests.
 //! - [`JsonlSink`]: serializes each event as one JSON line into any
 //!   writer (a file, or a [`SharedBuf`] for in-process inspection).
@@ -31,14 +29,6 @@ pub trait TraceSink: Send {
 
     /// Flush any buffered output (a no-op by default).
     fn flush(&mut self) {}
-}
-
-/// Discards every event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn event(&mut self, _e: &Event) {}
 }
 
 /// Collects events in memory; read them back through the
@@ -169,13 +159,6 @@ mod tests {
             name: "t".into(),
             attr: None,
         }
-    }
-
-    #[test]
-    fn noop_discards() {
-        let mut s = NoopSink;
-        s.event(&sample());
-        s.flush();
     }
 
     #[test]

@@ -33,8 +33,8 @@ use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::Event;
-use crate::metrics::{Counter, Gauge, GaugeSet, HistKey, HistSet, MetricSet};
-use crate::sink::{JsonlSink, MemoryHandle, MemorySink, NoopSink, TraceSink};
+use crate::metrics::{Counter, HistKey, HistSet, MetricSet};
+use crate::sink::{JsonlSink, MemoryHandle, MemorySink, TraceSink};
 
 /// Recover a mutex guard even if a panicking thread poisoned the lock.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -323,17 +323,6 @@ impl ItemBuf {
 // The tracer
 // ---------------------------------------------------------------------------
 
-/// Aggregated run totals: merged counters, gauges, and histograms.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Totals {
-    /// Sum of all submitted items' counter deltas.
-    pub counters: MetricSet,
-    /// Gauges recorded via [`Tracer::gauge`] (max-merged).
-    pub gauges: GaugeSet,
-    /// Merged histograms from all submitted items.
-    pub hists: HistSet,
-}
-
 struct TracerState {
     sink: Box<dyn TraceSink>,
     next_seq: u64,
@@ -342,7 +331,6 @@ struct TracerState {
     /// histograms accumulated from items submitted while the scope was
     /// open.
     open: Vec<(u64, MetricSet, HistSet)>,
-    totals: Totals,
 }
 
 /// The trace collector. `Clone` is cheap (an `Arc`), [`Default`] is
@@ -375,15 +363,8 @@ impl Tracer {
                 next_seq: 0,
                 next_id: 0,
                 open: Vec::new(),
-                totals: Totals::default(),
             }))),
         }
-    }
-
-    /// An enabled tracer that discards events but still aggregates
-    /// totals — the overhead-measurement configuration.
-    pub fn noop() -> Self {
-        Tracer::with_sink(Box::new(NoopSink))
     }
 
     /// An enabled tracer collecting into memory, plus its read handle.
@@ -405,11 +386,6 @@ impl Tracer {
     fn with_state<R>(&self, f: impl FnOnce(&mut TracerState) -> R) -> Option<R> {
         let inner = self.inner.as_ref()?;
         Some(f(&mut lock(inner)))
-    }
-
-    /// Record a run-level gauge (max-merged into the totals).
-    pub fn gauge(&self, g: Gauge, v: u64) {
-        let _ = self.with_state(|s| s.totals.gauges.set(g, v));
     }
 
     /// Open a tracer-level scope (e.g. one whole acquisition run) that
@@ -480,11 +456,9 @@ impl Tracer {
     /// Merge a finished item into the trace: assign logical-clock
     /// sequence numbers and global span ids, parent the item under the
     /// innermost open scope, emit its events, and fold its deltas into
-    /// the totals. Call in deterministic item order.
+    /// that scope's close. Call in deterministic item order.
     pub fn submit(&self, buf: ItemBuf) {
         let _ = self.with_state(|s| {
-            s.totals.counters.merge(&buf.totals);
-            s.totals.hists.merge(&buf.hists);
             if let Some(top) = s.open.last_mut() {
                 top.1.merge(&buf.totals);
                 top.2.merge(&buf.hists);
@@ -541,11 +515,6 @@ impl Tracer {
                 s.sink.event(&e);
             }
         });
-    }
-
-    /// A copy of the aggregated totals so far.
-    pub fn totals(&self) -> Totals {
-        self.with_state(|s| s.totals.clone()).unwrap_or_default()
     }
 
     /// Flush the sink.

@@ -17,22 +17,25 @@
 //! - a cache miss parses the query and evaluates it rarest-term-first
 //!   ([`InvertedIndex::matches`]), in time proportional to the postings
 //!   of its rarest positive term rather than of its first one;
-//! - every issued query additionally bumps the `webiq-trace`
-//!   *thread-local* counters ([`Counter::EngineSearchIssued`] /
-//!   [`Counter::EngineHitIssued`]), so a worker can measure exactly the
-//!   queries its own work item issued, independent of cache state or
-//!   scheduling — the basis of the deterministic per-component cost
-//!   accounting in `webiq-core`. Cache hit/miss tallies, which *do*
-//!   depend on scheduling, live only in the per-engine [`EngineStats`]
-//!   and the process-wide `webiq-prof` registry (which also attributes
-//!   evictions and times cache-missing queries) and never enter the
-//!   deterministic trace stream.
+//! - every call makes three counter updates, one per telemetry home:
+//!   1. the `webiq-trace` *thread-local* issued counter
+//!      ([`Counter::EngineSearchIssued`] / [`Counter::EngineHitIssued`]),
+//!      so a worker measures exactly the queries its own work item
+//!      issued, independent of cache state or scheduling — the basis of
+//!      the deterministic per-component cost accounting in `webiq-core`;
+//!   2. one cache-outcome slot of this engine's [`EngineStats`];
+//!   3. the same outcome in the process-wide `webiq-prof` registry
+//!      (which also attributes evictions and times cache-missing
+//!      queries).
+//!
+//!   Cache hits and misses depend on scheduling, so they live only in
+//!   the last two and never enter the deterministic trace stream.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use webiq_prof::{ProfCounter, Stage};
-use webiq_trace::{Counter, MetricSet, SharedMetrics};
+use webiq_trace::Counter;
 
 use crate::cache::{ShardedLru, ShardedMap};
 use crate::corpus::Corpus;
@@ -80,29 +83,34 @@ impl QueryEngine for SearchEngine {
     }
 }
 
-/// Counters for engine traffic, used by the overhead analysis.
+/// Per-engine traffic counters, used by the overhead analysis: one
+/// relaxed atomic per cache outcome.
 ///
-/// Backed by a `webiq-trace` [`SharedMetrics`] array: miss counters count
-/// actual round-trips to the engine core; issued counters count every
-/// call. Repeated queries (phrase and candidate marginals recur constantly
-/// during classifier training) would be served from a client-side cache in
-/// any real deployment and cost no search-engine round-trip. For
-/// per-call-site accounting that is independent of cache state, diff the
-/// thread-local counters via [`webiq_trace::snapshot`].
+/// Misses are actual round-trips to the engine core; hits plus misses
+/// are every call. Repeated queries (phrase and candidate marginals recur
+/// constantly during classifier training) would be served from a
+/// client-side cache in any real deployment and cost no search-engine
+/// round-trip. Racing threads that miss on the same fresh query may each
+/// count a miss, so the split depends on scheduling; the sum does not.
+/// For per-call-site accounting that is independent of cache state, diff
+/// the thread-local counters via [`webiq_trace::snapshot`].
 #[derive(Debug, Default)]
 pub struct EngineStats {
-    metrics: SharedMetrics,
+    search_hits: AtomicU64,
+    search_misses: AtomicU64,
+    hit_hits: AtomicU64,
+    hit_misses: AtomicU64,
 }
 
 impl EngineStats {
     /// Number of `search` calls that missed the cache.
     pub fn search_queries(&self) -> u64 {
-        self.metrics.get(Counter::SearchCacheMiss)
+        self.search_misses.load(Ordering::Relaxed)
     }
 
     /// Number of `num_hits` calls that missed the cache.
     pub fn hit_queries(&self) -> u64 {
-        self.metrics.get(Counter::HitCacheMiss)
+        self.hit_misses.load(Ordering::Relaxed)
     }
 
     /// Total cache-missing queries of both kinds.
@@ -110,9 +118,11 @@ impl EngineStats {
         self.search_queries() + self.hit_queries()
     }
 
-    /// Total issued queries of both kinds.
+    /// Total issued queries of both kinds: cache hits plus misses.
     pub fn total_issued(&self) -> u64 {
-        self.metrics.get(Counter::EngineSearchIssued) + self.metrics.get(Counter::EngineHitIssued)
+        self.search_hits.load(Ordering::Relaxed)
+            + self.hit_hits.load(Ordering::Relaxed)
+            + self.total()
     }
 
     /// Fraction of issued queries served from cache, in `[0, 1]`.
@@ -124,20 +134,24 @@ impl EngineStats {
         1.0 - self.total() as f64 / issued as f64
     }
 
-    /// A point-in-time copy of every engine counter (issued, cache hit,
-    /// and cache miss), for run summaries.
-    pub fn metrics(&self) -> MetricSet {
-        self.metrics.snapshot()
-    }
-
     /// Reset all counters to zero.
     pub fn reset(&self) {
-        self.metrics.reset();
+        for a in [
+            &self.search_hits,
+            &self.search_misses,
+            &self.hit_hits,
+            &self.hit_misses,
+        ] {
+            a.store(0, Ordering::Relaxed);
+        }
     }
+}
 
-    fn bump(&self, c: Counter) {
-        self.metrics.add(c, 1);
-    }
+/// Count one call's cache outcome in its engine slot and in the
+/// process-wide registry.
+fn bump(slot: &AtomicU64, prof: ProfCounter) {
+    slot.fetch_add(1, Ordering::Relaxed);
+    webiq_prof::incr(prof);
 }
 
 /// Bounded capacity of the search (snippet) result cache.
@@ -216,20 +230,17 @@ impl SearchEngine {
     }
 
     /// Number of pages matching `query` — the `NumHits` oracle of §2.2.
-    /// Results are memoised in a sharded cache, and [`EngineStats`] counts
-    /// *cache misses* only. Racing threads that miss on the same fresh
-    /// query may each count a miss; the cached value itself is a pure
-    /// function of the query, so results are unaffected.
+    /// Results are memoised in a sharded cache, and [`EngineStats`] records
+    /// whether each call hit or missed it. Racing threads that miss on the
+    /// same fresh query may each count a miss; the cached value itself is
+    /// a pure function of the query, so results are unaffected.
     pub fn num_hits(&self, query: &str) -> u64 {
         webiq_trace::incr(Counter::EngineHitIssued);
-        self.stats.bump(Counter::EngineHitIssued);
         if let Some(hits) = self.hit_cache.get(query) {
-            self.stats.bump(Counter::HitCacheHit);
-            webiq_prof::incr(ProfCounter::HitCacheHit);
+            bump(&self.stats.hit_hits, ProfCounter::HitCacheHit);
             return hits;
         }
-        self.stats.bump(Counter::HitCacheMiss);
-        webiq_prof::incr(ProfCounter::HitCacheMiss);
+        bump(&self.stats.hit_misses, ProfCounter::HitCacheMiss);
         webiq_prof::time(Stage::EngineQuery, || {
             self.simulate_round_trip();
             let hits = self.index.matches(&query::parse(query)).count() as u64;
@@ -240,19 +251,16 @@ impl SearchEngine {
 
     /// Top-`k` snippets for `query`, in ascending doc-id order (the
     /// deterministic stand-in for relevance order). Results are memoised
-    /// per `(query, k)` in a bounded LRU; [`EngineStats`] counts cache
-    /// misses only.
+    /// per `(query, k)` in a bounded LRU; [`EngineStats`] records whether
+    /// each call hit or missed it.
     pub fn search(&self, query: &str, k: usize) -> Vec<Snippet> {
         webiq_trace::incr(Counter::EngineSearchIssued);
-        self.stats.bump(Counter::EngineSearchIssued);
         let key = (query.to_string(), k);
         if let Some(hit) = self.search_cache.get(query, &key) {
-            self.stats.bump(Counter::SearchCacheHit);
-            webiq_prof::incr(ProfCounter::SearchCacheHit);
+            bump(&self.stats.search_hits, ProfCounter::SearchCacheHit);
             return hit.as_ref().clone();
         }
-        self.stats.bump(Counter::SearchCacheMiss);
-        webiq_prof::incr(ProfCounter::SearchCacheMiss);
+        bump(&self.stats.search_misses, ProfCounter::SearchCacheMiss);
         webiq_prof::time(Stage::EngineQuery, || {
             self.simulate_round_trip();
             let snippets: Vec<Snippet> = self
@@ -447,13 +455,17 @@ mod tests {
         let _ = e.num_hits("seattle"); // cached, still issued
         let _ = e.search("atlanta", 4);
         let d = webiq_trace::snapshot().diff(&before);
+        // the thread-local set sees every issued call...
         assert_eq!(d.get(Counter::EngineHitIssued), 2);
         assert_eq!(d.get(Counter::EngineSearchIssued), 1);
-        // cache hit/miss tallies are per-engine only, never thread-local
-        assert_eq!(d.get(Counter::HitCacheHit), 0);
-        assert_eq!(d.get(Counter::HitCacheMiss), 0);
-        assert_eq!(e.stats().metrics().get(Counter::HitCacheHit), 1);
-        assert_eq!(e.stats().metrics().get(Counter::HitCacheMiss), 1);
+        assert_eq!(
+            d.get(Counter::EngineHitIssued) + d.get(Counter::EngineSearchIssued),
+            e.stats().total_issued()
+        );
+        // ...while the cache outcome is recorded per engine only
+        assert_eq!(e.stats().hit_queries(), 1);
+        assert_eq!(e.stats().search_queries(), 1);
+        assert_eq!(e.stats().total(), 2);
     }
 
     #[test]

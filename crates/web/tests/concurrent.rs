@@ -127,10 +127,7 @@ fn global_stats_sane_under_contention() {
         }
     });
     let stats = engine.stats();
-    assert_eq!(
-        stats.metrics().get(webiq_trace::Counter::EngineHitIssued),
-        THREADS * PER_THREAD
-    );
+    assert_eq!(stats.total_issued(), THREADS * PER_THREAD);
     assert!(stats.hit_queries() >= 10, "misses {}", stats.hit_queries());
     assert!(
         stats.hit_queries() <= 10 * THREADS,

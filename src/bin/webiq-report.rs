@@ -7,7 +7,7 @@
 //! ```text
 //! webiq-report TRACE.jsonl [MORE.jsonl ...]
 //! webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--config obs.toml] [--json]
-//!                   [--decisions] [--prof-baseline FILE --prof-candidate FILE]
+//!                   [--decisions]
 //! webiq-report explain TRACE.jsonl [QUERY]
 //! webiq-report profile PROF_BASELINE.json
 //! webiq-report store STORE_DIR
@@ -21,9 +21,6 @@
 //! The diff mode aggregates both runs and compares counters, funnel
 //! stage rates, and histogram quantiles against the thresholds in
 //! `--config` (defaults when absent; see `webiq_obs::DiffThresholds`).
-//! With `--prof-baseline`/`--prof-candidate` (Prometheus text files or
-//! `/metrics` scrapes) it also compares the `webiq_prof_*` counter
-//! families, so lock-contention creep gates alongside trace changes.
 //! Exit codes: `0` no regression, `1` regression detected, `2` usage or
 //! I/O error — so CI can gate on the exit status alone.
 //!
@@ -60,14 +57,13 @@ use std::process::ExitCode;
 
 use webiq::core::WebIqError;
 use webiq::obs::{diff_events, parse_jsonl, profile, DiffThresholds, ObsError};
-use webiq::prof::ProfSnapshot;
 use webiq::trace::report;
 use webiq::trace::Event;
 use webiq::why::{diff_decisions, Provenance};
 
 const USAGE: &str = "usage: webiq-report TRACE.jsonl [MORE.jsonl ...]
        webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--config FILE] [--json]
-                    [--decisions] [--prof-baseline FILE --prof-candidate FILE]
+                    [--decisions]
        webiq-report explain TRACE.jsonl [QUERY]
        webiq-report profile PROF_BASELINE.json
        webiq-report store STORE_DIR
@@ -150,8 +146,6 @@ fn run_render(paths: &[String]) -> ExitCode {
 fn run_diff(args: &[String]) -> ExitCode {
     let mut inputs: Vec<&String> = Vec::new();
     let mut config: Option<&String> = None;
-    let mut prof_baseline: Option<&String> = None;
-    let mut prof_candidate: Option<&String> = None;
     let mut json = false;
     let mut decisions = false;
     let mut it = args.iter();
@@ -166,20 +160,6 @@ fn run_diff(args: &[String]) -> ExitCode {
                 };
                 config = Some(path);
             }
-            "--prof-baseline" => {
-                let Some(path) = it.next() else {
-                    eprintln!("webiq-report: --prof-baseline needs a file argument\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                prof_baseline = Some(path);
-            }
-            "--prof-candidate" => {
-                let Some(path) = it.next() else {
-                    eprintln!("webiq-report: --prof-candidate needs a file argument\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                prof_candidate = Some(path);
-            }
             other if other.starts_with("--") => {
                 eprintln!("webiq-report: unknown flag `{other}`\n{USAGE}");
                 return ExitCode::from(2);
@@ -187,16 +167,6 @@ fn run_diff(args: &[String]) -> ExitCode {
             _ => inputs.push(a),
         }
     }
-    let prof = match (prof_baseline, prof_candidate) {
-        (Some(b), Some(c)) => Some((b, c)),
-        (None, None) => None,
-        _ => {
-            eprintln!(
-                "webiq-report: --prof-baseline and --prof-candidate must be given together\n{USAGE}"
-            );
-            return ExitCode::from(2);
-        }
-    };
     let [baseline, candidate] = inputs.as_slice() else {
         eprintln!("webiq-report: diff needs exactly two traces\n{USAGE}");
         return ExitCode::from(2);
@@ -223,10 +193,6 @@ fn run_diff(args: &[String]) -> ExitCode {
         }
     };
     if decisions {
-        if prof.is_some() {
-            eprintln!("webiq-report: --decisions does not take profile inputs\n{USAGE}");
-            return ExitCode::from(2);
-        }
         let d = diff_decisions(baseline, &base, candidate, &cand, thresholds.decision_flips);
         if json {
             println!("{}", d.to_json());
@@ -239,23 +205,7 @@ fn run_diff(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         };
     }
-    let mut r = diff_events(baseline, &base, candidate, &cand, &thresholds);
-    if let Some((pb, pc)) = prof {
-        // Prometheus text (a render_prom file or a /metrics scrape);
-        // absent series parse as zero.
-        let (pb_text, pc_text) = match (read_input(pb), read_input(pc)) {
-            (Ok(b), Ok(c)) => (b, c),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("webiq-report: {}", WebIqError::from(e));
-                return ExitCode::from(2);
-            }
-        };
-        r = r.with_prof(
-            &ProfSnapshot::from_prom_text(&pb_text),
-            &ProfSnapshot::from_prom_text(&pc_text),
-            &thresholds,
-        );
-    }
+    let r = diff_events(baseline, &base, candidate, &cand, &thresholds);
     if json {
         println!("{}", r.to_json());
     } else {
