@@ -1,9 +1,9 @@
-//! Scaling behaviour of the matcher: constrained average-link clustering
-//! is the asymptotically expensive piece (O(n²) similarity matrix, then
-//! up-to-O(n³) merge selection). This bench charts wall-clock against the
-//! attribute count so downstream users know where the knee is — the
-//! paper's workloads (≈100–220 attributes per domain) sit comfortably
-//! below it.
+//! Scaling behaviour of the matcher: the O(n²) similarity matrix, then
+//! constrained average-link clustering, which recomputes only the links
+//! of the two clusters each merge touches (O(n) average links a merge,
+//! plus a re-scan of the rows whose best partner they were). This bench
+//! charts wall-clock against the attribute count, up to about twice the
+//! paper's workloads (≈100–220 attributes per domain).
 
 use webiq::data::kb;
 use webiq::matcher::{match_attributes, MatchAttribute, MatchConfig};
@@ -43,7 +43,7 @@ fn synthetic_attributes(n: usize) -> Vec<MatchAttribute> {
 fn bench_matcher_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling/match_attributes");
     group.sample_size(10);
-    for n in [50usize, 100, 200] {
+    for n in [50usize, 100, 200, 400] {
         let attrs = synthetic_attributes(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &attrs, |b, attrs| {
             b.iter(|| black_box(match_attributes(attrs, &MatchConfig::default())));

@@ -1,12 +1,16 @@
 //! The per-attribute profiles behind the §5 borrow pre-filters and IceQ
 //! matching give the answers of the pairwise similarity functions on every
-//! generated domain.
+//! generated domain, and the merge loop gives the answers of the full
+//! re-scan it replaced.
+
+#[path = "../../matcher/tests/support/reference.rs"]
+mod reference;
 
 use webiq_core::acquire::{case1_candidates, case2_candidates, AttrTable};
 use webiq_core::WebIQConfig;
 use webiq_data::interface::{AttrRef, Dataset};
 use webiq_data::{all_domains, generate_domain, GenOptions};
-use webiq_match::cluster::{cluster, similarity_matrix, Item};
+use webiq_match::cluster::{cluster_logged, similarity_matrix, Item, MergeEvent};
 use webiq_match::domsim::{dom_sim, value_similarity};
 use webiq_match::labelsim::{label_sim, label_vector};
 use webiq_match::{attributes_of, match_attributes, similarity, MatchConfig};
@@ -66,11 +70,10 @@ fn case2_pairwise(ds: &Dataset, r1: AttrRef) -> Vec<AttrRef> {
 }
 
 /// Every attribute's case-1 or case-2 candidates, and the clusters of
-/// every domain at τ = 0.1, equal their pairwise computation on the
-/// datasets of `seed`.
+/// every domain at τ ∈ {0, 0.1}, equal their pairwise computation with
+/// the reference merge loop on the datasets of `seed`.
 fn check_every_domain(seed: u64) {
     let cfg = WebIQConfig::default();
-    let mc = MatchConfig::with_threshold(0.1);
     for def in all_domains() {
         let opts = GenOptions {
             seed,
@@ -105,17 +108,24 @@ fn check_every_domain(seed: u64) {
                 interface: a.r.0,
             })
             .collect();
-        let sim = similarity_matrix(&items, |i, j| similarity(&attrs[i], &attrs[j], &mc));
-        let want: Vec<Vec<AttrRef>> = cluster(&items, &sim, mc.threshold)
-            .into_iter()
-            .map(|c| c.into_iter().map(|i| attrs[i].r).collect())
-            .collect();
-        assert_eq!(
-            match_attributes(&attrs, &mc).clusters,
-            want,
-            "{} seed {seed}",
-            def.key
-        );
+        let weights = MatchConfig::default();
+        let sim = similarity_matrix(&items, |i, j| similarity(&attrs[i], &attrs[j], &weights));
+        for threshold in [0.0, 0.1] {
+            let case = format!("{} seed {seed} τ {threshold}", def.key);
+            let (want, want_log) = reference::cluster_logged(&items, &sim, threshold);
+            let (got, got_log) = cluster_logged(&items, &sim, threshold);
+            assert_eq!(got, want, "{case}");
+            let bits = |log: &[MergeEvent<usize>]| -> Vec<(u64, usize, usize)> {
+                log.iter().map(|e| (e.score.to_bits(), e.a, e.b)).collect()
+            };
+            assert_eq!(bits(&got_log), bits(&want_log), "{case}");
+            let want: Vec<Vec<AttrRef>> = want
+                .into_iter()
+                .map(|c| c.into_iter().map(|i| attrs[i].r).collect())
+                .collect();
+            let mc = MatchConfig::with_threshold(threshold);
+            assert_eq!(match_attributes(&attrs, &mc).clusters, want, "{case}");
+        }
     }
 }
 

@@ -7,6 +7,14 @@
 //! attributes of one schema by construction). Merging proceeds greedily on
 //! the highest average inter-cluster similarity and stops when no
 //! admissible pair exceeds the threshold τ.
+//!
+//! The loop keeps each admissible pair's average link and each cluster's
+//! best partner across merges, so a merge recomputes only the links of
+//! the two clusters it touched. Ties go to the first pair in row-major
+//! order, and every cached link is the same float sum, in the same order,
+//! as a fresh computation, so clusters, merge scores and representative
+//! pairs equal those of a full re-scan per merge, bit for bit (the
+//! `cluster_oracle` test checks it).
 
 use webiq_prof::Stage;
 use webiq_trace::Counter;
@@ -46,7 +54,7 @@ pub fn cluster<I: Copy>(items: &[Item<I>], sim: &[Vec<f64>], threshold: f64) -> 
 /// order they happened (descending score). The log is what interactive
 /// threshold learning samples from.
 ///
-/// Each pass over the candidate pairs bumps the thread-local
+/// Each search for the next merge bumps the thread-local
 /// [`Counter::ClusterIterations`] trace counter and each merge performed
 /// bumps [`Counter::ClusterMerges`], so a traced run can report the
 /// matcher's convergence behaviour. Wall-clock spent clustering is
@@ -66,37 +74,195 @@ fn cluster_logged_inner<I: Copy>(
     sim: &[Vec<f64>],
     threshold: f64,
 ) -> (Vec<Vec<usize>>, Vec<MergeEvent<I>>) {
-    let n = items.len();
-    let mut clusters: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    let mut state = Merger::new(items, sim, threshold);
     let mut log = Vec::new();
 
     loop {
         webiq_trace::incr(Counter::ClusterIterations);
-        // Find the best admissible merge.
-        let mut best: Option<(f64, usize, usize)> = None;
-        for a in 0..clusters.len() {
-            for b in a + 1..clusters.len() {
-                if violates_constraint(items, &clusters[a], &clusters[b]) {
-                    continue;
-                }
-                let s = average_link(&clusters[a], &clusters[b], sim);
-                if s > threshold && best.is_none_or(|(bs, _, _)| s > bs) {
-                    best = Some((s, a, b));
-                }
-            }
-        }
-        let Some((score, a, b)) = best else { break };
+        let Some((score, a, b)) = state.best_merge() else {
+            break;
+        };
         webiq_trace::incr(Counter::ClusterMerges);
-        let (ra, rb) = representative_pair(&clusters[a], &clusters[b], sim);
+        let (ra, rb) = representative_pair(&state.clusters[a], &state.clusters[b], sim);
         log.push(MergeEvent {
             score,
             a: items[ra].id,
             b: items[rb].id,
         });
-        let merged = clusters.swap_remove(b);
-        clusters[a].extend(merged);
+        state.merge(a, b);
     }
-    (clusters, log)
+    (state.clusters, log)
+}
+
+/// The merge loop's state, kept across merges so that a merge is found
+/// without re-scanning every cluster pair.
+///
+/// Clusters sit at positions `0..len` and merge as a plain list would:
+/// the cluster at `b` is swap-removed (the last cluster moves into `b`)
+/// and appended to the cluster at `a`. `link` caches, for every position
+/// pair `p < q`, exactly what `average_link(&clusters[p], &clusters[q])`
+/// returns when the pair is admissible and above τ, and −∞ otherwise;
+/// `best` holds each row's first column at the row maximum. Scanning the
+/// rows in order for the first strictly greater row best therefore picks
+/// the first maximum of the row-major scan over every pair. Links are
+/// recomputed from the matrix, never updated by running sums: the sum
+/// must add the same terms in the same order to give the same bits.
+struct Merger<'a> {
+    sim: &'a [Vec<f64>],
+    threshold: f64,
+    /// Item indices of each cluster.
+    clusters: Vec<Vec<usize>>,
+    /// Interfaces of each cluster, one bit per distinct interface.
+    masks: Vec<Vec<u64>>,
+    /// `link[p * stride + q]` for positions `p < q`.
+    link: Vec<f64>,
+    stride: usize,
+    /// Each row's first column at the row maximum; `None` when the row
+    /// holds no admissible pair above τ.
+    best: Vec<Option<usize>>,
+}
+
+impl<'a> Merger<'a> {
+    fn new<I>(items: &[Item<I>], sim: &'a [Vec<f64>], threshold: f64) -> Self {
+        let n = items.len();
+        // dense interface indices, so any `usize` interface id fits a mask
+        let mut interfaces: Vec<usize> = items.iter().map(|it| it.interface).collect();
+        interfaces.sort_unstable();
+        interfaces.dedup();
+        let words = interfaces.len().div_ceil(64);
+        let masks = items
+            .iter()
+            .map(|it| {
+                let k = interfaces.partition_point(|&i| i < it.interface);
+                let mut mask = vec![0u64; words];
+                mask[k / 64] |= 1 << (k % 64);
+                mask
+            })
+            .collect();
+        let mut state = Merger {
+            sim,
+            threshold,
+            clusters: (0..n).map(|i| vec![i]).collect(),
+            masks,
+            link: vec![f64::NEG_INFINITY; n * n],
+            stride: n,
+            best: vec![None; n],
+        };
+        for p in 0..n {
+            for q in p + 1..n {
+                state.relink(p, q);
+            }
+            state.rescan(p);
+        }
+        state
+    }
+
+    /// The cached link of positions `p < q`.
+    fn at(&self, p: usize, q: usize) -> f64 {
+        self.link[p * self.stride + q]
+    }
+
+    /// Recompute the link of positions `p < q` from the matrix.
+    fn relink(&mut self, p: usize, q: usize) {
+        let disjoint = self.masks[p]
+            .iter()
+            .zip(&self.masks[q])
+            .all(|(x, y)| x & y == 0);
+        let s = if disjoint {
+            average_link(&self.clusters[p], &self.clusters[q], self.sim)
+        } else {
+            f64::NEG_INFINITY
+        };
+        self.link[p * self.stride + q] = if s > self.threshold {
+            s
+        } else {
+            f64::NEG_INFINITY
+        };
+    }
+
+    /// Find row `p`'s first column at its maximum.
+    fn rescan(&mut self, p: usize) {
+        let mut best = None;
+        let mut top = f64::NEG_INFINITY;
+        for q in p + 1..self.clusters.len() {
+            let s = self.at(p, q);
+            if s > top {
+                top = s;
+                best = Some(q);
+            }
+        }
+        self.best[p] = best;
+    }
+
+    /// Let column `q` of row `p` take the row's best if it is greater, or
+    /// equal and further left.
+    fn offer(&mut self, p: usize, q: usize) {
+        let s = self.at(p, q);
+        let better = match self.best[p] {
+            None => s > f64::NEG_INFINITY,
+            Some(c) => {
+                let top = self.at(p, c);
+                s > top || (s == top && q < c)
+            }
+        };
+        if better {
+            self.best[p] = Some(q);
+        }
+    }
+
+    /// The first pair at the maximum link, in row-major order.
+    fn best_merge(&self) -> Option<(f64, usize, usize)> {
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (p, q) in self.best.iter().enumerate() {
+            let Some(q) = *q else { continue };
+            let s = self.at(p, q);
+            if best.is_none_or(|(top, _, _)| s > top) {
+                best = Some((s, p, q));
+            }
+        }
+        best
+    }
+
+    /// Merge the cluster at `b` into the one at `a` (`a < b`), then bring
+    /// the links and row bests up to date.
+    fn merge(&mut self, a: usize, b: usize) {
+        let merged = self.clusters.swap_remove(b);
+        self.clusters[a].extend(merged);
+        let mask = self.masks.swap_remove(b);
+        for (x, y) in self.masks[a].iter_mut().zip(mask) {
+            *x |= y;
+        }
+        self.best.pop();
+        // `len` is also the old last position; its cluster now sits at
+        // `b`, unless `b` was last
+        let len = self.clusters.len();
+        let moved = (b < len).then_some(b);
+
+        // every link of `a` and of the moved cluster, lower position first
+        for p in (0..len).filter(|&p| p != a) {
+            self.relink(p.min(a), p.max(a));
+        }
+        if let Some(b) = moved {
+            for p in (0..len).filter(|&p| p != a && p != b) {
+                self.relink(p.min(b), p.max(b));
+            }
+        }
+        for p in 0..len {
+            let stale = p == a
+                || moved == Some(p)
+                || self.best[p].is_some_and(|q| q == a || q == b || q == len);
+            if stale {
+                self.rescan(p);
+            } else {
+                if p < a {
+                    self.offer(p, a);
+                }
+                if moved.is_some_and(|b| p < b) {
+                    self.offer(p, b);
+                }
+            }
+        }
+    }
 }
 
 /// The most similar cross pair of two clusters.
@@ -111,12 +277,6 @@ fn representative_pair(a: &[usize], b: &[usize], sim: &[Vec<f64>]) -> (usize, us
         }
     }
     (best.0, best.1)
-}
-
-/// Would merging `a` and `b` put two attributes of one interface together?
-fn violates_constraint<I>(items: &[Item<I>], a: &[usize], b: &[usize]) -> bool {
-    a.iter()
-        .any(|&i| b.iter().any(|&j| items[i].interface == items[j].interface))
 }
 
 /// Average pairwise similarity between two clusters.

@@ -106,18 +106,22 @@ impl ValueSet {
         if self.len == 0 || other.len == 0 {
             return 0.0;
         }
+        // one merge walk: both overlap ratios divide the same `|A ∩ B|`
+        let shared = self.shared(other);
         if self.ty != other.ty {
             // a thin bridge for mixed sets (e.g. "2" vs "2 bedrooms")
-            return 0.1 * self.jaccard(other);
+            return 0.1 * self.jaccard(other, shared);
         }
         match self.ty {
             ValueType::Integer | ValueType::Real | ValueType::Monetary => {
                 // ranges say "same kind of quantity"; exact value overlap
                 // strengthens it
-                0.6 * self.range_overlap(other) + 0.4 * self.containment(other)
+                0.6 * self.range_overlap(other) + 0.4 * self.containment(other, shared)
             }
-            ValueType::Date => 0.5 + 0.5 * self.containment(other),
-            ValueType::Text => self.jaccard(other).max(0.9 * self.containment(other)),
+            ValueType::Date => 0.5 + 0.5 * self.containment(other, shared),
+            ValueType::Text => self
+                .jaccard(other, shared)
+                .max(0.9 * self.containment(other, shared)),
         }
     }
 
@@ -164,12 +168,12 @@ impl ValueSet {
         n
     }
 
-    /// Jaccard overlap of the distinct normalised values (both sets are
-    /// non-empty: [`ValueSet::sim`] returns early on an empty list).
-    fn jaccard(&self, other: &ValueSet) -> f64 {
-        let inter = self.shared(other);
-        let union = self.values.len() + other.values.len() - inter;
-        inter as f64 / union as f64
+    /// Jaccard overlap of the distinct normalised values, given their
+    /// `shared` count (both sets are non-empty: [`ValueSet::sim`] returns
+    /// early on an empty list).
+    fn jaccard(&self, other: &ValueSet, shared: usize) -> f64 {
+        let union = self.values.len() + other.values.len() - shared;
+        shared as f64 / union as f64
     }
 
     /// Containment overlap (`|A∩B| / min(|A|, |B|)`) of the distinct
@@ -178,9 +182,9 @@ impl ValueSet {
     /// same concept) overlap far more relative to the smaller set than
     /// relative to the union, so containment is the right measure for
     /// enriched domains. Both sets are non-empty, as for `jaccard`.
-    fn containment(&self, other: &ValueSet) -> f64 {
+    fn containment(&self, other: &ValueSet, shared: usize) -> f64 {
         let min = self.values.len().min(other.values.len());
-        self.shared(other) as f64 / min as f64
+        shared as f64 / min as f64
     }
 
     /// Overlap ratio of the numeric ranges the two value lists span.

@@ -28,6 +28,7 @@ fn pretty_artifacts_reencode_byte_for_byte() {
     for name in [
         "OBS_BASELINE.json",
         "STORE_BASELINE.json",
+        "EXPERIMENTS_BASELINE.json",
         "PROF_BASELINE.json",
         "BENCH_flow.json",
     ] {
