@@ -1,11 +1,14 @@
 //! Micro-benchmarks of the hot substrate operations: POS tagging, label
 //! classification, stemming, search-engine queries, PMI validation,
-//! outlier removal, naive-Bayes training, HTML form extraction, and the
+//! outlier removal, naive-Bayes training, HTML form extraction,
+//! response-page classification, the §5 very-similar value test, and the
 //! pairwise similarity the matcher computes O(n²) times.
 
 use webiq::core::{patterns, verify};
 use webiq::data::{corpus, kb};
+use webiq::deep::{analyze_response, render, Record};
 use webiq::html::form::extract_forms;
+use webiq::matcher::domsim::ValueSet;
 use webiq::matcher::{similarity, MatchAttribute, MatchConfig};
 use webiq::nlp::{chunk, pos, stem};
 use webiq::stats::{bayes::NaiveBayes, outlier};
@@ -29,6 +32,22 @@ fn bench_nlp(c: &mut Criterion) {
                 "Popular departure cities such as Boston, Chicago, and LAX are listed on this page",
             ))
         });
+    });
+    // What extraction tags per snippet: the longest text after the cue
+    // among the generated corpus's top ten "airlines such as" results
+    // (48 tokens).
+    let cue = "airlines such as";
+    let remainder = engine()
+        .search(&format!("\"{cue}\" +airfare"), 10)
+        .into_iter()
+        .filter_map(|s| {
+            let at = s.text.to_lowercase().find(cue)? + cue.len();
+            Some(s.text[at..].to_string())
+        })
+        .max_by_key(String::len)
+        .expect("a result");
+    c.bench_function("nlp/pos_tag_snippet", |b| {
+        b.iter(|| pos::tag(black_box(&remainder)));
     });
     c.bench_function("nlp/classify_label", |b| {
         b.iter(|| chunk::classify_label(black_box("Class of service")));
@@ -104,7 +123,34 @@ fn bench_html(c: &mut Criterion) {
     });
 }
 
+fn bench_deep(c: &mut Criterion) {
+    let records: Vec<Record> = kb::pools::CITIES
+        .iter()
+        .zip(kb::pools::AIRLINES_NA)
+        .take(10)
+        .map(|(city, airline)| Record::new([("from", *city), ("airline", *airline)]))
+        .collect();
+    let refs: Vec<&Record> = records.iter().collect();
+    let results = render::results_page("AcmeAir", &refs);
+    c.bench_function("deep/analyze_results_page", |b| {
+        b.iter(|| analyze_response(black_box(&results)));
+    });
+    let none = render::no_results_page("AcmeAir");
+    c.bench_function("deep/analyze_no_results_page", |b| {
+        b.iter(|| analyze_response(black_box(&none)));
+    });
+}
+
 fn bench_similarity(c: &mut Criterion) {
+    // The §5 case-2 pre-filter's common case: two text domains of eight
+    // values with no very similar pair, so every pair is tried.
+    let authors = ValueSet::new(&kb::pools::AUTHORS[..8]);
+    let publishers = ValueSet::new(&kb::pools::PUBLISHERS[..8]);
+    assert!(!authors.has_similar_pair(&publishers));
+    c.bench_function("match/case2_similar_pair", |b| {
+        b.iter(|| black_box(&authors).has_similar_pair(black_box(&publishers)));
+    });
+
     let a = MatchAttribute {
         r: (0, 0),
         label: "Departure city".into(),
@@ -133,6 +179,6 @@ fn bench_similarity(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_nlp, bench_engine, bench_verification, bench_html, bench_similarity
+    targets = bench_nlp, bench_engine, bench_verification, bench_html, bench_deep, bench_similarity
 }
 criterion_main!(benches);

@@ -97,16 +97,41 @@ fn span_text(tagged: &[Tagged], span: (usize, usize)) -> String {
         .join(" ")
 }
 
+/// The byte range in `snippet` of the first match of `cue` in
+/// `snippet.to_lowercase()`. Lowercasing may change a char's byte length
+/// (`İ` grows from 2 bytes to 3, `ẞ` shrinks from 3 to 2, the Kelvin sign
+/// from 3 to 1), so the match is mapped back char by char: the range
+/// covers every char whose lowercase form the match touches, and both
+/// ends are char boundaries of `snippet`.
+fn find_cue(snippet: &str, cue: &str) -> Option<(usize, usize)> {
+    let at = snippet.to_lowercase().find(cue)?;
+    let end = at + cue.len();
+    let (mut start, mut stop) = (snippet.len(), snippet.len());
+    // the current char's lowercase form spans `lower..next`
+    let mut lower = 0;
+    for (i, c) in snippet.char_indices() {
+        let next = lower + c.to_lowercase().map(char::len_utf8).sum::<usize>();
+        if lower <= at && at < next {
+            start = i;
+        }
+        if lower >= end {
+            stop = i;
+            break;
+        }
+        lower = next;
+    }
+    Some((start, stop))
+}
+
 /// Extract completions from one snippet for one pattern: find the cue
 /// phrase, then parse the NP list on the completion side.
 pub fn completions(snippet: &str, pattern: &MaterializedPattern) -> Vec<String> {
-    let lower = snippet.to_lowercase();
-    let Some(pos_byte) = lower.find(&pattern.cue) else {
+    let Some((cue_start, cue_end)) = find_cue(snippet, &pattern.cue) else {
         return Vec::new();
     };
     match pattern.side {
         CompletionSide::After => {
-            let after = &snippet[pos_byte + pattern.cue.len()..];
+            let after = &snippet[cue_end..];
             let tagged = pos::tag(after);
             let spans = chunk::parse_np_list_spans(&tagged);
             let texts: Vec<String> = spans.iter().map(|s| span_text(&tagged, *s)).collect();
@@ -116,7 +141,7 @@ pub fn completions(snippet: &str, pattern: &MaterializedPattern) -> Vec<String> 
             }
         }
         CompletionSide::Before => {
-            let before = &snippet[..pos_byte];
+            let before = &snippet[..cue_start];
             let tagged = pos::tag(before);
             let spans = trailing_np_list(&tagged);
             let texts: Vec<String> = spans.iter().map(|s| span_text(&tagged, *s)).collect();
@@ -292,6 +317,34 @@ mod tests {
             .expect("g1");
         let got = completions("We know the author of the book is Mark Twain.", &g1);
         assert_eq!(got, vec!["Mark Twain"]);
+    }
+
+    #[test]
+    fn chars_that_change_length_when_lowercased_do_not_shift_the_cue() {
+        // `İ` lowercases from 2 bytes to 3, `ẞ` from 3 to 2 and the
+        // Kelvin sign from 3 to 1, before and after the cue
+        let airline = primary_noun_phrase("Airline").expect("np");
+        let patterns = extraction_patterns(&airline, "flight");
+        let s1 = &patterns[0];
+        let s4 = patterns.iter().find(|p| p.id == "s4").expect("s4");
+        for c in ['İ', 'ẞ', '\u{212A}'] {
+            let after = format!("{c}{c} airlines such as Delta and Lufthansa. {c}");
+            assert_eq!(completions(&after, s1), ["Delta", "Lufthansa"], "{after}");
+            let before = format!("{c}. Delta, United, and other airlines {c}{c}");
+            assert_eq!(completions(&before, s4), ["Delta", "United"], "{before}");
+        }
+        // this once panicked: "start byte index 20 is not a char boundary"
+        completions("İ airlines such asÜnited and Delta", s1);
+        // a Kelvin sign inside the cue matches its `k`
+        let make = primary_noun_phrase("Make").expect("np");
+        let s1 = &extraction_patterns(&make, "car")[0];
+        assert_eq!(
+            completions(
+                "\u{212A}\u{212A} MA\u{212A}ES such as Toyota and Honda.",
+                s1
+            ),
+            ["Toyota", "Honda"]
+        );
     }
 
     #[test]

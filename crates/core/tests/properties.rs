@@ -135,14 +135,41 @@ fn patterns_materialize_for_noun_labels() {
     });
 }
 
-/// Snippet completion extraction never panics on arbitrary snippets.
+/// Snippet completion extraction never panics, on arbitrary snippets nor
+/// when the text around a cue, or the cue itself, holds chars whose
+/// lowercase form has another byte length: `İ` (2 → 3 bytes), `ẞ`
+/// (3 → 2), the Kelvin sign (3 → 1), the Ohm and Ångström signs (3 → 2).
+/// Every completion word is snippet text.
 #[test]
 fn completions_total() {
-    prop::cases(prop::CASES, |rng| {
-        let snippet = rng.gen_string(prop::any_char(), 0, 200);
-        let np = extract::primary_noun_phrase("city").expect("np");
-        for p in patterns::extraction_patterns(&np, "flight") {
-            let _ = extract::completions(&snippet, &p);
+    let around = prop::charset("İẞ\u{212A}\u{2126}\u{212B}ΣéAbk ,.");
+    let labels = ["city", "make", "keyword", "airline", "class of service"];
+    prop::cases(4 * prop::CASES, |rng| {
+        let arbitrary = rng.gen_string(prop::any_char(), 0, 200);
+        let label = labels[rng.gen_range(0usize..labels.len())];
+        let np = extract::primary_noun_phrase(label).expect("noun label");
+        for p in patterns::extraction_patterns(&np, "book") {
+            let cue: String = p
+                .cue
+                .chars()
+                .map(|c| match rng.gen_range(0u32..4) {
+                    0 if c == 'k' => '\u{212A}',
+                    1 => c.to_ascii_uppercase(),
+                    _ => c,
+                })
+                .collect();
+            let around_cue = format!(
+                "{}{cue}{}",
+                rng.gen_string(around, 0, 30),
+                rng.gen_string(around, 0, 30)
+            );
+            for snippet in [&arbitrary, &around_cue] {
+                for text in extract::completions(snippet, &p) {
+                    for word in text.split(' ') {
+                        assert!(snippet.contains(word), "{word:?} not in {snippet:?}");
+                    }
+                }
+            }
         }
     });
 }

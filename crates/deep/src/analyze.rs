@@ -15,8 +15,15 @@
 //! 4. otherwise, fall back on a text-volume heuristic: a page with
 //!    substantially more content than an empty-results page is presumed to
 //!    carry results.
+//!
+//! The heuristics read the page in one pass over its tokens
+//! ([`webiq_html::lexer::tokenize`]), not over a DOM tree: a start tag
+//! makes exactly one element, and a tree's depth-first text order is
+//! token order, so the page text and the `<tr>`/`<li>` counts are the
+//! ones a DOM walk finds. The DOM stays for form extraction
+//! ([`webiq_html::form`]).
 
-use webiq_html::dom;
+use webiq_html::lexer::{self, HtmlToken};
 
 /// Classified outcome of one probe submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +72,33 @@ static NO_RESULT_MARKERS: &[&str] = &[
 
 /// Analyze a response page.
 pub fn analyze_response(html: &str) -> SubmissionOutcome {
-    let doc = dom::parse_document(html);
-    let text = doc.text().to_ascii_lowercase();
+    // One pass over the tokens: the text, whitespace-normalised (script
+    // and style contents included, comments not), and the `<tr>`,
+    // result-classed `<tr>` and `<li>` start tags.
+    let mut text = String::new();
+    let (mut rows, mut result_rows, mut items) = (0, 0, 0);
+    for token in lexer::tokenize(html) {
+        match token {
+            HtmlToken::Text(t) => {
+                for word in t.split_whitespace() {
+                    if !text.is_empty() {
+                        text.push(' ');
+                    }
+                    text.push_str(word);
+                }
+            }
+            HtmlToken::StartTag { name, attrs, .. } if name == "tr" => {
+                rows += 1;
+                let class = attrs.iter().find(|a| a.name == "class");
+                if class.is_some_and(|a| a.value.to_ascii_lowercase().contains("result")) {
+                    result_rows += 1;
+                }
+            }
+            HtmlToken::StartTag { name, .. } if name == "li" => items += 1,
+            _ => {}
+        }
+    }
+    text.make_ascii_lowercase();
 
     if ERROR_MARKERS.iter().any(|m| text.contains(m)) {
         return SubmissionOutcome::Error;
@@ -77,32 +109,17 @@ pub fn analyze_response(html: &str) -> SubmissionOutcome {
 
     // Count result rows: explicit result-classed rows first, then generic
     // table rows beyond a header.
-    let mut rows = Vec::new();
-    doc.find_all("tr", &mut rows);
-    let result_rows = rows
-        .iter()
-        .filter(|r| {
-            r.attr("class")
-                .is_some_and(|c| c.to_ascii_lowercase().contains("result"))
-        })
-        .count();
     if result_rows > 0 {
         return SubmissionOutcome::Success {
             results: result_rows,
         };
     }
-    if rows.len() > 1 {
+    if rows > 1 {
         // header + data rows
-        return SubmissionOutcome::Success {
-            results: rows.len() - 1,
-        };
+        return SubmissionOutcome::Success { results: rows - 1 };
     }
-    let mut items = Vec::new();
-    doc.find_all("li", &mut items);
-    if !items.is_empty() {
-        return SubmissionOutcome::Success {
-            results: items.len(),
-        };
+    if items > 0 {
+        return SubmissionOutcome::Success { results: items };
     }
 
     // "found N matching" style summaries

@@ -21,10 +21,11 @@
 //! run on a [`ValueSet`]: a value list typed, normalised, sorted and
 //! measured once, so the all-pairs loops of matching and borrowing
 //! compare prepared sets instead of re-normalising every value per pair.
-//! The similar-pair test skips a value pair when its length gap alone
-//! keeps the edit similarity below [`VERY_SIMILAR`]; Levenshtein distance
-//! is at least the length gap, so that bound is exact and the test gives
-//! the same answer as [`value_similarity`] over every pair.
+//! The similar-pair test turns [`VERY_SIMILAR`] into an edit budget per
+//! longer length, skips a pair whose length gap exceeds it (Levenshtein
+//! distance is at least the gap) and stops a pair's DP once a whole row
+//! exceeds it, so it gives the same answer as [`value_similarity`] over
+//! every pair without computing most distances.
 
 use std::cmp::Ordering;
 
@@ -128,17 +129,21 @@ impl ValueSet {
     /// Does some value of `self` have a very similar value in `other`
     /// (`value_similarity ≥ VERY_SIMILAR`)? The §5 case-2 pre-filter:
     /// "two values, one from each domain, which are very similar".
+    ///
+    /// A pair is very similar exactly when its edit distance is within
+    /// the edit budget of its longer length. Once no value is shared, a
+    /// budget of 0 rules the pair out, and so does a length gap above the
+    /// budget (the distance is at least the gap); a bounded DP on buffers
+    /// reused across pairs decides the rest.
     pub fn has_similar_pair(&self, other: &ValueSet) -> bool {
         if self.shared(other) > 0 {
             return true;
         }
+        let mut buffers = EditBuffers::default();
         self.entries().any(|(v, nv)| {
             other.entries().any(|(w, nw)| {
-                let max_len = nv.max(nw);
-                // levenshtein(v, w) ≥ the length gap, so a pair this bound
-                // rejects is below VERY_SIMILAR whatever its distance
-                1.0 - nv.abs_diff(nw) as f64 / max_len as f64 >= VERY_SIMILAR
-                    && 1.0 - levenshtein(v, w) as f64 / max_len as f64 >= VERY_SIMILAR
+                let budget = edit_budget(nv.max(nw));
+                budget > 0 && nv.abs_diff(nw) <= budget && buffers.within(v, w, budget)
             })
         })
     }
@@ -207,10 +212,11 @@ impl ValueSet {
 }
 
 /// Normalised string similarity between two individual values:
-/// `1 − levenshtein(a, b) / max(|a|, |b|)` over lowercased text. Used by
-/// the §5 borrow-candidate pre-filter ("at least two values, one from each
-/// domain, which are very similar"), which runs it through
-/// [`ValueSet::has_similar_pair`].
+/// `1 − levenshtein(a, b) / max(|a|, |b|)` over lowercased text. The §5
+/// borrow-candidate pre-filter ("at least two values, one from each
+/// domain, which are very similar") asks whether it reaches
+/// [`VERY_SIMILAR`]; [`ValueSet::has_similar_pair`] answers that without
+/// computing most distances.
 pub fn value_similarity(a: &str, b: &str) -> f64 {
     let a = a.trim().to_ascii_lowercase();
     let b = b.trim().to_ascii_lowercase();
@@ -222,6 +228,74 @@ pub fn value_similarity(a: &str, b: &str) -> f64 {
         return 1.0;
     }
     1.0 - levenshtein(&a, &b) as f64 / max_len as f64
+}
+
+/// The most edits two values whose longer one has `max_len` chars may
+/// differ by and still be very similar: the largest `d` with
+/// `1 − d / max_len ≥ VERY_SIMILAR`, found with that float expression
+/// itself, so "distance ≤ budget" is exactly the similarity test. The
+/// expression falls as `d` grows, so the admissible `d` are `0..=budget`:
+/// 0 edits below 7 chars, 1 below 14, 2 below 20, 3 at 20.
+fn edit_budget(max_len: usize) -> usize {
+    let similar = |d: usize| 1.0 - d as f64 / max_len as f64 >= VERY_SIMILAR;
+    let mut budget = 0;
+    while budget < max_len && similar(budget + 1) {
+        budget += 1;
+    }
+    budget
+}
+
+/// Reusable buffers for [`within_edits`] over many value pairs.
+#[derive(Debug, Default)]
+struct EditBuffers {
+    row: Vec<usize>,
+    a: Vec<char>,
+    b: Vec<char>,
+}
+
+impl EditBuffers {
+    /// Is the Levenshtein distance (in chars) of `a` and `b` at most
+    /// `budget`? ASCII pairs are compared byte by byte; others decode
+    /// into the char buffers.
+    fn within(&mut self, a: &str, b: &str, budget: usize) -> bool {
+        if a.is_ascii() && b.is_ascii() {
+            return within_edits(a.as_bytes(), b.as_bytes(), budget, &mut self.row);
+        }
+        self.a.clear();
+        self.a.extend(a.chars());
+        self.b.clear();
+        self.b.extend(b.chars());
+        within_edits(&self.a, &self.b, budget, &mut self.row)
+    }
+}
+
+/// Is the edit distance of `a` and `b` at most `budget`? The classic DP
+/// on one reused row that stops as soon as a whole row exceeds the
+/// budget: a cell never falls below the smallest cell of the row above,
+/// so no later row can come back within it.
+fn within_edits<T: PartialEq>(a: &[T], b: &[T], budget: usize, row: &mut Vec<usize>) -> bool {
+    row.clear();
+    row.extend(0..=b.len());
+    for (i, ca) in a.iter().enumerate() {
+        // `diag` is the row above's cell left of the one being replaced
+        let mut diag = i;
+        let mut left = i + 1;
+        let mut row_min = left;
+        for (cell, cb) in row.iter_mut().skip(1).zip(b) {
+            let next = (*cell + 1).min(left + 1).min(diag + usize::from(ca != cb));
+            diag = *cell;
+            *cell = next;
+            left = next;
+            row_min = row_min.min(next);
+        }
+        if let Some(first) = row.first_mut() {
+            *first = i + 1;
+        }
+        if row_min > budget {
+            return false;
+        }
+    }
+    row.last().is_some_and(|&d| d <= budget)
 }
 
 /// Levenshtein edit distance in chars. ASCII text is compared byte by

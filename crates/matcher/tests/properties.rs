@@ -304,8 +304,40 @@ fn with_commas(n: u64) -> String {
     out
 }
 
+/// Multi-word names of 21–60 chars, some with non-ASCII letters: long
+/// enough for edit budgets of 3 to 9 and for the bounded DP to stop in
+/// the middle of a row.
+const LONG_NAMES: [&str; 6] = [
+    "International Business Machines",
+    "Massachusetts Institute of Technology Press",
+    "São Paulo Guarulhos International Airport",
+    "Zürich Kloten Flughafen Passagier Terminal Nord",
+    "Ærøskøbing Havn og Færgeterminal",
+    "The Hitchhiker's Guide to the Galaxy: The Complete Trilogy",
+];
+
+/// `base` with 1–9 scattered edits: substitutions (ASCII or not),
+/// insertions and deletions at random positions.
+fn scattered_edits(rng: &mut StdRng, base: &str) -> String {
+    let mut chars: Vec<char> = base.chars().collect();
+    let letters = prop::charset("aeiouxyzéøß ");
+    for _ in 0..rng.gen_range(1usize..=9) {
+        let at = rng.gen_range(0..chars.len());
+        let letter = *letters.choose(rng).expect("non-empty");
+        match rng.gen_range(0u32..3) {
+            0 => chars[at] = letter,
+            1 => chars.insert(at, letter),
+            _ => {
+                chars.remove(at);
+            }
+        }
+    }
+    chars.into_iter().collect()
+}
+
 /// One value of kind `kind`: a comma integer, a real, a `$` amount, a
-/// month name, a text word (possibly edited), or a random short string.
+/// month name, a text word (possibly edited), a random short string, or
+/// a long name (possibly edited).
 fn gen_value(rng: &mut StdRng, kind: usize) -> String {
     let base = match kind {
         0 => with_commas(rng.gen_range(0u64..30_000)),
@@ -324,7 +356,15 @@ fn gen_value(rng: &mut StdRng, kind: usize) -> String {
             }
             w.into_iter().collect()
         }
-        _ => rng.gen_string(prop::charset("abAB é"), 0, 20),
+        5 => rng.gen_string(prop::charset("abAB é"), 0, 20),
+        _ => {
+            let name = LONG_NAMES.choose(rng).expect("non-empty");
+            if rng.gen_bool(0.8) {
+                scattered_edits(rng, name)
+            } else {
+                (*name).to_string()
+            }
+        }
     };
     respell(rng, &base)
 }
@@ -345,15 +385,15 @@ fn respell(rng: &mut StdRng, v: &str) -> String {
 /// DomSim branch is reached), sometimes mixed; duplicates are likely.
 fn gen_values(rng: &mut StdRng) -> Vec<String> {
     let n = rng.gen_range(0usize..=8);
-    let kind = rng.gen_range(0usize..7); // 6 = mixed
+    let kind = rng.gen_range(0usize..8); // 7 = mixed
     let mut out: Vec<String> = Vec::with_capacity(n);
     for _ in 0..n {
         if !out.is_empty() && rng.gen_bool(0.15) {
             let dup = out.choose(rng).expect("non-empty").clone();
             out.push(dup);
         } else {
-            let k = if kind == 6 {
-                rng.gen_range(0usize..6)
+            let k = if kind == 7 {
+                rng.gen_range(0usize..7)
             } else {
                 kind
             };
@@ -373,7 +413,7 @@ fn overlapping(rng: &mut StdRng, a: &[String]) -> Vec<String> {
         }
     }
     for _ in 0..rng.gen_range(0usize..3) {
-        let kind = rng.gen_range(0usize..6);
+        let kind = rng.gen_range(0usize..7);
         out.push(gen_value(rng, kind));
     }
     out.shuffle(rng);
@@ -400,6 +440,17 @@ fn value_set_matches_the_pairwise_reference() {
             reference::similar_pair(&a, &b),
             "{a:?} vs {b:?}"
         );
+        // pair by pair too, so that one misjudged pair cannot hide
+        // behind another similar one
+        for v in a.chunks(1) {
+            for w in b.chunks(1) {
+                assert_eq!(
+                    ValueSet::new(v).has_similar_pair(&ValueSet::new(w)),
+                    reference::similar_pair(v, w),
+                    "{v:?} vs {w:?}"
+                );
+            }
+        }
     });
 }
 
@@ -434,4 +485,39 @@ fn similar_pair_length_bound_edges() {
     check(&["Zürich"], &["Zurich"], false);
     check(&["Ærøskøbing"], &["Ærøskobing"], true);
     check(&[], &["Boston"], false);
+    // Where the edit budget steps up, `(max_len, budget below, budget at)`:
+    // at each length, `budget` edits are very similar and one more is not,
+    // whether the edits are substitutions of letters the other value lacks
+    // (the distance is exactly their count) or a dropped suffix (the gap).
+    let letters = |len: usize, first: char| -> String {
+        (0..len)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .enumerate()
+            .map(|(i, c)| if i == 0 { first } else { c })
+            .collect()
+    };
+    let substituted = |base: &str, edits: usize| -> String {
+        let n = base.chars().count();
+        let at: Vec<usize> = (0..edits).map(|j| j * n / edits).collect();
+        base.chars()
+            .enumerate()
+            .map(|(i, c)| if at.contains(&i) { '#' } else { c })
+            .collect()
+    };
+    for (m, below, at) in [(7, 0, 1), (14, 1, 2), (20, 2, 3), (27, 3, 4), (40, 5, 6)] {
+        for (len, budget) in [(m - 1, below), (m, at)] {
+            for first in ['a', 'ü'] {
+                let base = letters(len, first);
+                let near = substituted(&base, budget);
+                let far = substituted(&base, budget + 1);
+                assert_eq!(near.chars().filter(|&c| c == '#').count(), budget);
+                assert_eq!(far.chars().filter(|&c| c == '#').count(), budget + 1);
+                check(&[&base], &[&near], true);
+                check(&[&base], &[&far], false);
+                let prefix = |n: usize| base.chars().take(n).collect::<String>();
+                check(&[&base], &[&prefix(len - budget)], true);
+                check(&[&base], &[&prefix(len - budget - 1)], false);
+            }
+        }
+    }
 }

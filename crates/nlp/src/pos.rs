@@ -9,6 +9,8 @@
 //! tags/words — exactly the architecture of Brill's tagger, with a rule set
 //! sized for interface labels and search-snippet sentences.
 
+use std::sync::OnceLock;
+
 use crate::token::{Token, TokenKind};
 
 /// Reduced Penn-Treebank-style tagset sufficient for shallow label analysis.
@@ -310,9 +312,44 @@ static LEXICON: &[(&str, Tag)] = &[
     ("people", Tag::NNS),
 ];
 
-/// Look up `word` (lowercased) in the static lexicon.
+/// The byte length of the longest [`LEXICON`] word: a longer token is
+/// not in it.
+const LONGEST_WORD: usize = 11;
+
+/// [`LEXICON`] sorted by word for binary search; of two entries for one
+/// word only the first is kept, the one a front-to-back scan finds.
+fn sorted_lexicon() -> &'static [(&'static str, Tag)] {
+    static SORTED: OnceLock<Vec<(&'static str, Tag)>> = OnceLock::new();
+    SORTED.get_or_init(|| {
+        let mut table = LEXICON.to_vec();
+        table.sort_by_key(|&(w, _)| w); // stable: the first entry stays first
+        table.dedup_by_key(|&mut (w, _)| w);
+        table
+    })
+}
+
+/// Look up `word` in the static lexicon, ignoring ASCII case. Its
+/// lowercase form is built in a stack buffer; a word longer than
+/// [`LONGEST_WORD`] cannot be in the lexicon and is not looked up.
 fn lexicon_lookup(word: &str) -> Option<Tag> {
-    LEXICON.iter().find(|(w, _)| *w == word).map(|(_, t)| *t)
+    let bytes = word.as_bytes();
+    let mut buf = [0u8; LONGEST_WORD];
+    let lower = buf.get_mut(..bytes.len())?;
+    lower.copy_from_slice(bytes);
+    lower.make_ascii_lowercase();
+    let table = sorted_lexicon();
+    let at = table
+        .binary_search_by(|(w, _)| w.as_bytes().cmp(lower))
+        .ok()?;
+    table.get(at).map(|&(_, t)| t)
+}
+
+/// Does `word` end with the lowercase ASCII `suffix`, ignoring ASCII case?
+fn ends_with_ci(word: &str, suffix: &str) -> bool {
+    word.len()
+        .checked_sub(suffix.len())
+        .and_then(|at| word.as_bytes().get(at..))
+        .is_some_and(|tail| tail.eq_ignore_ascii_case(suffix.as_bytes()))
 }
 
 /// Initial (pre-contextual) tag for a token.
@@ -327,8 +364,7 @@ fn initial_tag(token: &Token, first_in_sentence: bool) -> Tag {
     if token.kind == TokenKind::Number {
         return Tag::CD;
     }
-    let lower = token.lower();
-    if let Some(tag) = lexicon_lookup(&lower) {
+    if let Some(tag) = lexicon_lookup(&token.text) {
         return tag;
     }
     // A capitalized unknown word mid-sentence is almost certainly a proper
@@ -341,33 +377,33 @@ fn initial_tag(token: &Token, first_in_sentence: bool) -> Tag {
     if token.text.len() >= 2 && token.text.chars().all(|c| c.is_ascii_uppercase()) {
         return Tag::NNP;
     }
-    suffix_tag(&lower)
+    suffix_tag(&token.text)
 }
 
-/// Morphological suffix heuristics for unknown lowercase words.
-fn suffix_tag(lower: &str) -> Tag {
-    let n = lower.len();
-    if n > 4 && lower.ends_with("ing") {
+/// Morphological suffix heuristics for unknown words, in any ASCII case.
+fn suffix_tag(word: &str) -> Tag {
+    let n = word.len();
+    if n > 4 && ends_with_ci(word, "ing") {
         return Tag::VBG;
     }
-    if n > 3 && lower.ends_with("ed") {
+    if n > 3 && ends_with_ci(word, "ed") {
         return Tag::VBN;
     }
-    if n > 3 && lower.ends_with("ly") {
+    if n > 3 && ends_with_ci(word, "ly") {
         return Tag::RB;
     }
     for adj_suffix in [
         "able", "ible", "ous", "ive", "ful", "less", "ic", "al", "est",
     ] {
-        if n > adj_suffix.len() + 2 && lower.ends_with(adj_suffix) {
+        if n > adj_suffix.len() + 2 && ends_with_ci(word, adj_suffix) {
             return Tag::JJ;
         }
     }
     if n > 3
-        && lower.ends_with('s')
-        && !lower.ends_with("ss")
-        && !lower.ends_with("us")
-        && !lower.ends_with("is")
+        && ends_with_ci(word, "s")
+        && !ends_with_ci(word, "ss")
+        && !ends_with_ci(word, "us")
+        && !ends_with_ci(word, "is")
     {
         return Tag::NNS;
     }
@@ -478,12 +514,22 @@ fn cond_holds(tagged: &[Tagged], i: usize, cond: Cond) -> bool {
 /// `first_in_sentence` describes whether the first token starts a sentence
 /// (true for attribute labels and for snippet sentences).
 pub fn tag_tokens(tokens: &[Token]) -> Vec<Tagged> {
+    tag_owned(tokens.to_vec())
+}
+
+/// Tokenize and tag `text` in one call.
+pub fn tag(text: &str) -> Vec<Tagged> {
+    tag_owned(crate::token::tokenize(text))
+}
+
+/// [`tag_tokens`] on tokens it may move into the result.
+fn tag_owned(tokens: Vec<Token>) -> Vec<Tagged> {
     let mut tagged: Vec<Tagged> = tokens
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, t)| Tagged {
-            token: t.clone(),
-            tag: initial_tag(t, i == 0),
+        .map(|(i, token)| Tagged {
+            tag: initial_tag(&token, i == 0),
+            token,
         })
         .collect();
     for rule in RULES {
@@ -494,11 +540,6 @@ pub fn tag_tokens(tokens: &[Token]) -> Vec<Tagged> {
         }
     }
     tagged
-}
-
-/// Tokenize and tag `text` in one call.
-pub fn tag(text: &str) -> Vec<Tagged> {
-    tag_tokens(&crate::token::tokenize(text))
 }
 
 #[cfg(test)]
@@ -605,5 +646,23 @@ mod tests {
     #[test]
     fn empty_sequence() {
         assert!(tag("").is_empty());
+    }
+
+    #[test]
+    fn longest_word_bounds_the_lexicon() {
+        let longest = LEXICON.iter().map(|(w, _)| w.len()).max();
+        assert_eq!(longest, Some(LONGEST_WORD));
+    }
+
+    #[test]
+    fn lookup_ignores_ascii_case_and_finds_the_first_entry() {
+        for (word, _) in LEXICON {
+            let first = LEXICON.iter().find(|(w, _)| w == word).map(|&(_, t)| t);
+            assert_eq!(lexicon_lookup(word), first, "{word}");
+            assert_eq!(lexicon_lookup(&word.to_ascii_uppercase()), first, "{word}");
+        }
+        assert_eq!(lexicon_lookup("DeStInAtIoN"), Some(Tag::NN));
+        assert_eq!(lexicon_lookup("destinations"), None);
+        assert_eq!(lexicon_lookup("Zürich"), None);
     }
 }

@@ -70,64 +70,65 @@ impl Token {
 ///   a leading `$`, forms a [`TokenKind::Number`];
 /// - everything else that is not whitespace becomes a single-character
 ///   [`TokenKind::Punct`].
+///
+/// Each token's text is copied once, from one slice of `text`.
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let chars: Vec<char> = text.chars().collect();
     let mut out = Vec::new();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_whitespace() {
-            i += 1;
+    while let Some(c) = char_at(text, i) {
+        let start = i;
+        i += c.len_utf8();
+        let kind = if c.is_whitespace() {
+            continue;
         } else if c.is_alphabetic() {
-            let start = i;
-            i += 1;
-            while i < chars.len() {
-                let c = chars[i];
-                if c.is_alphabetic() {
-                    i += 1;
-                } else if (c == '\'' || c == '-')
-                    && i + 1 < chars.len()
-                    && chars[i + 1].is_alphabetic()
-                {
-                    i += 2;
-                } else {
-                    break;
-                }
-            }
-            out.push(Token::new(
-                chars[start..i].iter().collect::<String>(),
-                TokenKind::Word,
-            ));
-        } else if c.is_ascii_digit() || (c == '$' && peek_digit(&chars, i + 1)) {
-            let start = i;
-            if c == '$' {
-                i += 1;
-            }
-            i = consume_number(&chars, i);
-            out.push(Token::new(
-                chars[start..i].iter().collect::<String>(),
-                TokenKind::Number,
-            ));
+            i = word_end(text, i);
+            TokenKind::Word
+        } else if c.is_ascii_digit() || (c == '$' && peek_digit(text, i)) {
+            i = number_end(text, i);
+            TokenKind::Number
         } else {
-            out.push(Token::new(c.to_string(), TokenKind::Punct));
-            i += 1;
-        }
+            TokenKind::Punct
+        };
+        out.push(Token::new(&text[start..i], kind));
     }
     out
 }
 
-fn peek_digit(chars: &[char], i: usize) -> bool {
-    chars.get(i).is_some_and(char::is_ascii_digit)
+/// The char starting at byte `i` of `text`, if any.
+fn char_at(text: &str, i: usize) -> Option<char> {
+    text.get(i..)?.chars().next()
 }
 
-/// Consume a digit run starting at `i`, allowing `,`-grouping and one `.`
-/// decimal part; returns the index one past the number.
-fn consume_number(chars: &[char], mut i: usize) -> usize {
-    while i < chars.len() {
-        let c = chars[i];
+fn peek_digit(text: &str, i: usize) -> bool {
+    text.as_bytes().get(i).is_some_and(u8::is_ascii_digit)
+}
+
+/// The end of a word whose first letter ends before byte `i`: letters,
+/// and `'` or `-` when a letter follows.
+fn word_end(text: &str, mut i: usize) -> usize {
+    while let Some(c) = char_at(text, i) {
+        if c.is_alphabetic() {
+            i += c.len_utf8();
+        } else if c == '\'' || c == '-' {
+            match char_at(text, i + 1) {
+                Some(next) if next.is_alphabetic() => i += 1 + next.len_utf8(),
+                _ => break,
+            }
+        } else {
+            break;
+        }
+    }
+    i
+}
+
+/// Consume a digit run starting at byte `i`, allowing `,`-grouping and
+/// `.` decimal parts; returns the byte offset one past the number.
+fn number_end(text: &str, mut i: usize) -> usize {
+    let b = text.as_bytes();
+    while let Some(&c) = b.get(i) {
         if c.is_ascii_digit() {
             i += 1;
-        } else if (c == ',' || c == '.') && peek_digit(chars, i + 1) {
+        } else if (c == b',' || c == b'.') && peek_digit(text, i + 1) {
             i += 2;
         } else {
             break;
@@ -144,7 +145,10 @@ pub fn words_lower(text: &str) -> Vec<String> {
     tokenize(text)
         .into_iter()
         .filter(|t| t.kind != TokenKind::Punct)
-        .map(|t| t.lower())
+        .map(|mut t| {
+            t.text.make_ascii_lowercase();
+            t.text
+        })
         .collect()
 }
 

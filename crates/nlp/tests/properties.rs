@@ -1,16 +1,22 @@
 //! Property-based tests for the NLP substrate.
 
-use webiq_nlp::{chunk, inflect, pos, stem, stopwords, token};
-use webiq_rng::prop;
+#[path = "support/reference.rs"]
+mod reference;
 
-/// Tokenization never panics and never produces empty tokens.
+use webiq_nlp::{chunk, inflect, pos, stem, stopwords, token};
+use webiq_rng::{prop, SliceRandom, StdRng};
+
+/// Tokenization never panics, never produces empty tokens and equals the
+/// reference tokenizer.
 #[test]
 fn tokenize_total() {
     prop::cases(prop::CASES, |rng| {
         let s = rng.gen_string(prop::any_char(), 0, 200);
-        for t in token::tokenize(&s) {
+        let tokens = token::tokenize(&s);
+        for t in &tokens {
             assert!(!t.text.is_empty());
         }
+        assert_eq!(tokens, reference::tokenize(&s), "{s:?}");
     });
 }
 
@@ -157,4 +163,80 @@ fn stopword_filter_sound() {
             assert!(it.any(|x| x == w));
         }
     });
+}
+
+/// One piece of adversarial tagger input: a lexicon word in random case
+/// (maybe suffixed), a word longer than any lexicon word, non-ASCII
+/// letters, a `$`/`,`/`.` number, apostrophes and hyphens, punctuation or
+/// whitespace.
+fn fragment(rng: &mut StdRng) -> String {
+    match rng.gen_range(0u32..9) {
+        0..=2 => {
+            let words: Vec<&str> = reference::lexicon_words().collect();
+            let word = words.choose(rng).expect("non-empty lexicon");
+            let cased: String = word
+                .chars()
+                .map(|c| {
+                    if rng.gen_bool(0.4) {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            let suffix = ["", "", "", "s", "S", "ing", "ed", "ly", "able"];
+            cased + suffix.choose(rng).expect("non-empty")
+        }
+        3 => rng.gen_string(prop::charset("abcdeinrstuABCDEINRST"), 12, 24),
+        4 => rng.gen_string(prop::charset("aeiéüßΩ中İ\u{212A}ÆøSTEDing"), 1, 10),
+        5 => rng.gen_string(prop::charset("$0123456789,.,.$"), 1, 10),
+        6 => rng.gen_string(prop::charset("ab'-'-OHARE"), 1, 10),
+        7 => rng.gen_string(prop::charset(",.;:()!?*/&"), 1, 3),
+        _ => rng.gen_string(prop::charset(" \t\n\u{a0}"), 1, 3),
+    }
+}
+
+/// Adversarial text: up to 30 fragments, mostly space-separated,
+/// sometimes run together.
+fn adversarial_text(rng: &mut StdRng) -> String {
+    let mut text = String::new();
+    for _ in 0..rng.gen_range(0usize..=30) {
+        text.push_str(&fragment(rng));
+        if rng.gen_bool(0.8) {
+            text.push(' ');
+        }
+    }
+    text
+}
+
+/// The tokenizer, the tagger and `words_lower` equal their pre-rewrite
+/// reference on adversarial text.
+#[test]
+fn tokenizer_and_tagger_equal_the_reference() {
+    prop::cases(16 * prop::CASES, |rng| {
+        let text = adversarial_text(rng);
+        let tokens = token::tokenize(&text);
+        assert_eq!(tokens, reference::tokenize(&text), "{text:?}");
+        assert_eq!(pos::tag(&text), reference::tag(&text), "{text:?}");
+        assert_eq!(pos::tag_tokens(&tokens), reference::tag_tokens(&tokens));
+        assert_eq!(token::words_lower(&text), reference::words_lower(&text));
+    });
+}
+
+/// Every lexicon word tags as the reference tags it: in lower, upper and
+/// title case, first and mid-sentence, bare and suffixed.
+#[test]
+fn every_lexicon_word_tags_as_the_reference() {
+    for word in reference::lexicon_words() {
+        let upper = word.to_ascii_uppercase();
+        let title: String = word
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if i == 0 { c.to_ascii_uppercase() } else { c })
+            .collect();
+        for w in [word, upper.as_str(), title.as_str()] {
+            let text = format!("{w} the {w} {w}s");
+            assert_eq!(pos::tag(&text), reference::tag(&text), "{text:?}");
+        }
+    }
 }
