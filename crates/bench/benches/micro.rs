@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the hot substrate operations: POS tagging, label
-//! classification, stemming, search-engine queries, PMI validation,
+//! classification, stemming, corpus generation, index building,
+//! search-engine queries, PMI validation,
 //! outlier removal, naive-Bayes training, HTML form extraction,
 //! response-page classification, the §5 very-similar value test, and the
 //! pairwise similarity the matcher computes O(n²) times.
@@ -12,6 +13,7 @@ use webiq::matcher::domsim::ValueSet;
 use webiq::matcher::{similarity, MatchAttribute, MatchConfig};
 use webiq::nlp::{chunk, pos, stem};
 use webiq::stats::{bayes::NaiveBayes, outlier};
+use webiq::web::index::InvertedIndex;
 use webiq::web::{gen, GenConfig, SearchEngine};
 use webiq_bench::timing::{black_box, Criterion};
 use webiq_bench::{criterion_group, criterion_main};
@@ -22,7 +24,6 @@ fn engine() -> SearchEngine {
         &corpus::concept_specs(def),
         &GenConfig::default(),
     ))
-    .expect("engine")
 }
 
 fn bench_nlp(c: &mut Criterion) {
@@ -58,6 +59,21 @@ fn bench_nlp(c: &mut Criterion) {
 }
 
 fn bench_engine(c: &mut Criterion) {
+    // A dataset's set-up: airfare's corpus as `DomainPipeline::from_def`
+    // generates it at seed 7392 (2,056 documents), then its index.
+    let specs = corpus::concept_specs(kb::domain("airfare").expect("domain"));
+    let cfg = GenConfig {
+        seed: 7392 ^ 0xc0ffee,
+        confuser_rate: 0.25,
+        ..GenConfig::default()
+    };
+    c.bench_function("web/corpus_generate", |b| {
+        b.iter(|| gen::generate(black_box(&specs), &cfg));
+    });
+    let docs = gen::generate(&specs, &cfg);
+    c.bench_function("web/index_build", |b| {
+        b.iter(|| InvertedIndex::build(black_box(&docs)));
+    });
     let e = engine();
     // Every iteration appends `-nx{i}`, an excluded term absent from the
     // corpus: the answer is unchanged, but each call misses the caches and

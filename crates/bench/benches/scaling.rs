@@ -64,7 +64,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
             ..GenConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(docs), &cfg, |b, cfg| {
-            b.iter(|| black_box(SearchEngine::new(gen::generate(&specs, cfg)).expect("engine")));
+            b.iter(|| black_box(SearchEngine::new(gen::generate(&specs, cfg))));
         });
     }
     group.finish();

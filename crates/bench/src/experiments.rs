@@ -62,7 +62,7 @@ pub struct Table1Row {
 /// Regenerate Table 1.
 pub fn table1(seed: u64) -> Vec<Table1Row> {
     par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+        let p = DomainPipeline::from_def(def, seed);
         let c = characteristics(&p.dataset, def);
         let cfg = WebIQConfig::default();
         let surface_only = p.acquire(Components::SURFACE, &cfg).expect("acquisition");
@@ -97,7 +97,7 @@ pub struct Fig6Row {
 /// Regenerate Figure 6.
 pub fn fig6(seed: u64) -> Vec<Fig6Row> {
     par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+        let p = DomainPipeline::from_def(def, seed);
         Fig6Row {
             domain: def.display,
             baseline: p.baseline_f1().f1_pct(),
@@ -131,7 +131,7 @@ pub struct Fig7Row {
 /// Regenerate Figure 7.
 pub fn fig7(seed: u64) -> Vec<Fig7Row> {
     par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+        let p = DomainPipeline::from_def(def, seed);
         Fig7Row {
             domain: def.display,
             baseline: p.baseline_f1().f1_pct(),
@@ -193,7 +193,7 @@ impl Fig8Row {
 /// Regenerate Figure 8.
 pub fn fig8(seed: u64) -> Vec<Fig8Row> {
     par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+        let p = DomainPipeline::from_def(def, seed);
         let acq = p
             .acquire(Components::ALL, &WebIQConfig::default())
             .expect("acquisition");
@@ -261,7 +261,7 @@ pub fn learned_thresholds(seed: u64) -> Vec<LearnedRow> {
     use webiq::data::gold;
     use webiq::matcher::{learn_threshold, GoldOracle};
     par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+        let p = DomainPipeline::from_def(def, seed);
         let acq = p
             .acquire(Components::ALL, &WebIQConfig::default())
             .expect("acquisition");
@@ -302,7 +302,7 @@ pub struct WeightsRow {
 /// from instances, before and after acquisition.
 pub fn weights(seed: u64) -> Vec<WeightsRow> {
     par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+        let p = DomainPipeline::from_def(def, seed);
         let label_cfg = MatchConfig {
             alpha: 1.0,
             beta: 0.0,
@@ -342,7 +342,7 @@ pub struct AblationRow {
 /// Run one configuration across all domains.
 fn run_config(seed: u64, name: &'static str, cfg: &WebIQConfig) -> AblationRow {
     let per_domain = par_domains(|def| {
-        let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+        let p = DomainPipeline::from_def(def, seed);
         let acq = p.acquire(Components::ALL, cfg).expect("acquisition");
         let prec = acquisition_precision(&p.dataset, def, &acq);
         let queries = acq.report.surface_cost.engine_queries
@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn acquisition_precision_is_high_by_default() {
         let def = kb::domain("airfare").expect("domain");
-        let p = DomainPipeline::from_def(def, SEED).expect("pipeline");
+        let p = DomainPipeline::from_def(def, SEED);
         let acq = p
             .acquire(Components::ALL, &WebIQConfig::default())
             .expect("acquisition");

@@ -945,8 +945,7 @@ mod tests {
         let engine = SearchEngine::new(gen::generate(
             &corpus::concept_specs(def),
             &GenConfig::default(),
-        ))
-        .expect("engine");
+        ));
         let sources = ds
             .interfaces
             .iter()

@@ -250,7 +250,7 @@ mod tests {
     fn airfare_engine() -> SearchEngine {
         let def = kb::domain("airfare").expect("domain");
         let specs = corpus::concept_specs(def);
-        SearchEngine::new(gen::generate(&specs, &GenConfig::default())).expect("engine")
+        SearchEngine::new(gen::generate(&specs, &GenConfig::default()))
     }
 
     fn strings(v: &[&str]) -> Vec<String> {

@@ -1,9 +1,8 @@
 //! The unified error type of the WebIQ pipeline.
 //!
 //! Fallible entry points across the workspace funnel into [`WebIqError`]:
-//! the Surface-Web simulator's [`WebError`] and the Deep-Web simulator's
-//! [`DeepError`] convert via `From`, and the acquisition/pipeline layers
-//! contribute their own variants. Library code returns
+//! the Deep-Web simulator's [`DeepError`] converts via `From`, and the
+//! acquisition/pipeline layers contribute their own variants. Library code returns
 //! `Result<_, WebIqError>` instead of panicking; the `webiq-lint` pass
 //! enforces the absence of `unwrap`/`expect`/`panic!` in non-test code.
 
@@ -12,13 +11,10 @@ use std::fmt;
 use webiq_deep::DeepError;
 use webiq_obs::ObsError;
 use webiq_store::StoreError;
-use webiq_web::WebError;
 
 /// Any failure the WebIQ pipeline can report instead of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WebIqError {
-    /// The Surface-Web simulator failed to build.
-    Web(WebError),
     /// A Deep-Web source rejected a submission.
     Deep(DeepError),
     /// The requested domain is not in the knowledge base.
@@ -53,7 +49,6 @@ pub enum WebIqError {
 impl fmt::Display for WebIqError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WebIqError::Web(e) => write!(f, "surface web: {e}"),
             WebIqError::Deep(e) => write!(f, "deep web: {e}"),
             WebIqError::UnknownDomain { name } => {
                 write!(f, "unknown domain '{name}'")
@@ -79,18 +74,11 @@ impl fmt::Display for WebIqError {
 impl std::error::Error for WebIqError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            WebIqError::Web(e) => Some(e),
             WebIqError::Deep(e) => Some(e),
             WebIqError::Obs(e) => Some(e),
             WebIqError::Io(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<WebError> for WebIqError {
-    fn from(e: WebError) -> Self {
-        WebIqError::Web(e)
     }
 }
 
@@ -144,10 +132,6 @@ mod tests {
 
     #[test]
     fn wraps_component_errors() {
-        let e: WebIqError = WebError::IndexWorkerFailed.into();
-        assert_eq!(e, WebIqError::Web(WebError::IndexWorkerFailed));
-        assert!(std::error::Error::source(&e).is_some());
-
         let e: WebIqError = DeepError::ServerError.into();
         assert_eq!(
             e.to_string(),

@@ -419,7 +419,7 @@ mod tests {
             "Popular departure cities such as Boston, Chicago, and Denver are listed. This page is about travel.",
             "We feature such departure cities as Seattle and Atlanta. This page is about travel.",
             "This page is about gardening.",
-        ])).expect("engine");
+        ]));
         let outcome = extract_candidates(&engine, "Departure city", &info(), &cfg());
         let texts: Vec<&str> = outcome.candidates.iter().map(|c| c.text.as_str()).collect();
         assert!(texts.contains(&"Boston"), "{texts:?}");
@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     fn label_without_np_yields_nothing() {
-        let engine = SearchEngine::new(Corpus::from_texts(["anything"])).expect("engine");
+        let engine = SearchEngine::new(Corpus::from_texts(["anything"]));
         let outcome = extract_candidates(&engine, "From", &info(), &cfg());
         assert!(outcome.candidates.is_empty());
         assert_eq!(outcome.queries, 0);
@@ -440,8 +440,7 @@ mod tests {
         let engine = SearchEngine::new(Corpus::from_texts([
             "cities such as Boston and Chicago. This page is about travel.",
             "more cities such as Boston and Denver here. This page is about travel.",
-        ]))
-        .expect("engine");
+        ]));
         let outcome = extract_candidates(&engine, "City", &info(), &cfg());
         let boston = outcome
             .candidates
@@ -456,8 +455,7 @@ mod tests {
         let engine = SearchEngine::new(Corpus::from_texts([
             "first names such as Alice and Bob. This page is about travel.",
             "last names such as Smith and Jones. This page is about travel.",
-        ]))
-        .expect("engine");
+        ]));
         let outcome = extract_candidates(&engine, "First name or last name", &info(), &cfg());
         let texts: Vec<&str> = outcome.candidates.iter().map(|c| c.text.as_str()).collect();
         assert!(texts.contains(&"Alice"), "{texts:?}");

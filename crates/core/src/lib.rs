@@ -36,8 +36,7 @@
 //! let web = SearchEngine::new(gen::generate(
 //!     &corpus::concept_specs(def),
 //!     &GenConfig::default(),
-//! ))
-//! .expect("index build succeeds");
+//! ));
 //! let sources: Vec<_> = ds
 //!     .interfaces
 //!     .iter()

@@ -244,7 +244,6 @@ mod tests {
             "makes such as Honda and Toyota",
             "Make: Honda.",
         ]))
-        .expect("engine")
     }
 
     fn source(plan: FaultPlan) -> DeepSource {

@@ -79,7 +79,7 @@ mod tests {
         let def = kb::domain("airfare").expect("domain");
         let specs = corpus::concept_specs(def);
         let corpus = gen::generate(&specs, &GenConfig::default());
-        SearchEngine::new(corpus).expect("engine")
+        SearchEngine::new(corpus)
     }
 
     fn airfare_info() -> DomainInfo {
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn empty_web_finds_nothing() {
-        let engine = SearchEngine::new(Corpus::default()).expect("engine");
+        let engine = SearchEngine::new(Corpus::default());
         let result = discover(
             &engine,
             "Departure city",

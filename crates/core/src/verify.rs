@@ -230,7 +230,6 @@ mod tests {
             "economy news economy report economy",
             "the economy grows",
         ]))
-        .expect("engine")
     }
 
     fn phrases() -> Vec<String> {
@@ -261,8 +260,7 @@ mod tests {
             "Star news",
             "Star reviews",
             "Star ratings",
-        ]))
-        .expect("engine");
+        ]));
         let p = vec!["makes such as".to_string()];
         let honda_pmi = confidence(&e, &p, "Honda", true);
         let star_pmi = confidence(&e, &p, "Star", true);

@@ -44,8 +44,7 @@ fn run_on(
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let plan = fault.enabled().then(|| FaultPlan::from_config(&fault));
     let sources: Vec<_> = ds
         .interfaces

@@ -32,8 +32,7 @@ fn run_cfg(domain_idx: usize, cfg: WebIQConfig) -> Acquisition {
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let sources: Vec<_> = ds
         .interfaces
         .iter()

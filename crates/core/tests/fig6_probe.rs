@@ -13,8 +13,7 @@ fn fig6_shape() {
         let engine = SearchEngine::new(gen::generate(
             &corpus::concept_specs(def),
             &GenConfig::default(),
-        ))
-        .expect("engine");
+        ));
         let sources: Vec<_> = ds
             .interfaces
             .iter()

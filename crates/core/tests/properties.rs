@@ -13,7 +13,6 @@ fn small_engine() -> SearchEngine {
         "The author of the book is Mark Twain.",
         "random noise page about gardening",
     ]))
-    .expect("engine")
 }
 
 /// Label analysis and query formulation never panic on arbitrary

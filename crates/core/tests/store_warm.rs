@@ -21,8 +21,7 @@ fn setup(domain: &str) -> (Dataset, &'static DomainDef, SearchEngine, Vec<DeepSo
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let sources = ds
         .interfaces
         .iter()

@@ -23,8 +23,7 @@ fn run(domain: &str) -> (webiq_core::Acquisition, Vec<Event>, Arc<LiveRegistry>)
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let sources: Vec<_> = ds
         .interfaces
         .iter()
@@ -92,8 +91,7 @@ fn disabled_tracer_still_yields_a_correct_report() {
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let sources: Vec<_> = ds
         .interfaces
         .iter()

@@ -36,7 +36,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "env-read",
-        "`env::var` outside config.rs/index.rs thread plumbing",
+        "`env::var` outside config.rs thread plumbing",
     ),
     (
         "hash-iter",
@@ -133,7 +133,7 @@ impl Default for Scope {
             ]),
             wallclock_exempt_crates: v(&["bench"]),
             wallclock_exempt_files: v(&["timing.rs"]),
-            env_exempt_files: v(&["config.rs", "index.rs"]),
+            env_exempt_files: v(&["config.rs"]),
             sleep_exempt_files: v(&["clock.rs", "timing.rs"]),
         }
     }
@@ -257,8 +257,7 @@ pub fn lint_source(file: &SourceFile, scope: &Scope) -> FileOutcome {
                 file,
                 t,
                 "env-read",
-                "`env::var` outside config.rs/index.rs makes behaviour environment-dependent"
-                    .into(),
+                "`env::var` outside config.rs makes behaviour environment-dependent".into(),
             );
         }
         if trace_clock_scope && (t.is_ident("Instant") || t.is_ident("SystemTime")) {

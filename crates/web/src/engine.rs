@@ -16,7 +16,9 @@
 //!   extraction queries are served without re-matching;
 //! - a cache miss parses the query and evaluates it rarest-term-first
 //!   ([`InvertedIndex::matches`]), in time proportional to the postings
-//!   of its rarest positive term rather than of its first one;
+//!   of its rarest positive term rather than of its first one; the
+//!   index is built once, on the constructing thread, and read-only
+//!   after that;
 //! - every call makes three counter updates, one per telemetry home:
 //!   1. the `webiq-trace` *thread-local* issued counter
 //!      ([`Counter::EngineSearchIssued`] / [`Counter::EngineHitIssued`]),
@@ -31,6 +33,7 @@
 //!   Cache hits and misses depend on scheduling, so they live only in
 //!   the last two and never enter the deterministic trace stream.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,7 +42,6 @@ use webiq_trace::Counter;
 
 use crate::cache::{ShardedLru, ShardedMap};
 use crate::corpus::Corpus;
-use crate::error::WebError;
 use crate::index::InvertedIndex;
 use crate::query;
 
@@ -164,7 +166,7 @@ const SEARCH_CACHE_CAP: usize = 4096;
 /// let engine = SearchEngine::new(Corpus::from_texts([
 ///     "airlines such as Delta and United fly from Boston",
 ///     "a page about gardening",
-/// ])).expect("corpus is non-empty");
+/// ]));
 /// assert_eq!(engine.num_hits("\"airlines such as\""), 1);
 /// assert_eq!(engine.num_hits("boston -gardening"), 1);
 /// let snippets = engine.search("\"airlines such as\"", 10);
@@ -182,19 +184,18 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// Index `corpus` and stand up the engine. An empty corpus is valid
-    /// (every query answers zero hits); the only failure is an abnormal
-    /// index-build worker termination, propagated as [`WebError`].
-    pub fn new(corpus: Corpus) -> Result<Self, WebError> {
-        let index = InvertedIndex::build(&corpus)?;
-        Ok(SearchEngine {
+    /// Index `corpus` and stand up the engine. An empty corpus is valid:
+    /// every query answers zero hits.
+    pub fn new(corpus: Corpus) -> Self {
+        let index = InvertedIndex::build(&corpus);
+        SearchEngine {
             corpus,
             index,
             stats: EngineStats::default(),
             hit_cache: ShardedMap::new(),
             search_cache: ShardedLru::new(SEARCH_CACHE_CAP),
             latency_us: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Charge every cache-missing query a simulated network round-trip of
@@ -291,50 +292,25 @@ impl SearchEngine {
 
 /// Extract a snippet window around token position `pos`: a few tokens of
 /// left context and a generous right context (cue-phrase completions are to
-/// the right of the match).
+/// the right of the match). Token `p` of the window is the index's token
+/// `p`: both cut the text with [`query::spans`].
 fn make_snippet(text: &str, pos: u32) -> String {
     const LEFT: usize = 5;
     const RIGHT: usize = 40;
-    // Token boundaries in byte offsets, consistent enough with the index
-    // tokenizer for windowing purposes.
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut start = None;
-    for (i, c) in text.char_indices() {
-        let is_word = c.is_alphanumeric() || c == '$';
-        match (is_word, start) {
-            (true, None) => start = Some(i),
-            (false, Some(s))
-                if (!matches!(c, '\'' | '-' | '.' | ',')
-                    || !text[i + c.len_utf8()..]
-                        .chars()
-                        .next()
-                        .is_some_and(char::is_alphanumeric)) =>
-            {
-                spans.push((s, i));
-                start = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(s) = start {
-        spans.push((s, text.len()));
-    }
-    if spans.is_empty() {
+    let pos = pos as usize;
+    let window: Vec<Range<usize>> = query::spans(text)
+        .take(pos.saturating_add(RIGHT + 1))
+        .collect();
+    let (Some(from), Some(to)) = (window.get(pos.saturating_sub(LEFT)), window.last()) else {
         return text.to_string();
-    }
-    let last = spans.len() - 1;
-    let pos = (pos as usize).min(last);
-    let from = spans.get(pos.saturating_sub(LEFT)).map_or(0, |s| s.0);
-    let to = spans
-        .get((pos + RIGHT).min(last))
-        .map_or_else(|| text.len(), |s| s.1);
+    };
     // extend to end of sentence punctuation if adjacent
-    let mut end = to;
+    let mut end = to.end;
     let bytes = text.as_bytes();
     while end < bytes.len() && matches!(bytes[end], b'.' | b'!' | b'?' | b',') {
         end += 1;
     }
-    text[from..end].to_string()
+    text.get(from.start..end).unwrap_or_default().to_string()
 }
 
 #[cfg(test)]
@@ -349,7 +325,6 @@ mod tests {
             "cities such as Boston and Chicago host many flights",
             "random page about gardening and tomatoes",
         ]))
-        .expect("engine")
     }
 
     #[test]
@@ -512,9 +487,24 @@ mod tests {
         assert!(snippets[0].text.starts_with("cities such as"));
     }
 
+    /// `$` inside a word ends a token ("US$100" is `us`, `$100`), so the
+    /// window's five tokens of left context stay before the match.
+    #[test]
+    fn snippet_window_counts_tokens_as_the_index_does() {
+        let e = SearchEngine::new(Corpus::from_texts([
+            "Fares US$100 US$200 US$300 US$400 US$500 US$600 US$700 on airlines such as Delta and United fly daily",
+        ]));
+        let snippets = e.search(r#""airlines such as""#, 10);
+        let texts: Vec<&str> = snippets.iter().map(|s| s.text.as_str()).collect();
+        assert_eq!(
+            texts,
+            vec!["US$600 US$700 on airlines such as Delta and United fly daily"]
+        );
+    }
+
     #[test]
     fn empty_corpus() {
-        let e = SearchEngine::new(Corpus::default()).expect("empty corpus is valid");
+        let e = SearchEngine::new(Corpus::default());
         assert_eq!(e.num_hits("anything"), 0);
         assert!(e.search("anything", 5).is_empty());
     }

@@ -90,41 +90,71 @@ impl Default for GenConfig {
     }
 }
 
-/// Zipf-weighted instance pick: instance `i` has weight `1/(i+1)^power`.
-/// `power` = 1 gives the classic skew (popularity pages); the flatter 0.5
-/// is used inside Hearst lists so tail instances still get enumerated.
-fn pick_instance<'a>(rng: &mut StdRng, instances: &'a [String], power: f64) -> Option<&'a str> {
-    if instances.is_empty() {
-        return None;
-    }
-    let weights: Vec<f64> = (0..instances.len())
-        .map(|i| 1.0 / (i as f64 + 1.0).powf(power))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut roll = rng.gen_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if roll < *w {
-            return Some(&instances[i]);
-        }
-        roll -= w;
-    }
-    instances.last().map(String::as_str)
+/// The Zipf exponent of instance picks: instance `i` has weight
+/// `1/(i+1)^0.5`, flat enough that tail instances still get enumerated in
+/// Hearst lists.
+const LIST_POWER: f64 = 0.5;
+
+/// A concept with what each of its documents needs worked out once per
+/// [`generate`] call: every lexicalization's plural, and the Zipf weights
+/// of its instances.
+struct Prepared<'a> {
+    spec: &'a ConceptSpec,
+    /// `(lexicalization, plural)`, in `spec.lexicalizations` order.
+    forms: Vec<(&'a str, String)>,
+    /// Instance `i`'s pick weight, and their sum.
+    weights: Vec<f64>,
+    total: f64,
 }
 
-/// Pick `n` distinct instances, Zipf-weighted, preserving no particular
-/// order. Returns fewer when the inventory is small.
-fn pick_distinct<'a>(rng: &mut StdRng, instances: &'a [String], n: usize) -> Vec<&'a str> {
-    let mut out: Vec<&str> = Vec::new();
-    let mut attempts = 0;
-    while out.len() < n.min(instances.len()) && attempts < 50 {
-        attempts += 1;
-        if let Some(inst) = pick_instance(rng, instances, 0.5) {
-            if !out.contains(&inst) {
-                out.push(inst);
-            }
+impl<'a> Prepared<'a> {
+    fn new(spec: &'a ConceptSpec) -> Self {
+        let weights: Vec<f64> = (0..spec.instances.len())
+            .map(|i| 1.0 / (i as f64 + 1.0).powf(LIST_POWER))
+            .collect();
+        Prepared {
+            forms: spec
+                .lexicalizations
+                .iter()
+                .map(|lex| (lex.as_str(), ConceptSpec::plural_of(lex)))
+                .collect(),
+            total: weights.iter().sum(),
+            weights,
+            spec,
         }
     }
-    out
+
+    /// A Zipf-weighted instance.
+    fn pick(&self, rng: &mut StdRng) -> Option<&'a str> {
+        let instances = &self.spec.instances;
+        if instances.is_empty() {
+            return None;
+        }
+        let mut roll = rng.gen_range(0.0..self.total);
+        for (instance, w) in instances.iter().zip(&self.weights) {
+            if roll < *w {
+                return Some(instance);
+            }
+            roll -= w;
+        }
+        instances.last().map(String::as_str)
+    }
+
+    /// `n` distinct Zipf-weighted instances, preserving no particular
+    /// order. Returns fewer when the inventory is small.
+    fn pick_distinct(&self, rng: &mut StdRng, n: usize) -> Vec<&'a str> {
+        let mut out: Vec<&str> = Vec::new();
+        let mut attempts = 0;
+        while out.len() < n.min(self.spec.instances.len()) && attempts < 50 {
+            attempts += 1;
+            if let Some(inst) = self.pick(rng) {
+                if !out.contains(&inst) {
+                    out.push(inst);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Render a comma list with Oxford `and`.
@@ -147,14 +177,14 @@ fn comma_list(items: &[&str]) -> String {
 /// effective.
 fn concept_sentences(
     rng: &mut StdRng,
-    c: &ConceptSpec,
-    siblings: &[&ConceptSpec],
+    concept: &Prepared,
+    siblings: &[&Prepared],
     confuser_rate: f64,
 ) -> Vec<String> {
-    let Some(lex) = c.lexicalizations.choose(rng).map(String::as_str) else {
+    let c = concept.spec;
+    let Some((lex, plural)) = concept.forms.choose(rng) else {
         return Vec::new();
     };
-    let plural = ConceptSpec::plural_of(lex);
     let mut sentences = Vec::new();
     // Template mix: Hearst set patterns dominate (they are what the real
     // Web's enumeration pages look like), followed by proximity mentions
@@ -164,7 +194,7 @@ fn concept_sentences(
     for _ in 0..n_sent {
         let template = TEMPLATES.choose(rng).copied().unwrap_or(0);
         let list_len = rng.gen_range(2..=4usize);
-        let mut items: Vec<&str> = pick_distinct(rng, &c.instances, list_len);
+        let mut items: Vec<&str> = concept.pick_distinct(rng, list_len);
         if items.is_empty() {
             continue;
         }
@@ -203,10 +233,7 @@ fn concept_sentences(
             let Some(sib) = siblings.choose(rng) else {
                 continue;
             };
-            let (Some(lex), Some(x)) = (
-                sib.lexicalizations.first(),
-                pick_instance(rng, &sib.instances, 0.5),
-            ) else {
+            let (Some(lex), Some(x)) = (sib.spec.lexicalizations.first(), sib.pick(rng)) else {
                 continue;
             };
             sentences.push(format!("{}: {x}.", capitalize(lex)));
@@ -246,16 +273,18 @@ pub fn generate(concepts: &[ConceptSpec], config: &GenConfig) -> Corpus {
     // within a domain when corpora for several domains are merged.
     let domain_of = |c: &ConceptSpec| c.key.split('/').next().unwrap_or("").to_string();
 
-    for c in concepts {
+    let prepared: Vec<Prepared> = concepts.iter().map(Prepared::new).collect();
+    for concept in &prepared {
+        let c = concept.spec;
         let domain = domain_of(c);
-        let siblings: Vec<&ConceptSpec> = concepts
+        let siblings: Vec<&Prepared> = prepared
             .iter()
-            .filter(|s| s.key != c.key && domain_of(s) == domain)
+            .filter(|s| s.spec.key != c.key && domain_of(s.spec) == domain)
             .collect();
         // concept-focused pages, scaled by the concept's Web richness
         let n_docs = (config.docs_per_concept as f64 * c.richness).round() as usize;
         for _ in 0..n_docs {
-            let sentences = concept_sentences(&mut rng, c, &siblings, config.confuser_rate);
+            let sentences = concept_sentences(&mut rng, concept, &siblings, config.confuser_rate);
             if !sentences.is_empty() {
                 corpus.push(sentences.join(" "));
             }
@@ -345,7 +374,7 @@ mod tests {
     fn hearst_patterns_are_searchable() {
         let c = [city_concept()];
         let corpus = generate(&c, &GenConfig::default());
-        let engine = SearchEngine::new(corpus).expect("engine");
+        let engine = SearchEngine::new(corpus);
         // At least one of the cue phrases must be present and completed by
         // instances.
         let hits = engine.num_hits(r#""departure cities such as""#)
@@ -359,7 +388,7 @@ mod tests {
     fn popular_instances_have_more_hits() {
         let c = [city_concept()];
         let corpus = generate(&c, &GenConfig::default());
-        let engine = SearchEngine::new(corpus).expect("engine");
+        let engine = SearchEngine::new(corpus);
         let boston = engine.num_hits("boston");
         let portland = engine.num_hits("portland");
         assert!(
@@ -372,7 +401,7 @@ mod tests {
     fn domain_terms_present() {
         let c = [city_concept()];
         let corpus = generate(&c, &GenConfig::default());
-        let engine = SearchEngine::new(corpus).expect("engine");
+        let engine = SearchEngine::new(corpus);
         assert!(engine.num_hits("airfare") > 0);
     }
 

@@ -20,7 +20,6 @@
 pub mod cache;
 pub mod corpus;
 pub mod engine;
-pub mod error;
 pub mod gen;
 pub mod index;
 pub mod query;
@@ -31,6 +30,5 @@ mod reference;
 
 pub use corpus::{Corpus, Document};
 pub use engine::{EngineStats, QueryEngine, SearchEngine, Snippet};
-pub use error::WebError;
 pub use gen::{generate, ConceptSpec, GenConfig};
 pub use query::Query;

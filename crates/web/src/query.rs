@@ -11,6 +11,8 @@
 //! matches iff every quoted phrase occurs contiguously and every keyword
 //! (plain or `+`-marked — both conjunctive in Google) occurs somewhere.
 
+use std::ops::Range;
+
 /// A parsed query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Query {
@@ -31,36 +33,72 @@ impl Query {
     }
 }
 
-/// The word tokenization shared by the document indexer and the query
-/// parser: alphanumeric runs (plus internal `'`/`-`/`.`/`,` followed by an
-/// alphanumeric, and a leading `$` before a digit), lowercased.
+/// The word tokenization shared by the document indexer, the query
+/// parser and the snippet window: alphanumeric runs (plus internal
+/// `'`/`-`/`.`/`,` followed by an alphanumeric, and a leading `$` before a
+/// digit), lowercased.
 pub fn tokenize(s: &str) -> Vec<String> {
-    let chars: Vec<char> = s.chars().collect();
-    let mut out = Vec::new();
+    let mut buf = String::new();
+    spans(s)
+        .map(|span| lowercase(s.get(span).unwrap_or_default(), &mut buf).to_owned())
+        .collect()
+}
+
+/// The byte ranges of `s`'s tokens, in order: token `p` of [`tokenize`]
+/// is `s[spans(s).nth(p)]` lowercased.
+pub(crate) fn spans(s: &str) -> impl Iterator<Item = Range<usize>> + '_ {
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_alphanumeric() || c == '$' && chars.get(i + 1).is_some_and(char::is_ascii_digit) {
-            let start = i;
-            i += 1;
-            while i < chars.len() {
-                let c = chars[i];
-                if c.is_alphanumeric() {
-                    i += 1;
-                } else if (c == '\'' || c == '-' || c == '.' || c == ',')
-                    && chars.get(i + 1).is_some_and(|d| d.is_alphanumeric())
-                {
-                    i += 2;
-                } else {
-                    break;
+    std::iter::from_fn(move || {
+        while let Some(c) = char_at(s, i) {
+            let next = i + c.len_utf8();
+            if c.is_alphanumeric()
+                || c == '$' && char_at(s, next).is_some_and(|d| d.is_ascii_digit())
+            {
+                let start = i;
+                i = next;
+                while let Some(c) = char_at(s, i) {
+                    let after = i + c.len_utf8();
+                    if c.is_alphanumeric() {
+                        i = after;
+                    } else if matches!(c, '\'' | '-' | '.' | ',') {
+                        match char_at(s, after) {
+                            Some(d) if d.is_alphanumeric() => i = after + d.len_utf8(),
+                            _ => break,
+                        }
+                    } else {
+                        break;
+                    }
                 }
+                // The char that ended the token is examined again: a `$`
+                // there may start the next one ("US$100").
+                return Some(start..i);
             }
-            out.push(chars[start..i].iter().collect::<String>().to_lowercase());
-        } else {
-            i += 1;
+            i = next;
         }
+        None
+    })
+}
+
+/// The char starting at byte `i` of `s`, if `i` is in bounds.
+fn char_at(s: &str, i: usize) -> Option<char> {
+    match s.as_bytes().get(i) {
+        Some(&b) if b.is_ascii() => Some(char::from(b)),
+        _ => s.get(i..)?.chars().next(),
     }
-    out
+}
+
+/// `token` lowercased into `buf`, which is cleared first: an ASCII token
+/// byte by byte, any other through `str::to_lowercase` as a whole, so
+/// context-dependent rules (a word-final `Σ` becomes `ς`) see the token.
+pub(crate) fn lowercase<'b>(token: &str, buf: &'b mut String) -> &'b str {
+    buf.clear();
+    if token.is_ascii() {
+        buf.push_str(token);
+        buf.make_ascii_lowercase();
+    } else {
+        buf.push_str(&token.to_lowercase());
+    }
+    buf
 }
 
 /// Parse a query string.
@@ -109,6 +147,7 @@ pub fn parse(query: &str) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     #[test]
     fn parses_paper_example() {
@@ -178,5 +217,40 @@ mod tests {
         );
         assert_eq!(tokenize("$15,200"), vec!["$15,200"]);
         assert_eq!(tokenize("3.14"), vec!["3.14"]);
+    }
+
+    /// Letters that change length or depend on context when lowercased,
+    /// combining marks, non-ASCII digits, `$` and the internal
+    /// punctuation, in every arrangement the sweep draws.
+    const ADVERSARIAL: &str = "aZ09 .,'-$$$ΣσςİıẞßK\u{212a}\u{2126}\u{301}\u{345}Éé²٣中\t";
+
+    /// The span tokenizer splits and lowercases exactly as the `Vec<char>`
+    /// tokenizer it replaced, kept as the test-only reference; its spans
+    /// ascend without overlapping.
+    #[test]
+    fn tokenize_equals_the_reference() {
+        for text in [
+            "ΟΔΟΣ ΣΑΣ Σ όσος ΌΣΟΣ. ΣΑΣ'Σ",
+            "İstanbul İİ iİ",
+            "STRAẞE ẞ",
+            "273 \u{212a} 5\u{212a}m \u{2126}hm",
+            "cafe\u{301} e\u{301}te\u{301} \u{301}a",
+            "US$100 $5 $ 5 5$ a$b $$1 $-1 -$1 $,1 $.5 $é $٣",
+            "a''b a--b a..b a,,b 'a' -a- .a. ,a, a' a- a. a,",
+            "3,000 3.14 1,250.50 9,999,999 1.2.3 1,2,3 ,5 5, 5.",
+            "O'Hare first-class U.S. St. Louis São Paulo Zürich",
+        ] {
+            assert_eq!(tokenize(text), reference::tokenize(text), "{text:?}");
+        }
+        webiq_rng::prop::cases(webiq_rng::prop::CASES * 8, |rng| {
+            for text in [
+                rng.gen_string(webiq_rng::prop::charset(ADVERSARIAL), 0, 48),
+                rng.gen_string(webiq_rng::prop::any_char(), 0, 48),
+            ] {
+                assert_eq!(tokenize(&text), reference::tokenize(&text), "{text:?}");
+                let spans: Vec<Range<usize>> = spans(&text).collect();
+                assert!(spans.windows(2).all(|w| w[0].end <= w[1].start), "{text:?}");
+            }
+        });
     }
 }

@@ -31,7 +31,7 @@ fn build_engine() -> SearchEngine {
             richness: 1.0,
         },
     ];
-    SearchEngine::new(gen::generate(&concepts, &gen::GenConfig::default())).expect("engine")
+    SearchEngine::new(gen::generate(&concepts, &gen::GenConfig::default()))
 }
 
 /// 8 threads issue interleaved hit-count and snippet queries; every thread

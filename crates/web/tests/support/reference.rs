@@ -3,15 +3,49 @@
 //! `webiq-web` unit tests (through `#[path]`) and the workspace's
 //! `engine_oracle` test.
 //!
-//! The reference tokenizes each document once, with the index's own
-//! tokenizer, and answers a parsed query by scanning every document's
-//! token sequence. It shares nothing with posting evaluation: no postings,
-//! no position lists, no special case for terms missing from the corpus
-//! (an unknown term simply never occurs).
+//! The reference tokenizes each document once, with its own char-by-char
+//! tokenizer ([`tokenize`], the one the index used before it tokenized
+//! spans of the text in place), and answers a parsed query by scanning
+//! every document's token sequence. It shares nothing with posting
+//! evaluation: no postings, no position lists, no special case for terms
+//! missing from the corpus (an unknown term simply never occurs).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use webiq_rng::StdRng;
+
+/// The index's tokenization, computed on a `Vec<char>`: alphanumeric runs
+/// (plus internal `'`/`-`/`.`/`,` followed by an alphanumeric, and a
+/// leading `$` before a digit), each collected char by char and then
+/// lowercased as a whole.
+pub fn tokenize(s: &str) -> Vec<String> {
+    let chars: Vec<char> = s.chars().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        if c.is_alphanumeric() || c == '$' && chars.get(i + 1).is_some_and(char::is_ascii_digit) {
+            let start = i;
+            i += 1;
+            while i < chars.len() {
+                let c = chars[i];
+                if c.is_alphanumeric() {
+                    i += 1;
+                } else if (c == '\'' || c == '-' || c == '.' || c == ',')
+                    && chars.get(i + 1).is_some_and(|d| d.is_alphanumeric())
+                {
+                    i += 2;
+                } else {
+                    break;
+                }
+            }
+            out.push(chars[start..i].iter().collect::<String>().to_lowercase());
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
 
 /// Stands for a query term that occurs in no document.
 const ABSENT: u32 = u32::MAX;
@@ -42,6 +76,22 @@ impl Reference {
             })
             .collect();
         Reference { vocab, words, docs }
+    }
+
+    /// Every term with the documents it occurs in, each with the term's
+    /// positions there; documents and positions ascending.
+    pub fn postings(&self) -> BTreeMap<&str, Vec<(u32, Vec<u32>)>> {
+        let mut out: BTreeMap<&str, Vec<(u32, Vec<u32>)>> = BTreeMap::new();
+        for (doc, toks) in self.docs.iter().enumerate() {
+            for (pos, &t) in toks.iter().enumerate() {
+                let list = out.entry(self.words[t as usize].as_str()).or_default();
+                match list.last_mut() {
+                    Some((d, ps)) if *d == doc as u32 => ps.push(pos as u32),
+                    _ => list.push((doc as u32, vec![pos as u32])),
+                }
+            }
+        }
+        out
     }
 
     fn id(&self, term: &str) -> u32 {

@@ -30,8 +30,7 @@ fn main() {
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let cfg = WebIQConfig::default();
 
     // ── the two attributes of Fig. 1

@@ -18,8 +18,7 @@ fn main() {
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let info = DomainInfo {
         object: def.object.to_string(),
         domain_terms: def.domain_terms.iter().map(|s| (*s).to_string()).collect(),

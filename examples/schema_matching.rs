@@ -76,7 +76,6 @@ fn book_web() -> SearchEngine {
         "Publishing house: Penguin.",
         "A noise page about gardening and recipes.",
     ]))
-    .expect("engine")
 }
 
 fn main() {

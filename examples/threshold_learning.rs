@@ -22,7 +22,7 @@ fn main() {
     println!("domain       learned-τ  questions  F1@τ=0  F1@learned-τ");
     let mut sum = 0.0;
     for def in kb::all_domains() {
-        let p = DomainPipeline::from_def(def, 0x1ce0).expect("pipeline");
+        let p = DomainPipeline::from_def(def, 0x1ce0);
         let acq = p
             .acquire(Components::ALL, &WebIQConfig::default())
             .expect("acquisition");

@@ -80,12 +80,12 @@ pub mod pipeline {
         /// # Errors
         ///
         /// Returns [`WebIqError::UnknownDomain`] when `domain` is not in
-        /// the knowledge base, or any error of [`Self::from_def`].
+        /// the knowledge base.
         pub fn build(domain: &str, seed: u64) -> Result<Self, WebIqError> {
             let def = webiq_data::kb::domain(domain).ok_or_else(|| WebIqError::UnknownDomain {
                 name: domain.to_string(),
             })?;
-            Self::from_def(def, seed)
+            Ok(Self::from_def(def, seed))
         }
 
         /// [`Self::build`], with the Deep-Web sources running the
@@ -107,7 +107,7 @@ pub mod pipeline {
             let def = webiq_data::kb::domain(domain).ok_or_else(|| WebIqError::UnknownDomain {
                 name: domain.to_string(),
             })?;
-            let mut pipeline = Self::from_def(def, seed)?;
+            let mut pipeline = Self::from_def(def, seed);
             if fault.enabled() {
                 let plan = FaultPlan::from_config(fault);
                 pipeline.sources = pipeline
@@ -131,11 +131,7 @@ pub mod pipeline {
         }
 
         /// Build from a domain definition.
-        ///
-        /// # Errors
-        ///
-        /// Propagates the Surface-Web simulator's construction failure.
-        pub fn from_def(def: &'static DomainDef, seed: u64) -> Result<Self, WebIqError> {
+        pub fn from_def(def: &'static DomainDef, seed: u64) -> Self {
             let dataset = generate_domain(
                 def,
                 &GenOptions {
@@ -150,7 +146,7 @@ pub mod pipeline {
                     confuser_rate: 0.25,
                     ..GenConfig::default()
                 },
-            ))?;
+            ));
             // Live 2006 sources were flaky; a twentieth of probes fail
             // with a server error, as they would against the real Deep Web.
             let sources = dataset
@@ -168,12 +164,12 @@ pub mod pipeline {
                     )
                 })
                 .collect();
-            Ok(DomainPipeline {
+            DomainPipeline {
                 def,
                 dataset,
                 engine,
                 sources,
-            })
+            }
         }
 
         /// Run instance acquisition with the chosen components.

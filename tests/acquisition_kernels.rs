@@ -112,7 +112,7 @@ fn each_pipeline(at_least: usize, check: impl Fn(&DomainPipeline, &WebIQConfig) 
     let cfg = WebIQConfig::default();
     for seed in SEEDS {
         for def in kb::all_domains() {
-            let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+            let p = DomainPipeline::from_def(def, seed);
             let checked = check(&p, &cfg);
             assert!(checked > at_least, "{} at {seed}: {checked}", def.key);
         }

@@ -36,8 +36,7 @@ fn movie_surface_acquisition_finds_directors() {
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     let info = DomainInfo {
         object: def.object.to_string(),
         domain_terms: def.domain_terms.iter().map(|s| (*s).to_string()).collect(),

@@ -15,7 +15,7 @@ fn webiq_improves_average_f1_across_domains() {
     let mut base_sum = 0.0;
     let mut webiq_sum = 0.0;
     for def in kb::all_domains() {
-        let p = DomainPipeline::from_def(def, 0x1ce0).expect("pipeline");
+        let p = DomainPipeline::from_def(def, 0x1ce0);
         let base = p.baseline_f1();
         let webiq = p.webiq_f1(Components::ALL, 0.0).expect("acquisition");
         assert!(
@@ -58,7 +58,7 @@ fn component_contributions_are_monotone_on_average() {
     for components in configs {
         let mut sum = 0.0;
         for def in kb::all_domains() {
-            let p = DomainPipeline::from_def(def, 0x1ce0).expect("pipeline");
+            let p = DomainPipeline::from_def(def, 0x1ce0);
             sum += if components == Components::NONE {
                 p.baseline_f1().f1
             } else {
@@ -106,7 +106,7 @@ fn improvement_is_seed_robust() {
         let mut base_sum = 0.0;
         let mut webiq_sum = 0.0;
         for def in kb::all_domains() {
-            let p = DomainPipeline::from_def(def, seed).expect("pipeline");
+            let p = DomainPipeline::from_def(def, seed);
             base_sum += p.baseline_f1().f1;
             webiq_sum += p.webiq_f1(Components::ALL, 0.0).expect("acquisition").f1;
         }
@@ -121,7 +121,7 @@ fn improvement_is_seed_robust() {
 #[test]
 fn thresholding_stays_in_regime() {
     for def in kb::all_domains() {
-        let p = DomainPipeline::from_def(def, 0x1ce0).expect("pipeline");
+        let p = DomainPipeline::from_def(def, 0x1ce0);
         let webiq = p.webiq_f1(Components::ALL, 0.0).expect("acquisition");
         let webiq_t = p.webiq_f1(Components::ALL, THRESHOLD).expect("acquisition");
         assert!(
@@ -145,7 +145,7 @@ fn thresholding_stays_in_regime() {
 fn job_gains_most_from_webiq() {
     let mut gains = Vec::new();
     for def in kb::all_domains() {
-        let p = DomainPipeline::from_def(def, 0x1ce0).expect("pipeline");
+        let p = DomainPipeline::from_def(def, 0x1ce0);
         let gain = p.webiq_f1(Components::ALL, 0.0).expect("acquisition").f1 - p.baseline_f1().f1;
         gains.push((def.key, gain));
     }

@@ -19,8 +19,7 @@ fn dataset_and_engine(
     let engine = SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ))
-    .expect("engine");
+    ));
     (def, ds, engine)
 }
 
@@ -90,7 +89,7 @@ fn failure_injection_degrades_gracefully() {
 fn empty_web_only_deep_borrowing_works() {
     let def = kb::domain("airfare").expect("domain");
     let ds = generate_domain(def, &GenOptions::default());
-    let engine = SearchEngine::new(Corpus::default()).expect("engine");
+    let engine = SearchEngine::new(Corpus::default());
     let sources = sources_with_failure(def, &ds, 0.0);
     let acq = acquire::acquire(
         &ds,
