@@ -40,7 +40,7 @@ fn bench_nlp(c: &mut Criterion) {
     let cue = "airlines such as";
     let remainder = engine()
         .search(&format!("\"{cue}\" +airfare"), 10)
-        .into_iter()
+        .iter()
         .filter_map(|s| {
             let at = s.text.to_lowercase().find(cue)? + cue.len();
             Some(s.text[at..].to_string())

@@ -50,7 +50,6 @@
 //! cargo run --release -p webiq-bench --bin experiments -- store \
 //!     --json --out store-verdict.json
 //! ```
-#![forbid(unsafe_code)]
 
 use webiq_bench::json::{self, Json, ToJson};
 use webiq_bench::{chaos, experiments, monitor, profile, render, store};

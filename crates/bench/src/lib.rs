@@ -7,7 +7,6 @@
 //! (`webiq::trace::json`, re-exported with the row trait in [`json`]),
 //! and the bench targets time the underlying pipelines with the
 //! dependency-free [`timing`] harness.
-#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod experiments;

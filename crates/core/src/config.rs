@@ -88,6 +88,10 @@ pub struct WebIQConfig {
 impl WebIQConfig {
     /// The acquisition worker count: the explicit `threads` override if
     /// set, else `WEBIQ_THREADS`, else available parallelism (at least 1).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "WEBIQ_THREADS is the documented worker-count fallback"
+    )]
     pub fn resolved_threads(&self) -> usize {
         if let Some(n) = self.threads {
             return n.max(1);
@@ -108,6 +112,10 @@ impl WebIQConfig {
     /// when the corresponding field is still at its default* — the same
     /// fallback semantics as `WEBIQ_THREADS`, so programmatic settings
     /// always win over ambient ones.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "WEBIQ_FAULT_SEED and WEBIQ_FAULT_RATE are the documented fault-plan fallbacks"
+    )]
     pub fn resolved_fault(&self) -> FaultConfig {
         let mut fault = self.fault.clone();
         let default = FaultConfig::default();

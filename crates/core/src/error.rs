@@ -3,8 +3,9 @@
 //! Fallible entry points across the workspace funnel into [`WebIqError`]:
 //! the Deep-Web simulator's [`DeepError`] converts via `From`, and the
 //! acquisition/pipeline layers contribute their own variants. Library code returns
-//! `Result<_, WebIqError>` instead of panicking; the `webiq-lint` pass
-//! enforces the absence of `unwrap`/`expect`/`panic!` in non-test code.
+//! `Result<_, WebIqError>` instead of panicking; clippy's panic lints,
+//! set in each library root, enforce the absence of
+//! `unwrap`/`expect`/`panic!` in non-test code.
 
 use std::fmt;
 

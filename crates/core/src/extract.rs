@@ -220,7 +220,7 @@ pub fn extract_candidates<E: QueryEngine>(
             let query = build_query(&pattern, info, cfg);
             queries += 1;
             webiq_trace::incr(Counter::ExtractQueries);
-            for snippet in engine.search(&query, cfg.snippets_per_query) {
+            for snippet in engine.search(&query, cfg.snippets_per_query).iter() {
                 for text in completions(&snippet.text, &pattern) {
                     if !plausible(&text, &label_lower) {
                         continue;

@@ -48,7 +48,12 @@
 //! .expect("acquisition succeeds");
 //! assert!(acq.report.no_inst_attrs > 0);
 //! ```
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod acquire;
 pub mod attr_deep;

@@ -17,6 +17,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use webiq_deep::source::param_hash;
 use webiq_deep::{DeepError, DeepSource};
@@ -153,13 +154,13 @@ impl<'a> ResilientEngine<'a> {
 }
 
 impl QueryEngine for ResilientEngine<'_> {
-    fn search(&self, query: &str, k: usize) -> Vec<Snippet> {
+    fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>> {
         self.res.guarded(
             &self.res.search_breaker,
             "engine/search",
             query_key(query),
             || self.engine.search(query, k),
-            Vec::new,
+            Arc::default,
         )
     }
 

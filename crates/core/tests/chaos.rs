@@ -18,7 +18,7 @@ use webiq_data::records::{build_deep_source, RecordOptions};
 use webiq_data::{corpus, generate_domain, kb, Dataset, GenOptions};
 use webiq_fault::{BreakerState, CircuitBreaker, FaultConfig, FaultPlan, VirtualClock};
 use webiq_match::{attributes_of, match_attributes, MatchConfig};
-use webiq_obs::{diff_events, parse_jsonl, DiffThresholds};
+use webiq_obs::{diff_events, parse_jsonl};
 use webiq_trace::report::aggregate_run;
 use webiq_trace::{Counter, SharedBuf, Tracer};
 use webiq_web::{gen, GenConfig, SearchEngine};
@@ -228,13 +228,7 @@ fn quota_exhaustion_flags_a_diff_regression_naming_a_stage() {
 
     let base = parse_jsonl("baseline", &base_trace).expect("baseline parses");
     let cand = parse_jsonl("candidate", &cand_trace).expect("candidate parses");
-    let report = diff_events(
-        "baseline",
-        &base,
-        "candidate",
-        &cand,
-        &DiffThresholds::default(),
-    );
+    let report = diff_events("baseline", &base, "candidate", &cand);
     assert!(report.regressed(), "quota exhaustion must gate the diff");
     let failures = report.regressions();
     assert!(

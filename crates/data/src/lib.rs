@@ -21,7 +21,12 @@
 //!   generator's concept specifications;
 //! - [`export`] — persist a generated benchmark as on-disk HTML pages +
 //!   gold file, and re-import it through the real extraction path.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod corpus;
 pub mod export;

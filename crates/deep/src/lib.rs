@@ -12,7 +12,12 @@
 //! - [`render`] — HTML result / no-results / error pages;
 //! - [`analyze`] — the Raghavan–Garcia-Molina-style submission-success
 //!   heuristics WebIQ runs over the returned page.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod analyze;
 pub mod error;

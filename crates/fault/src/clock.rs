@@ -1,7 +1,8 @@
 //! Virtual time.
 //!
 //! Library code in this workspace never sleeps and never reads the wall
-//! clock (the `no-sleep` and `wall-clock` lint rules enforce both).
+//! clock (clippy's `disallowed_methods`, configured in `clippy.toml`,
+//! enforces both).
 //! Waiting — retry backoff, breaker cooldown — is modeled by advancing a
 //! [`VirtualClock`] instead: "sleep 200ms" is `advance_ms(200)`, which
 //! costs nothing, keeps chaos tests instant, and makes every

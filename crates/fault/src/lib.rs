@@ -13,8 +13,8 @@
 //!   recover yet every outcome is reproducible at any thread count;
 //! - [`RetryPolicy`] implements capped exponential backoff with
 //!   deterministic jitter, "sleeping" by advancing a [`VirtualClock`]
-//!   instead of `thread::sleep` (the `no-sleep` lint rule enforces this
-//!   workspace-wide);
+//!   instead of `thread::sleep` (clippy's `disallowed_methods` enforces
+//!   this workspace-wide);
 //! - [`RetryBudget`] caps how many retries one work item may spend,
 //!   mirroring the paper's Fig. 8 query-cost accounting;
 //! - [`CircuitBreaker`] is a per-endpoint closed/open/half-open breaker
@@ -27,7 +27,12 @@
 //!   attempt)`, consumed by the `webiq-store` IO shim.
 //!
 //! Everything is dependency-free (only `webiq-rng`) and panic-free.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod breaker;
 pub mod clock;

@@ -12,7 +12,12 @@
 //! - [`form`] — query-interface extraction: controls, labels (via
 //!   `label[for]`, wrapping labels, or preceding text), `<select>`
 //!   options as pre-defined instances, radio-group merging.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod dom;
 pub mod entities;

@@ -24,9 +24,10 @@
 //!    would leak into the byte-identical trace/metrics output.
 //!
 //! Suppression rides the existing `// lint:allow(rule) reason` comments:
-//! a site suppressed for its lexical rule (or for the `flow-*` id) is
-//! excluded from seeding the passes, so one audited allow covers both
-//! the lexical and flow layer.
+//! a site suppressed for its `flow-*` id (or for `slice-arith` or
+//! `hash-iter`, the lexical rules for the same sites) is excluded from
+//! seeding the passes, so one audited allow covers both the lexical and
+//! flow layer.
 //!
 //! Output is deterministic: violations sort by (file, line, col, rule),
 //! certificates by crate, and the SARIF-style JSON report is rendered

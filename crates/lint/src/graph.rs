@@ -353,7 +353,10 @@ pub fn build(sources: &[ParsedSource], closure: &DepClosure) -> Graph {
 }
 
 /// Candidate node indices for one call, before visibility filtering.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the call, its caller and the seven lookup tables it resolves against"
+)]
 fn resolve(
     call: &Call,
     caller: &Node,

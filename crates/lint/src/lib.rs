@@ -2,17 +2,25 @@
 //!
 //! A deterministic, dependency-free lint over every Rust source file in
 //! the workspace, built on a lightweight token lexer (no full parser).
-//! It enforces the three invariant families WebIQ's reproduction
-//! guarantees rest on:
+//! It checks the parts of WebIQ's three invariant families that clippy
+//! cannot express:
 //!
-//! * **panic-freedom** — library code in the pipeline crates must not
-//!   `unwrap`/`expect`/`panic!` or do underflow-prone index arithmetic;
-//! * **determinism** — no wall-clock reads outside bench/timing code, no
-//!   environment reads outside the config plumbing, and no unordered
-//!   `HashMap`/`HashSet` iteration in modules tagged
-//!   `// lint:deterministic`;
-//! * **hygiene** — every crate root carries `#![forbid(unsafe_code)]`
-//!   and a crate-level doc comment.
+//! * **panic-freedom** — no underflow-prone index arithmetic in the
+//!   library code of the pipeline crates, and (the flow pass) no public
+//!   API of theirs that transitively reaches a panic site;
+//! * **determinism** — no unordered `HashMap`/`HashSet` method-chain
+//!   iteration in modules tagged `// lint:deterministic`, no wall-clock
+//!   type named in `webiq-trace` outside its timing module, and (the
+//!   flow pass) no nondeterministic source flowing into trace/obs
+//!   emission;
+//! * **hygiene** — every crate root carries a crate-level doc comment,
+//!   and no span guard is dropped the moment it is made.
+//!
+//! Clippy checks the rest by type (CI runs it with `-D warnings`): the
+//! panic lints in each pipeline crate's library root, wall-clock and
+//! environment reads and real-time blocking (`disallowed_methods`, see
+//! `clippy.toml`), `for` loops over hash containers and reasonless
+//! `#[allow]`s; `unsafe_code` is forbidden in the workspace lint table.
 //!
 //! Violations render as `file:line:col rule-id message`, sorted, so the
 //! report is byte-identical across runs. `// lint:allow(rule-id) reason`
@@ -21,7 +29,12 @@
 //!
 //! Run with `cargo run -p webiq-lint`; see DESIGN.md §10 for the rule
 //! catalogue.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod flow;
 pub mod graph;

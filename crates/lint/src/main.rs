@@ -8,7 +8,6 @@
 //! with `--flow-baseline <path>` it compares against a committed
 //! baseline. Exits 0 when clean, 1 on violations or baseline
 //! regressions, and 2 on usage/IO errors.
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -150,21 +150,15 @@ fn is_lock_wrapper(name: &str) -> bool {
     name == "lock" || name.starts_with("lock_") || name.ends_with("_lock")
 }
 
-/// Lexical rules whose `lint:allow` also sanctions the matching flow
-/// site, so one audited suppression never has to be written twice.
+/// Rules whose `lint:allow` sanctions the matching flow site: the flow
+/// id, plus the lexical rule for the same site where one exists, so one
+/// audited suppression never has to be written twice.
 fn allow_rules_for(kind: SiteKind) -> &'static [&'static str] {
     match kind {
-        SiteKind::Panic => &[
-            "no-unwrap",
-            "no-expect",
-            "no-panic",
-            "slice-arith",
-            "flow-panic",
-        ],
+        SiteKind::Panic => &["slice-arith", "flow-panic"],
         SiteKind::Lock => &["flow-lock"],
         SiteKind::HashIter => &["hash-iter", "flow-taint"],
-        SiteKind::EnvRead => &["env-read", "flow-taint"],
-        SiteKind::WallClock => &["wall-clock", "flow-taint"],
+        SiteKind::EnvRead | SiteKind::WallClock => &["flow-taint"],
     }
 }
 
@@ -1076,7 +1070,7 @@ mod tests {
 
     #[test]
     fn suppressed_panic_site() {
-        let src = "fn f(x: Option<u32>) -> u32 {\n// lint:allow(no-unwrap) invariant: filled above\nx.unwrap()\n}";
+        let src = "fn f(x: Option<u32>) -> u32 {\n// lint:allow(flow-panic) invariant: filled above\nx.unwrap()\n}";
         let p = parse(src);
         assert!(p.fns[0].sites[0].suppressed);
     }

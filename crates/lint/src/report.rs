@@ -11,7 +11,7 @@ pub struct Violation {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule identifier (e.g. `no-unwrap`).
+    /// Rule identifier (e.g. `slice-arith`).
     pub rule: &'static str,
     /// Human-readable message.
     pub msg: String,
@@ -91,18 +91,18 @@ mod tests {
     fn render_is_sorted_and_stable() {
         let mut r = LintReport::default();
         r.absorb(
-            vec![v("b.rs", 2, 1, "no-unwrap"), v("b.rs", 1, 9, "no-expect")],
+            vec![v("b.rs", 2, 1, "slice-arith"), v("b.rs", 1, 9, "hash-iter")],
             1,
         );
-        r.absorb(vec![v("a.rs", 5, 3, "no-panic")], 0);
+        r.absorb(vec![v("a.rs", 5, 3, "crate-doc")], 0);
         r.finish();
         let first = r.render();
         r.finish();
         assert_eq!(first, r.render(), "render must be idempotent");
         let lines: Vec<&str> = first.lines().collect();
-        assert_eq!(lines.first().copied(), Some("a.rs:5:3 no-panic m"));
-        assert_eq!(lines.get(1).copied(), Some("b.rs:1:9 no-expect m"));
-        assert_eq!(lines.get(2).copied(), Some("b.rs:2:1 no-unwrap m"));
+        assert_eq!(lines.first().copied(), Some("a.rs:5:3 crate-doc m"));
+        assert_eq!(lines.get(1).copied(), Some("b.rs:1:9 hash-iter m"));
+        assert_eq!(lines.get(2).copied(), Some("b.rs:2:1 slice-arith m"));
         assert_eq!(
             lines.get(3).copied(),
             Some("webiq-lint: 3 violation(s), 1 suppression(s) honoured, 2 file(s) checked")

@@ -4,7 +4,11 @@
 //! parse Rust properly, and none of them need to — each rule targets a
 //! lexical pattern that is unambiguous enough in this workspace's style.
 //! Where a rule is a heuristic (notably `hash-iter`), its limits are
-//! documented on the rule constant and in DESIGN.md §10.
+//! documented on the rule constant and in DESIGN.md §10. Invariants that
+//! clippy checks by type (panic sites, wall-clock and environment reads,
+//! real-time blocking, `for` loops over hash containers, `unsafe`) are
+//! configured in the workspace manifest, `clippy.toml` and the library
+//! roots instead, and have no rule here.
 //!
 //! ## Suppressions
 //!
@@ -20,39 +24,17 @@ use crate::report::Violation;
 /// Rule ids with one-line descriptions (the source of truth for
 /// `bad-allow` validation and the `--rules` listing).
 pub const RULES: &[(&str, &str)] = &[
-    ("no-unwrap", "`.unwrap()` in non-test library code"),
-    ("no-expect", "`.expect(..)` in non-test library code"),
-    (
-        "no-panic",
-        "`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test library code",
-    ),
     (
         "slice-arith",
         "indexing/slicing with arithmetic subtraction in the index expression",
     ),
     (
-        "wall-clock",
-        "`Instant::now`/`SystemTime::now` outside bench/timing code",
-    ),
-    (
-        "env-read",
-        "`env::var` outside config.rs thread plumbing",
-    ),
-    (
         "hash-iter",
-        "unordered HashMap/HashSet iteration in a `lint:deterministic` module",
-    ),
-    (
-        "no-sleep",
-        "`thread::sleep` or timeout-based blocking outside the virtual-clock/bench code",
+        "unordered HashMap/HashSet method-chain iteration in a `lint:deterministic` module",
     ),
     (
         "trace-hygiene",
         "discarded span guard (`let _ = span(…)`) or wall-clock type in webiq-trace outside timing.rs",
-    ),
-    (
-        "forbid-unsafe",
-        "crate root missing `#![forbid(unsafe_code)]`",
     ),
     (
         "crate-doc",
@@ -104,19 +86,19 @@ pub struct SourceFile {
 /// Which crates and files each rule family applies to.
 #[derive(Debug, Clone)]
 pub struct Scope {
-    /// Crates whose library code must be panic-free.
+    /// Crates whose library code must be panic-free: `slice-arith`
+    /// applies to their non-bin files, and each of their library roots
+    /// turns on clippy's panic lints.
     pub panic_crates: Vec<String>,
-    /// Crates exempt from the wall-clock rule (benchmark harnesses).
+    /// Crates whose wall-clock reads are no flow-taint source
+    /// (benchmark harnesses).
     pub wallclock_exempt_crates: Vec<String>,
-    /// File names exempt from the wall-clock rule.
+    /// File names whose wall-clock reads are no flow-taint source; in
+    /// `webiq-trace`, the one file that may name wall-clock types.
     pub wallclock_exempt_files: Vec<String>,
-    /// File names allowed to read `env::var` (thread-count plumbing).
+    /// File names whose `env::var` reads are no flow-taint source
+    /// (thread-count plumbing).
     pub env_exempt_files: Vec<String>,
-    /// File names allowed to block on real time (`thread::sleep`,
-    /// `*_timeout` waits): the virtual-clock module and the trace timing
-    /// module. Bench crates are exempt via
-    /// [`Scope::wallclock_exempt_crates`].
-    pub sleep_exempt_files: Vec<String>,
 }
 
 impl Default for Scope {
@@ -134,7 +116,6 @@ impl Default for Scope {
             wallclock_exempt_crates: v(&["bench"]),
             wallclock_exempt_files: v(&["timing.rs"]),
             env_exempt_files: v(&["config.rs"]),
-            sleep_exempt_files: v(&["clock.rs", "timing.rs"]),
         }
     }
 }
@@ -197,18 +178,9 @@ pub fn lint_source(file: &SourceFile, scope: &Scope) -> FileOutcome {
     };
 
     let panic_scope = scope.panic_crates.contains(&file.crate_name) && !file.is_bin;
-    let wallclock_scope = !scope.wallclock_exempt_crates.contains(&file.crate_name)
-        && !scope.wallclock_exempt_files.contains(&file.file_name);
-    let env_scope = !scope.env_exempt_files.contains(&file.file_name);
-    // Library code waits on the virtual clock, never on real time; the
-    // bench crates (which measure real time by design) and the sanctioned
-    // clock/timing modules are the only places allowed to block.
-    let sleep_scope = !scope.wallclock_exempt_crates.contains(&file.crate_name)
-        && !scope.sleep_exempt_files.contains(&file.file_name)
-        && !file.is_bin;
     // `webiq-trace` promises byte-identical traces, so wall-clock types
     // may not even be *named* there outside the sanctioned timing module
-    // (the plain wall-clock rule only catches `::now()` call sites).
+    // (clippy's `disallowed_methods` only catches the `::now()` calls).
     let trace_clock_scope =
         file.crate_name == "trace" && !scope.wallclock_exempt_files.contains(&file.file_name);
 
@@ -222,42 +194,12 @@ pub fn lint_source(file: &SourceFile, scope: &Scope) -> FileOutcome {
         if in_exempt(t.line) {
             continue;
         }
-        if panic_scope {
-            if let Some((rule, msg)) = panic_rule_at(&sig, i) {
-                push(file, t, rule, msg);
-            }
-            if slice_arith_at(&sig, i) {
-                push(
-                    file,
-                    t,
-                    "slice-arith",
-                    "index expression subtracts; use split_last/get or justify with lint:allow"
-                        .into(),
-                );
-            }
-        }
-        if wallclock_scope && wall_clock_at(&sig, i) {
+        if panic_scope && slice_arith_at(&sig, i) {
             push(
                 file,
                 t,
-                "wall-clock",
-                format!(
-                    "`{}::now` outside bench/timing; keep measured time report-only",
-                    t.text
-                ),
-            );
-        }
-        if sleep_scope {
-            if let Some(msg) = sleep_at(&sig, i) {
-                push(file, t, "no-sleep", msg);
-            }
-        }
-        if env_scope && env_read_at(&sig, i) {
-            push(
-                file,
-                t,
-                "env-read",
-                "`env::var` outside config.rs makes behaviour environment-dependent".into(),
+                "slice-arith",
+                "index expression subtracts; use split_last/get or justify with lint:allow".into(),
             );
         }
         if trace_clock_scope && (t.is_ident("Instant") || t.is_ident("SystemTime")) {
@@ -289,7 +231,7 @@ pub fn lint_source(file: &SourceFile, scope: &Scope) -> FileOutcome {
     }
 
     if file.is_crate_root {
-        hygiene(file, &toks, &sig, &mut raw);
+        crate_doc(file, &toks, &mut raw);
     }
 
     apply_allows(file, raw, &allows)
@@ -384,6 +326,11 @@ fn apply_allows(file: &SourceFile, raw: Vec<Violation>, allows: &[Allow]) -> Fil
     outcome
 }
 
+/// The tokens of exactly `#[cfg(test)]`. Any other `cfg` — notably
+/// `#[cfg(not(test))]`, which marks production-only code — is not test
+/// code.
+const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+
 /// Inclusive line ranges of `#[cfg(test)]` items (attribute through the
 /// end of the item's brace block or terminating semicolon).
 pub fn cfg_test_ranges(sig: &[Tok]) -> Vec<LineRange> {
@@ -399,9 +346,9 @@ pub fn cfg_test_ranges(sig: &[Tok]) -> Vec<LineRange> {
             i = i.saturating_add(1);
             continue;
         };
-        let is_test = sig.get(i..=attr_end).is_some_and(|window| {
-            window.iter().any(|w| w.is_ident("cfg")) && window.iter().any(|w| w.is_ident("test"))
-        });
+        let is_test = sig
+            .get(i..=attr_end)
+            .is_some_and(|window| window.iter().map(|w| w.text.as_str()).eq(CFG_TEST));
         if !is_test {
             i = attr_end.saturating_add(1);
             continue;
@@ -466,37 +413,6 @@ fn matching(sig: &[Tok], open_idx: usize, open: char, close: char) -> Option<usi
     None
 }
 
-/// `no-unwrap` / `no-expect` / `no-panic` at token `i`, if any.
-fn panic_rule_at(sig: &[Tok], i: usize) -> Option<(&'static str, String)> {
-    let t = sig.get(i)?;
-    if t.kind != TokKind::Ident {
-        return None;
-    }
-    let prev = i.checked_sub(1).and_then(|p| sig.get(p));
-    let next = sig.get(i.saturating_add(1));
-    let after_dot = prev.is_some_and(|p| p.is_punct('.'));
-    let called = next.is_some_and(|n| n.is_punct('('));
-    match t.text.as_str() {
-        "unwrap" if after_dot && called => Some((
-            "no-unwrap",
-            "`.unwrap()` in library code; return Result or handle the None/Err case".into(),
-        )),
-        "expect" if after_dot && called => Some((
-            "no-expect",
-            "`.expect()` in library code; return Result or handle the None/Err case".into(),
-        )),
-        "panic" | "unreachable" | "todo" | "unimplemented"
-            if next.is_some_and(|n| n.is_punct('!')) =>
-        {
-            Some((
-                "no-panic",
-                format!("`{}!` in library code; return an error instead", t.text),
-            ))
-        }
-        _ => None,
-    }
-}
-
 /// `slice-arith`: an index expression (`x[…]` following a value) whose
 /// bracket contents contain a binary `-` — the underflow-prone pattern
 /// (`w[..n - 1]`, `v[v.len() - 1]`).
@@ -537,58 +453,6 @@ pub fn slice_arith_at(sig: &[Tok], i: usize) -> bool {
         k = k.saturating_add(1);
     }
     false
-}
-
-/// `wall-clock`: `Instant::now` / `SystemTime::now`.
-fn wall_clock_at(sig: &[Tok], i: usize) -> bool {
-    let Some(t) = sig.get(i) else { return false };
-    (t.is_ident("Instant") || t.is_ident("SystemTime"))
-        && path_sep(sig, i.saturating_add(1))
-        && sig
-            .get(i.saturating_add(3))
-            .is_some_and(|n| n.is_ident("now"))
-}
-
-/// Blocking methods that wait out a real `Duration` (thread parking,
-/// channel receives, condvar waits).
-const TIMEOUT_WAITS: [&str; 3] = ["park_timeout", "recv_timeout", "wait_timeout"];
-
-/// `no-sleep`: `thread::sleep(…)` or a called `*_timeout` wait — real-time
-/// blocking that belongs behind the virtual clock in library code.
-fn sleep_at(sig: &[Tok], i: usize) -> Option<String> {
-    let t = sig.get(i)?;
-    if t.is_ident("thread")
-        && path_sep(sig, i.saturating_add(1))
-        && sig
-            .get(i.saturating_add(3))
-            .is_some_and(|n| n.is_ident("sleep"))
-    {
-        return Some(
-            "`thread::sleep` in library code; back off on the virtual clock instead".into(),
-        );
-    }
-    if t.kind == TokKind::Ident
-        && TIMEOUT_WAITS.iter().any(|w| t.is_ident(w))
-        && sig
-            .get(i.saturating_add(1))
-            .is_some_and(|n| n.is_punct('('))
-    {
-        return Some(format!(
-            "`{}` blocks on real time in library code; wait on the virtual clock instead",
-            t.text
-        ));
-    }
-    None
-}
-
-/// `env-read`: `env::var` / `env::var_os`.
-fn env_read_at(sig: &[Tok], i: usize) -> bool {
-    let Some(t) = sig.get(i) else { return false };
-    t.is_ident("env")
-        && path_sep(sig, i.saturating_add(1))
-        && sig
-            .get(i.saturating_add(3))
-            .is_some_and(|n| n.is_ident("var") || n.is_ident("var_os"))
 }
 
 /// Functions returning a `#[must_use]` RAII guard whose immediate drop
@@ -728,8 +592,10 @@ pub fn collect_hash_names(sig: &[Tok]) -> Vec<String> {
 }
 
 /// `hash-iter` at token `i` in a `lint:deterministic` file: a hash-typed
-/// name feeding an iteration whose order would reach downstream state
-/// unsorted. Returns the token to anchor the violation on.
+/// name feeding an iterator method chain whose order would reach
+/// downstream state unsorted. Returns the token to anchor the violation
+/// on. A `for` loop over a hash container is clippy's
+/// `iter_over_hash_type`, in the workspace lint table.
 fn hash_iter_at<'a>(sig: &'a [Tok], i: usize, hash_names: &[String]) -> Option<(&'a Tok, String)> {
     let t = sig.get(i)?;
     // name.iter()/keys()/… where `name` is hash-typed
@@ -756,48 +622,6 @@ fn hash_iter_at<'a>(sig: &'a [Tok], i: usize, hash_names: &[String]) -> Option<(
                     ));
                 }
             }
-        }
-    }
-    // for <pat> in [&][mut] name { … }
-    if t.is_ident("for") {
-        let mut depth = 0i64;
-        let mut j = i.saturating_add(1);
-        let mut in_idx = None;
-        while let Some(x) = sig.get(j) {
-            if x.is_punct('(') || x.is_punct('[') {
-                depth = depth.saturating_add(1);
-            } else if x.is_punct(')') || x.is_punct(']') {
-                depth = depth.saturating_sub(1);
-            } else if depth == 0 && x.is_ident("in") {
-                in_idx = Some(j);
-                break;
-            } else if x.is_punct('{') || x.is_punct(';') {
-                break;
-            }
-            j = j.saturating_add(1);
-        }
-        let mut k = in_idx?.saturating_add(1);
-        while sig
-            .get(k)
-            .is_some_and(|x| x.is_punct('&') || x.is_ident("mut"))
-        {
-            k = k.saturating_add(1);
-        }
-        let name = sig.get(k)?;
-        if name.kind == TokKind::Ident
-            && hash_names.contains(&name.text)
-            && sig
-                .get(k.saturating_add(1))
-                .is_some_and(|b| b.is_punct('{'))
-        {
-            return Some((
-                name,
-                format!(
-                    "`for … in {}` iterates a hash container in a deterministic module; \
-                     re-sort the result or justify with lint:allow",
-                    name.text
-                ),
-            ));
         }
     }
     None
@@ -832,25 +656,8 @@ pub fn statement_sanctioned(sig: &[Tok], open_paren: usize) -> bool {
     false
 }
 
-/// Crate-root hygiene: `#![forbid(unsafe_code)]` and a `//!` doc comment.
-fn hygiene(file: &SourceFile, toks: &[Tok], sig: &[Tok], raw: &mut Vec<Violation>) {
-    let has_forbid = sig.windows(4).any(|w| {
-        let mut it = w.iter();
-        matches!(
-            (it.next(), it.next(), it.next(), it.next()),
-            (Some(a), Some(b), Some(c), Some(d))
-                if a.is_ident("forbid") && b.is_punct('(') && c.is_ident("unsafe_code") && d.is_punct(')')
-        )
-    });
-    if !has_forbid {
-        raw.push(Violation {
-            file: file.rel.clone(),
-            line: 1,
-            col: 1,
-            rule: "forbid-unsafe",
-            msg: "crate root must carry `#![forbid(unsafe_code)]`".into(),
-        });
-    }
+/// Crate-root hygiene: a crate-level `//!` doc comment.
+fn crate_doc(file: &SourceFile, toks: &[Tok], raw: &mut Vec<Violation>) {
     let has_doc = toks
         .iter()
         .any(|t| is_comment(t) && t.text.starts_with('!'));
@@ -886,21 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_expect_panic_flagged() {
-        assert_eq!(rules_hit("fn f() { x.unwrap(); }"), vec!["no-unwrap"]);
-        assert_eq!(rules_hit("fn f() { x.expect(\"m\"); }"), vec!["no-expect"]);
-        assert_eq!(rules_hit("fn f() { panic!(\"m\"); }"), vec!["no-panic"]);
-        assert_eq!(rules_hit("fn f() { unreachable!(); }"), vec!["no-panic"]);
-    }
-
-    #[test]
-    fn unwrap_or_and_strings_not_flagged() {
-        assert!(rules_hit("fn f() { x.unwrap_or(0); }").is_empty());
-        assert!(rules_hit("fn f() { let s = \"don't .unwrap() me\"; }").is_empty());
-        assert!(rules_hit("// .unwrap() in a comment\nfn f() {}").is_empty());
-    }
-
-    #[test]
     fn slice_arith_flagged_only_for_index_subtraction() {
         assert_eq!(
             rules_hit("fn f() { let y = v[v.len() - 1]; }"),
@@ -921,75 +713,32 @@ mod tests {
 
     #[test]
     fn cfg_test_module_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n fn g() { x.unwrap(); }\n}\n";
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n fn g() { v[v.len() - 1]; }\n}\n";
         assert!(rules_hit(src).is_empty());
     }
 
     #[test]
+    fn only_exact_cfg_test_is_test_code() {
+        for attr in [
+            "#[cfg(not(test))]",
+            "#[cfg(any(test, unix))]",
+            "#[cfg_attr(test, derive(Debug))]",
+        ] {
+            let src = format!("{attr}\nfn f() {{ v[v.len() - 1]; }}\n");
+            assert_eq!(rules_hit(&src), vec!["slice-arith"], "{attr}");
+        }
+    }
+
+    #[test]
     fn bin_files_exempt_from_panic_rules() {
-        let mut f = lib_file("fn main() { x.unwrap(); }");
+        let mut f = lib_file("fn main() { v[v.len() - 1]; }");
         f.is_bin = true;
         assert!(lint_source(&f, &Scope::default()).violations.is_empty());
     }
 
     #[test]
-    fn wall_clock_and_env() {
-        assert_eq!(
-            rules_hit("fn f() { let t = Instant::now(); }"),
-            vec!["wall-clock"]
-        );
-        assert_eq!(
-            rules_hit("fn f() { let t = std::time::SystemTime::now(); }"),
-            vec!["wall-clock"]
-        );
-        assert_eq!(
-            rules_hit("fn f() { let v = std::env::var(\"X\"); }"),
-            vec!["env-read"]
-        );
-        // exempt file names
-        let mut f = lib_file("fn f() { let v = std::env::var(\"X\"); }");
-        f.file_name = "config.rs".into();
-        assert!(lint_source(&f, &Scope::default()).violations.is_empty());
-    }
-
-    #[test]
-    fn sleep_and_timeout_waits_flagged() {
-        assert_eq!(
-            rules_hit("fn f() { std::thread::sleep(d); }"),
-            vec!["no-sleep"]
-        );
-        assert_eq!(rules_hit("fn f() { thread::sleep(d); }"), vec!["no-sleep"]);
-        assert_eq!(
-            rules_hit("fn f(rx: &Receiver<u32>) { let _v = rx.recv_timeout(d); }"),
-            vec!["no-sleep"]
-        );
-        assert_eq!(
-            rules_hit("fn f() { std::thread::park_timeout(d); }"),
-            vec!["no-sleep"]
-        );
-        // virtual-clock advancement and non-blocking calls pass
-        assert!(rules_hit("fn f(c: &VirtualClock) { c.advance_ms(100); }").is_empty());
-        assert!(rules_hit("fn f(rx: &Receiver<u32>) { let _v = rx.recv(); }").is_empty());
-    }
-
-    #[test]
-    fn sleep_exemptions_cover_clock_timing_and_bench() {
-        let src = "fn f() { std::thread::sleep(d); }";
-        let mut clock = lib_file(src);
-        clock.rel = "crates/fault/src/clock.rs".into();
-        clock.crate_name = "fault".into();
-        clock.file_name = "clock.rs".into();
-        assert!(lint_source(&clock, &Scope::default()).violations.is_empty());
-        let mut bench = lib_file(src);
-        bench.rel = "crates/bench/src/run.rs".into();
-        bench.crate_name = "bench".into();
-        bench.file_name = "run.rs".into();
-        assert!(lint_source(&bench, &Scope::default()).violations.is_empty());
-    }
-
-    #[test]
     fn fault_crate_is_in_panic_scope() {
-        let mut f = lib_file("fn f() { x.unwrap(); }");
+        let mut f = lib_file("fn f() { v[v.len() - 1]; }");
         f.rel = "crates/fault/src/x.rs".into();
         f.crate_name = "fault".into();
         let rules: Vec<_> = lint_source(&f, &Scope::default())
@@ -997,7 +746,7 @@ mod tests {
             .iter()
             .map(|v| v.rule)
             .collect();
-        assert_eq!(rules, vec!["no-unwrap"]);
+        assert_eq!(rules, vec!["slice-arith"]);
     }
 
     #[test]
@@ -1016,18 +765,6 @@ mod tests {
         // untagged file → rule inactive
         let untagged = "fn f(m: HashMap<String, u32>) { let v: Vec<_> = m.keys().collect(); }";
         assert!(rules_hit(untagged).is_empty());
-    }
-
-    #[test]
-    fn hash_iter_for_loop() {
-        let src = "// lint:deterministic\n\
-                   fn f(m: HashMap<String, u32>) {\n\
-                   for x in &m { use_it(x); }\n\
-                   }\n";
-        assert_eq!(rules_hit(src), vec!["hash-iter"]);
-        let vec_loop = "// lint:deterministic\n\
-                        fn f(v: Vec<u32>) { for x in &v { use_it(x); } }";
-        assert!(rules_hit(vec_loop).is_empty());
     }
 
     #[test]
@@ -1063,7 +800,7 @@ mod tests {
         f.rel = "crates/trace/src/timing.rs".into();
         f.file_name = "timing.rs".into();
         assert!(lint_source(&f, &Scope::default()).violations.is_empty());
-        // other crates are covered by the plain wall-clock rule only
+        // other crates may name the types; clippy checks their `now` calls
         let g = lib_file(src);
         assert!(lint_source(&g, &Scope::default()).violations.is_empty());
     }
@@ -1071,8 +808,8 @@ mod tests {
     #[test]
     fn allows_suppress_and_are_counted() {
         let src = "fn f() {\n\
-                   // lint:allow(no-unwrap) invariant: slot filled above\n\
-                   x.unwrap();\n\
+                   // lint:allow(slice-arith) invariant: v is non-empty\n\
+                   v[v.len() - 1];\n\
                    }\n";
         let out = lint_source(&lib_file(src), &Scope::default());
         assert!(out.violations.is_empty(), "{:?}", out.violations);
@@ -1081,12 +818,12 @@ mod tests {
 
     #[test]
     fn allow_without_reason_rejected() {
-        let src = "fn f() {\n// lint:allow(no-unwrap)\nx.unwrap();\n}\n";
+        let src = "fn f() {\n// lint:allow(slice-arith)\nv[v.len() - 1];\n}\n";
         let out = lint_source(&lib_file(src), &Scope::default());
         let rules: Vec<_> = out.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"bad-allow"));
         assert!(
-            rules.contains(&"no-unwrap"),
+            rules.contains(&"slice-arith"),
             "reasonless allow must not suppress"
         );
         assert_eq!(out.suppressed, 0);
@@ -1121,8 +858,8 @@ mod tests {
             .iter()
             .map(|v| v.rule)
             .collect();
-        assert_eq!(rules, vec!["forbid-unsafe", "crate-doc"]);
-        f.text = "//! Crate docs.\n#![forbid(unsafe_code)]\nfn f() {}\n".into();
+        assert_eq!(rules, vec!["crate-doc"]);
+        f.text = "//! Crate docs.\nfn f() {}\n".into();
         assert!(lint_source(&f, &Scope::default()).violations.is_empty());
     }
 }

@@ -1,6 +1,6 @@
-//! Fixture: determinism rules — wall clock, env reads, and unordered
-//! hash iteration in a tagged module.
-//! Expected: wall-clock x1, env-read x1, hash-iter x1.
+//! Fixture: the determinism rule — unordered hash iteration in a tagged
+//! module. Expected: hash-iter x1. The wall-clock and environment reads
+//! are clippy's (`disallowed_methods` in clippy.toml), not webiq-lint's.
 
 // lint:deterministic
 

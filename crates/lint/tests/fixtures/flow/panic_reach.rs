@@ -1,6 +1,6 @@
 //! Fixture: a public API that reaches a panic site only transitively,
-//! through two private helpers — invisible to the lexical no-unwrap
-//! rule's caller, but provable on the call graph.
+//! through two private helpers — invisible at the public function
+//! itself, but provable on the call graph.
 pub fn entry(x: Option<u32>) -> u32 {
     middle(x)
 }

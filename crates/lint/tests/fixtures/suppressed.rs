@@ -1,10 +1,9 @@
 //! Fixture: violations silenced by well-formed `lint:allow` directives.
 //! Expected: clean, with two honoured suppressions.
 
-pub fn timed() -> f64 {
-    // lint:allow(wall-clock) fixture models a report-only timing read
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_secs_f64()
+pub fn marker() {
+    // lint:allow(trace-hygiene) fixture models a span meant to close at once
+    let _ = webiq_trace::span("marker");
 }
 
 pub fn last(xs: &[u32]) -> u32 {

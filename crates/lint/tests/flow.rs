@@ -114,6 +114,35 @@ fn panic_reachable_fixture_breaks_certification() {
 }
 
 #[test]
+fn cfg_not_test_items_are_certified_like_any_other() {
+    // `#[cfg(not(test))]` code is compiled only outside tests: it is
+    // production code, and its panic sites decertify the crate.
+    let file = SourceFile {
+        rel: "crates/core/src/production.rs".into(),
+        crate_name: "core".into(),
+        file_name: "production.rs".into(),
+        is_crate_root: false,
+        is_bin: false,
+        text: "#[cfg(not(test))]\npub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n".into(),
+    };
+    let r = analyze(&[file], &["core"]);
+    let cert = r
+        .certificates
+        .iter()
+        .find(|c| c.krate == "core")
+        .expect("core certificate");
+    assert!(!cert.panic_free, "{}", r.render_text());
+    assert_eq!(cert.public_apis, 1);
+    assert!(
+        r.violations
+            .iter()
+            .any(|v| v.rule == "flow-panic" && v.line == 2),
+        "{}",
+        r.render_text()
+    );
+}
+
+#[test]
 fn taint_through_helper_reaches_trace_sink() {
     let files = vec![
         fixture("taint_helper.rs", "crates/core/src/taint_helper.rs", "core"),

@@ -4,7 +4,7 @@
 use webiq_lint::{lint_files, LintReport, Scope, SourceFile};
 
 /// Wrap fixture text as a non-root library file of the `core` crate (in
-/// panic scope, not wall-clock/env exempt).
+/// panic scope).
 fn lib_file(name: &str, text: &str) -> SourceFile {
     SourceFile {
         rel: format!("crates/core/src/{name}"),
@@ -26,19 +26,22 @@ fn count(report: &LintReport, rule: &str) -> usize {
 
 #[test]
 fn panic_freedom_rules_fire_in_library_code() {
-    let f = lib_file("panic_sites.rs", include_str!("fixtures/panic_sites.rs"));
+    let f = lib_file("slice_arith.rs", include_str!("fixtures/slice_arith.rs"));
     let r = lint_one(&f);
-    assert_eq!(count(&r, "no-unwrap"), 1, "\n{}", r.render());
-    assert_eq!(count(&r, "no-expect"), 1, "\n{}", r.render());
-    assert_eq!(count(&r, "no-panic"), 2, "\n{}", r.render());
-    assert_eq!(count(&r, "slice-arith"), 1, "\n{}", r.render());
-    assert_eq!(r.violations.len(), 5, "\n{}", r.render());
+    let hits: Vec<(&str, u32)> = r.violations.iter().map(|v| (v.rule, v.line)).collect();
+    // Line 12 sits in a `#[cfg(not(test))]` item: production code.
+    assert_eq!(
+        hits,
+        [("slice-arith", 7), ("slice-arith", 12)],
+        "\n{}",
+        r.render()
+    );
     assert_eq!(r.suppressed, 0);
 }
 
 #[test]
 fn panic_freedom_rules_skip_binaries() {
-    let mut f = lib_file("panic_sites.rs", include_str!("fixtures/panic_sites.rs"));
+    let mut f = lib_file("slice_arith.rs", include_str!("fixtures/slice_arith.rs"));
     f.is_bin = true;
     let r = lint_one(&f);
     assert!(r.is_clean(), "binaries are exempt:\n{}", r.render());
@@ -46,9 +49,9 @@ fn panic_freedom_rules_skip_binaries() {
 
 #[test]
 fn panic_freedom_rules_skip_out_of_scope_crates() {
-    let mut f = lib_file("panic_sites.rs", include_str!("fixtures/panic_sites.rs"));
+    let mut f = lib_file("slice_arith.rs", include_str!("fixtures/slice_arith.rs"));
     f.crate_name = "rng".into();
-    f.rel = "crates/rng/src/panic_sites.rs".into();
+    f.rel = "crates/rng/src/slice_arith.rs".into();
     let r = lint_one(&f);
     assert!(r.is_clean(), "rng is out of panic scope:\n{}", r.render());
 }
@@ -78,7 +81,7 @@ fn malformed_allows_are_rejected_and_suppress_nothing() {
     let r = lint_one(&f);
     assert_eq!(count(&r, "bad-allow"), 2, "\n{}", r.render());
     assert_eq!(
-        count(&r, "no-unwrap"),
+        count(&r, "slice-arith"),
         2,
         "underlying violations survive:\n{}",
         r.render()
@@ -90,46 +93,13 @@ fn malformed_allows_are_rejected_and_suppress_nothing() {
 fn determinism_rules_fire_in_tagged_module() {
     let f = lib_file("determinism.rs", include_str!("fixtures/determinism.rs"));
     let r = lint_one(&f);
-    assert_eq!(count(&r, "wall-clock"), 1, "\n{}", r.render());
-    assert_eq!(count(&r, "env-read"), 1, "\n{}", r.render());
     assert_eq!(
         count(&r, "hash-iter"),
         1,
         "re-sorted iteration is sanctioned:\n{}",
         r.render()
     );
-    assert_eq!(r.violations.len(), 3, "\n{}", r.render());
-}
-
-#[test]
-fn no_sleep_flags_real_time_blocking_in_library_code() {
-    let f = lib_file("sleep_sites.rs", include_str!("fixtures/sleep_sites.rs"));
-    let r = lint_one(&f);
-    assert_eq!(count(&r, "no-sleep"), 3, "\n{}", r.render());
-    assert_eq!(r.violations.len(), 3, "\n{}", r.render());
-    assert_eq!(r.suppressed, 1, "the allowed sleep is suppressed");
-}
-
-#[test]
-fn no_sleep_exempts_virtual_clock_timing_and_bench() {
-    let text = include_str!("fixtures/sleep_sites.rs");
-    let mut clock = lib_file("clock.rs", text);
-    clock.rel = "crates/fault/src/clock.rs".into();
-    clock.crate_name = "fault".into();
-    let r = lint_one(&clock);
-    assert!(r.is_clean(), "the clock module may sleep:\n{}", r.render());
-
-    let mut timing = lib_file("timing.rs", text);
-    timing.rel = "crates/trace/src/timing.rs".into();
-    timing.crate_name = "trace".into();
-    let r = lint_one(&timing);
-    assert!(r.is_clean(), "timing.rs may sleep:\n{}", r.render());
-
-    let mut bench = lib_file("harness.rs", text);
-    bench.rel = "crates/bench/src/harness.rs".into();
-    bench.crate_name = "bench".into();
-    let r = lint_one(&bench);
-    assert!(r.is_clean(), "bench crates may sleep:\n{}", r.render());
+    assert_eq!(r.violations.len(), 1, "\n{}", r.render());
 }
 
 #[test]
@@ -174,20 +144,16 @@ fn hygiene_rules_fire_only_on_crate_roots() {
     as_root.rel = "crates/core/src/lib.rs".into();
     as_root.is_crate_root = true;
     let r = lint_one(&as_root);
-    assert_eq!(count(&r, "forbid-unsafe"), 1, "\n{}", r.render());
     assert_eq!(count(&r, "crate-doc"), 1, "\n{}", r.render());
+    assert_eq!(r.violations.len(), 1, "\n{}", r.render());
 }
 
 #[test]
 fn report_positions_point_at_the_offending_token() {
-    let f = lib_file("panic_sites.rs", include_str!("fixtures/panic_sites.rs"));
+    let f = lib_file("slice_arith.rs", include_str!("fixtures/slice_arith.rs"));
     let r = lint_one(&f);
-    let unwrap = r
-        .violations
-        .iter()
-        .find(|v| v.rule == "no-unwrap")
-        .expect("unwrap violation present");
-    assert_eq!(unwrap.file, "crates/core/src/panic_sites.rs");
-    assert_eq!(unwrap.line, 5);
-    assert!(unwrap.col > 1);
+    let first = r.violations.first().expect("slice-arith violation present");
+    assert_eq!(first.file, "crates/core/src/slice_arith.rs");
+    assert_eq!(first.line, 7);
+    assert_eq!(first.col, 7, "anchored at the `[`");
 }

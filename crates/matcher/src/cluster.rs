@@ -293,7 +293,10 @@ fn average_link(a: &[usize], b: &[usize], sim: &[Vec<f64>]) -> f64 {
 
 /// Convenience: build the (upper-triangular) similarity matrix from a
 /// pairwise function.
-#[allow(clippy::needless_range_loop)] // i/j are the matrix coordinates themselves
+#[allow(
+    clippy::needless_range_loop,
+    reason = "i/j are the matrix coordinates themselves"
+)]
 pub fn similarity_matrix<I, F>(items: &[Item<I>], mut f: F) -> Vec<Vec<f64>>
 where
     F: FnMut(usize, usize) -> f64,

@@ -16,7 +16,12 @@
 //! - [`learn`] — the interactive threshold learning the paper's IceQ ran
 //!   in manual mode (τ = 0.1 was "about the average of the thresholds
 //!   learned for the five domains").
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod cluster;
 pub mod domsim;

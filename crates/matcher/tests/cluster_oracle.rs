@@ -37,7 +37,7 @@ fn interfaces(rng: &mut StdRng) -> Vec<usize> {
 /// An `n × n` matrix whose upper triangle is drawn from the tie-heavy
 /// set, the same set with NaN, or a continuous range. The diagonal and
 /// lower triangle hold a value above every link, so reading them shows.
-#[allow(clippy::needless_range_loop)] // i/j are the matrix coordinates
+#[allow(clippy::needless_range_loop, reason = "i/j are the matrix coordinates")]
 fn matrix(rng: &mut StdRng, n: usize) -> Vec<Vec<f64>> {
     let kind = rng.gen_range(0u32..3);
     let mut m = vec![vec![7.0; n]; n];

@@ -11,7 +11,7 @@ use webiq_rng::{prop, SliceRandom, StdRng};
 use webiq_stats::types::{numeric_value, ValueType};
 
 /// A random symmetric similarity matrix in [0, 1].
-#[allow(clippy::needless_range_loop)] // i/j are matrix coordinates
+#[allow(clippy::needless_range_loop, reason = "i/j are matrix coordinates")]
 fn sim_matrix(n: usize, seed: &[f64]) -> Vec<Vec<f64>> {
     let mut m = vec![vec![0.0; n]; n];
     let mut k = 0;

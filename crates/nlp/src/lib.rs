@@ -16,7 +16,12 @@
 //! - [`stopwords`] — the stopword filter for label vectors.
 //!
 //! Everything is deterministic, allocation-light, and dependency-free.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod chunk;
 pub mod inflect;

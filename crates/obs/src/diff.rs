@@ -1,30 +1,27 @@
 //! Trace-diff regression detection.
 //!
 //! [`diff`] aggregates two JSONL traces into run totals
-//! ([`webiq_trace::report::aggregate_run`]) and compares them three
-//! ways, each gated by [`DiffThresholds`]:
+//! ([`webiq_trace::report::aggregate_run`]) and lists everything that
+//! differs between them, three ways:
 //!
-//! - **counters**: relative change of every [`Counter`], flagged when it
-//!   falls or rises past the configured percentages (small baselines are
-//!   exempt via the floor);
-//! - **funnel stages**: acceptance rates of the five pipeline stages
-//!   (surface, verify, borrow, bayes, probe), flagged on an absolute
-//!   rate drop;
+//! - **counters**: every [`Counter`] whose value changed, with its
+//!   relative change;
+//! - **funnel stages**: the acceptance rates of the five pipeline stages
+//!   (surface, verify, borrow, bayes, probe) that changed;
 //! - **quantiles**: per-histogram p50/p90/p99 from the trace layer's
-//!   power-of-two buckets, flagged on an upward shift (cost creep).
+//!   power-of-two buckets that shifted.
 //!
 //! The resulting [`DiffReport`] renders as deterministic text
 //! ([`DiffReport::render_text`]) and JSON ([`DiffReport::to_json`]);
 //! [`DiffReport::regressed`] is what `webiq-report diff` turns into its
-//! exit code. Because the pipeline itself is deterministic, two traces
-//! of the same code are byte-identical and the report states `zero
-//! deltas` — any delta at all is a behaviour change someone made.
+//! exit code. The pipeline is deterministic, so two traces of the same
+//! code are byte-identical and the report states `zero deltas`; any
+//! delta at all is a behaviour change someone made, and fails the gate.
 
 use webiq_trace::json::{obj, Json};
 use webiq_trace::report::{aggregate_run, Totals};
 use webiq_trace::{Counter, Event, HistKey, MetricSet};
 
-use crate::config::DiffThresholds;
 use crate::error::ObsError;
 
 /// Quantiles compared per histogram.
@@ -88,8 +85,6 @@ pub struct CounterDelta {
     /// Relative change in percent (denominator clamped to ≥ 1 so the
     /// value stays finite).
     pub change_pct: f64,
-    /// True when the change crossed a threshold.
-    pub regressed: bool,
 }
 
 /// One funnel stage's acceptance-rate change.
@@ -101,8 +96,6 @@ pub struct StageDelta {
     pub baseline: Option<f64>,
     /// Candidate acceptance rate; `None` when the stage never ran.
     pub candidate: Option<f64>,
-    /// True when the rate dropped past the threshold.
-    pub regressed: bool,
 }
 
 /// One histogram quantile's shift.
@@ -116,60 +109,44 @@ pub struct QuantileDelta {
     pub baseline: Option<f64>,
     /// Candidate quantile value; `None` when the histogram is empty.
     pub candidate: Option<f64>,
-    /// True when the quantile rose past the threshold.
-    pub regressed: bool,
 }
 
-/// The outcome of comparing two runs.
+/// The outcome of comparing two runs: every counter, stage rate and
+/// quantile that differs, each list in fixed order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
     /// Label of the baseline trace (usually its path).
     pub baseline_label: String,
     /// Label of the candidate trace.
     pub candidate_label: String,
-    /// Counters whose values differ (changed counters only).
+    /// Counters whose values differ.
     pub counters: Vec<CounterDelta>,
-    /// All five funnel stages, in fixed order.
+    /// Funnel stages whose acceptance rates differ.
     pub stages: Vec<StageDelta>,
-    /// Quantiles whose values differ (changed quantiles only).
+    /// Quantiles whose values differ.
     pub quantiles: Vec<QuantileDelta>,
 }
 
 impl DiffReport {
-    /// True when any comparison crossed its threshold — the CI gate.
+    /// True when anything differs — the CI gate. The pipeline is
+    /// deterministic, so any delta is a behaviour change.
     pub fn regressed(&self) -> bool {
-        self.counters.iter().any(|d| d.regressed)
-            || self.stages.iter().any(|d| d.regressed)
-            || self.quantiles.iter().any(|d| d.regressed)
+        !(self.counters.is_empty() && self.stages.is_empty() && self.quantiles.is_empty())
     }
 
-    /// True when the two runs are metric-identical.
-    pub fn is_zero(&self) -> bool {
-        self.counters.is_empty()
-            && self.quantiles.is_empty()
-            && self.stages.iter().all(|d| d.baseline == d.candidate)
-    }
-
-    /// Names of everything that regressed, in report order — what the
-    /// CLI prints and the gate log shows.
+    /// Names of everything that differs, in report order — what the
+    /// verdict line and the gate log show.
     pub fn regressions(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for d in &self.counters {
-            if d.regressed {
-                out.push(format!("counter {}", d.counter.name()));
-            }
-        }
-        for d in &self.stages {
-            if d.regressed {
-                out.push(format!("stage {}", d.stage));
-            }
-        }
-        for d in &self.quantiles {
-            if d.regressed {
-                out.push(format!("quantile {} {}", d.hist.name(), d.quantile));
-            }
-        }
-        out
+        let counters = self
+            .counters
+            .iter()
+            .map(|d| format!("counter {}", d.counter.name()));
+        let stages = self.stages.iter().map(|d| format!("stage {}", d.stage));
+        let quantiles = self
+            .quantiles
+            .iter()
+            .map(|d| format!("quantile {} {}", d.hist.name(), d.quantile));
+        counters.chain(stages).chain(quantiles).collect()
     }
 
     /// Deterministic human-readable rendering.
@@ -179,7 +156,7 @@ impl DiffReport {
             "trace diff\n  baseline:  {}\n  candidate: {}\n",
             self.baseline_label, self.candidate_label
         ));
-        if self.is_zero() {
+        if !self.regressed() {
             out.push_str("\nzero deltas: runs are metric-identical\nverdict: OK\n");
             return out;
         }
@@ -187,48 +164,43 @@ impl DiffReport {
             out.push_str("\ncounters changed:\n");
             for d in &self.counters {
                 out.push_str(&format!(
-                    "  {:<24} {:>8} -> {:<8} ({:+.1}%){}\n",
+                    "  {:<24} {:>8} -> {:<8} ({:+.1}%)\n",
                     d.counter.name(),
                     d.baseline,
                     d.candidate,
-                    d.change_pct,
-                    if d.regressed { "  REGRESSION" } else { "" }
+                    d.change_pct
                 ));
             }
         }
-        out.push_str("\nstage rates:\n");
-        for d in &self.stages {
-            out.push_str(&format!(
-                "  {:<8} {} -> {}{}\n",
-                d.stage,
-                fmt_rate(d.baseline),
-                fmt_rate(d.candidate),
-                if d.regressed { "  REGRESSION" } else { "" }
-            ));
+        if !self.stages.is_empty() {
+            out.push_str("\nstage rates changed:\n");
+            for d in &self.stages {
+                out.push_str(&format!(
+                    "  {:<8} {} -> {}\n",
+                    d.stage,
+                    fmt_rate(d.baseline),
+                    fmt_rate(d.candidate)
+                ));
+            }
         }
         if !self.quantiles.is_empty() {
             out.push_str("\nquantiles changed:\n");
             for d in &self.quantiles {
                 out.push_str(&format!(
-                    "  {} {}  {} -> {}{}\n",
+                    "  {} {}  {} -> {}\n",
                     d.hist.name(),
                     d.quantile,
                     fmt_opt(d.baseline),
-                    fmt_opt(d.candidate),
-                    if d.regressed { "  REGRESSION" } else { "" }
+                    fmt_opt(d.candidate)
                 ));
             }
         }
         let failing = self.regressions();
-        if failing.is_empty() {
-            out.push_str("\nverdict: OK (changes within thresholds)\n");
-        } else {
-            out.push_str(&format!(
-                "\nverdict: REGRESSION ({}: {})\n",
-                failing.len(),
-                failing.join(", ")
-            ));
-        }
+        out.push_str(&format!(
+            "\nverdict: REGRESSION ({}: {})\n",
+            failing.len(),
+            failing.join(", ")
+        ));
         out
     }
 
@@ -241,7 +213,6 @@ impl DiffReport {
                 ("baseline", Json::from(d.baseline)),
                 ("candidate", Json::from(d.candidate)),
                 ("change_pct", Json::from(d.change_pct)),
-                ("regressed", Json::from(d.regressed)),
             ])
         });
         let stages = self.stages.iter().map(|d| {
@@ -249,7 +220,6 @@ impl DiffReport {
                 ("name", Json::from(d.stage)),
                 ("baseline", Json::from(d.baseline)),
                 ("candidate", Json::from(d.candidate)),
-                ("regressed", Json::from(d.regressed)),
             ])
         });
         let quantiles = self.quantiles.iter().map(|d| {
@@ -258,14 +228,12 @@ impl DiffReport {
                 ("q", Json::from(d.quantile)),
                 ("baseline", Json::from(d.baseline)),
                 ("candidate", Json::from(d.candidate)),
-                ("regressed", Json::from(d.regressed)),
             ])
         });
         obj([
             ("baseline", Json::from(self.baseline_label.as_str())),
             ("candidate", Json::from(self.candidate_label.as_str())),
             ("regressed", Json::from(self.regressed())),
-            ("zero_deltas", Json::from(self.is_zero())),
             ("counters", Json::Arr(counters.collect())),
             ("stages", Json::Arr(stages.collect())),
             ("quantiles", Json::Arr(quantiles.collect())),
@@ -317,11 +285,10 @@ pub fn diff_events(
     baseline: &[Event],
     candidate_label: &str,
     candidate: &[Event],
-    t: &DiffThresholds,
 ) -> DiffReport {
     let base = aggregate_run(baseline);
     let cand = aggregate_run(candidate);
-    diff_totals(baseline_label, &base, candidate_label, &cand, t)
+    diff_totals(baseline_label, &base, candidate_label, &cand)
 }
 
 /// Compare two aggregated runs (the core of [`diff_events`]).
@@ -330,7 +297,6 @@ pub fn diff_totals(
     base: &Totals,
     candidate_label: &str,
     cand: &Totals,
-    t: &DiffThresholds,
 ) -> DiffReport {
     let mut counters = Vec::new();
     for c in Counter::ALL {
@@ -339,16 +305,11 @@ pub fn diff_totals(
         if b == v {
             continue;
         }
-        let change_pct = ((v as f64 - b as f64) / (b.max(1) as f64)) * 100.0;
-        let above_floor = b >= t.counter_floor || v >= t.counter_floor;
-        let regressed =
-            above_floor && (change_pct < -t.counter_drop_pct || change_pct > t.counter_rise_pct);
         counters.push(CounterDelta {
             counter: c,
             baseline: b,
             candidate: v,
-            change_pct,
-            regressed,
+            change_pct: ((v as f64 - b as f64) / (b.max(1) as f64)) * 100.0,
         });
     }
 
@@ -356,19 +317,13 @@ pub fn diff_totals(
     for (name, num, den) in STAGES {
         let b = rate(num.value(&base.counters), den.value(&base.counters));
         let v = rate(num.value(&cand.counters), den.value(&cand.counters));
-        let regressed = match (b, v) {
-            (Some(b), Some(v)) => b - v > t.rate_drop,
-            // A stage that ran at baseline but never ran at candidate is
-            // a funnel break — its feeding counters flag too, but name
-            // the stage as well.
-            (Some(_), None) => true,
-            _ => false,
-        };
+        if b == v {
+            continue;
+        }
         stages.push(StageDelta {
             stage: name,
             baseline: b,
             candidate: v,
-            regressed,
         });
     }
 
@@ -380,16 +335,11 @@ pub fn diff_totals(
             if b == v {
                 continue;
             }
-            let regressed = match (b, v) {
-                (Some(b), Some(v)) => v - b > t.quantile_shift,
-                _ => false,
-            };
             quantiles.push(QuantileDelta {
                 hist: h,
                 quantile: label,
                 baseline: b,
                 candidate: v,
-                regressed,
             });
         }
     }
@@ -413,11 +363,7 @@ fn rate(num: u64, den: u64) -> Option<f64> {
 }
 
 /// Read, parse, and compare two JSONL trace files.
-pub fn diff(
-    baseline_path: &str,
-    candidate_path: &str,
-    t: &DiffThresholds,
-) -> Result<DiffReport, ObsError> {
+pub fn diff(baseline_path: &str, candidate_path: &str) -> Result<DiffReport, ObsError> {
     let read = |path: &str| -> Result<String, ObsError> {
         std::fs::read_to_string(path).map_err(|e| ObsError::Io {
             path: path.to_string(),
@@ -426,7 +372,7 @@ pub fn diff(
     };
     let base = parse_jsonl(baseline_path, &read(baseline_path)?)?;
     let cand = parse_jsonl(candidate_path, &read(candidate_path)?)?;
-    Ok(diff_events(baseline_path, &base, candidate_path, &cand, t))
+    Ok(diff_events(baseline_path, &base, candidate_path, &cand))
 }
 
 #[cfg(test)]
@@ -462,19 +408,16 @@ mod tests {
 
     #[test]
     fn identical_runs_report_zero_deltas() {
-        let t = DiffThresholds::default();
-        let r = diff_events("a", &run(75, 25, 3), "b", &run(75, 25, 3), &t);
-        assert!(r.is_zero());
+        let r = diff_events("a", &run(75, 25, 3), "b", &run(75, 25, 3));
         assert!(!r.regressed());
+        assert!(r.regressions().is_empty());
         assert!(r.render_text().contains("zero deltas"));
-        assert!(r.to_json().contains("\"zero_deltas\":true"));
+        assert!(r.to_json().contains("\"regressed\":false"));
     }
 
     #[test]
     fn acceptance_rate_drop_names_the_stage() {
-        let t = DiffThresholds::default();
-        // verify rate 0.75 -> 0.55: past the 0.05 default drop.
-        let r = diff_events("a", &run(75, 25, 3), "b", &run(55, 45, 3), &t);
+        let r = diff_events("a", &run(75, 25, 3), "b", &run(55, 45, 3));
         assert!(r.regressed());
         assert!(r.regressions().iter().any(|f| f == "stage verify"));
         assert!(r.render_text().contains("verify"));
@@ -482,32 +425,30 @@ mod tests {
     }
 
     #[test]
-    fn counter_floor_suppresses_noise() {
-        let t = DiffThresholds::default();
-        // 75 -> 60 accepted is a 20% drop, above floor: flags.
-        let r = diff_events("a", &run(75, 25, 3), "b", &run(60, 40, 3), &t);
-        assert!(r.counters.iter().any(|d| d.regressed));
-        // 4 -> 2 accepted is a 50% drop but below the floor of 20.
-        let r = diff_events("a", &run(4, 0, 3), "b", &run(2, 0, 3), &t);
-        assert!(r
-            .counters
-            .iter()
-            .all(|d| d.counter != Counter::ValidationAccepted || !d.regressed));
+    fn every_delta_regresses_however_small() {
+        // 75 -> 74 accepted: a 1.3% counter change and a 0.01 rate drop.
+        let r = diff_events("a", &run(75, 25, 3), "b", &run(74, 26, 3));
+        assert_eq!(
+            r.regressions(),
+            [
+                "counter validation_accepted",
+                "counter validation_rejected",
+                "stage verify",
+            ]
+        );
+        // Stages whose rate held are not listed.
+        assert!(r.stages.iter().all(|d| d.stage == "verify"));
     }
 
     #[test]
-    fn upward_quantile_shift_flags() {
-        let t = DiffThresholds::default();
+    fn quantile_shifts_flag_both_ways() {
         // Probe histogram value 3 -> 40: p50 bucket moves up.
-        let r = diff_events("a", &run(75, 25, 3), "b", &run(75, 25, 40), &t);
-        assert!(r
-            .quantiles
-            .iter()
-            .any(|d| d.hist == HistKey::ProbesPerAttr && d.regressed));
-        // Downward shifts never flag.
-        let r = diff_events("a", &run(75, 25, 40), "b", &run(75, 25, 3), &t);
+        let r = diff_events("a", &run(75, 25, 3), "b", &run(75, 25, 40));
+        assert!(r.quantiles.iter().any(|d| d.hist == HistKey::ProbesPerAttr));
+        assert!(r.regressed());
+        let r = diff_events("a", &run(75, 25, 40), "b", &run(75, 25, 3));
         assert!(!r.quantiles.is_empty());
-        assert!(r.quantiles.iter().all(|d| !d.regressed));
+        assert!(r.regressed());
     }
 
     #[test]
@@ -528,8 +469,7 @@ mod tests {
 
     #[test]
     fn json_rendering_is_deterministic_and_escaped() {
-        let t = DiffThresholds::default();
-        let r = diff_events("a \"x\"", &run(75, 25, 3), "b", &run(55, 45, 3), &t);
+        let r = diff_events("a \"x\"", &run(75, 25, 3), "b", &run(55, 45, 3));
         assert_eq!(r.to_json(), r.to_json());
         assert!(r.to_json().contains("\"baseline\":\"a \\\"x\\\"\""));
         assert!(r.to_json().contains("\"failures\":["));

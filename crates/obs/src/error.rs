@@ -1,7 +1,7 @@
 //! Error type for the observability layer.
 //!
 //! Everything fallible in `webiq-obs` — reading a trace, parsing a
-//! threshold file, binding the metrics listener — reports an
+//! profile baseline, binding the metrics listener — reports an
 //! [`ObsError`]. The variants carry enough context (path, line number)
 //! to print an actionable one-line message; `Display` output is pinned
 //! by tests because the `webiq-report` CLI surfaces it verbatim.
@@ -24,13 +24,6 @@ pub enum ObsError {
         path: String,
         /// 1-based line number of the first malformed line.
         line: usize,
-    },
-    /// A threshold config file contained an invalid line.
-    Config {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        detail: String,
     },
     /// Binding the metrics listener failed.
     Bind {
@@ -55,9 +48,6 @@ impl fmt::Display for ObsError {
             ObsError::MalformedTrace { path, line } => {
                 write!(f, "{path}:{line}: not a valid trace event")
             }
-            ObsError::Config { line, detail } => {
-                write!(f, "threshold config line {line}: {detail}")
-            }
             ObsError::Bind { addr, detail } => {
                 write!(f, "cannot bind metrics listener on {addr}: {detail}")
             }
@@ -81,14 +71,6 @@ mod tests {
             line: 7,
         };
         assert_eq!(e.to_string(), "run.jsonl:7: not a valid trace event");
-        let e = ObsError::Config {
-            line: 3,
-            detail: "unknown key `frobnicate`".into(),
-        };
-        assert_eq!(
-            e.to_string(),
-            "threshold config line 3: unknown key `frobnicate`"
-        );
         let e = ObsError::Io {
             path: "-".into(),
             detail: "broken pipe".into(),

@@ -21,12 +21,12 @@
 //!   ring of recent epoch snapshots and reports the counter delta across
 //!   the window, so "what happened lately" is answerable without
 //!   re-reading a whole trace.
-//! - **Regression gating** ([`diff`], [`config`]): [`diff::diff`]
-//!   aggregates two JSONL traces ([`webiq_trace::report::aggregate_run`])
-//!   and compares funnel-stage rates, counter deltas, and histogram
-//!   quantile shifts against configurable [`DiffThresholds`]. The
-//!   `webiq-report diff` subcommand turns the verdict into an exit
-//!   code CI can gate merges on.
+//! - **Regression gating** ([`diff`]): [`diff::diff`] aggregates two
+//!   JSONL traces ([`webiq_trace::report::aggregate_run`]) and lists
+//!   every counter, funnel-stage rate and histogram quantile that
+//!   differs. The pipeline is deterministic, so any delta is a
+//!   regression; the `webiq-report diff` subcommand turns the verdict
+//!   into an exit code CI can gate merges on.
 //! - **Profiling attribution** ([`profile`]): the read side of the
 //!   `experiments profile` sweep — parse `PROF_BASELINE.json`, fit the
 //!   speedup curve with Amdahl's law and the USL ([`ScalingFit`]), and
@@ -36,9 +36,13 @@
 //! Like every library crate in the workspace the crate is
 //! dependency-free and panic-free: no `unwrap`/`expect`/`panic!`, errors
 //! flow through [`ObsError`].
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
-pub mod config;
 pub mod diff;
 pub mod error;
 pub mod live;
@@ -47,7 +51,6 @@ pub mod prom;
 pub mod server;
 pub mod window;
 
-pub use config::DiffThresholds;
 pub use diff::{diff, diff_events, parse_jsonl, DiffReport};
 pub use error::ObsError;
 pub use live::{LiveRegistry, RegistrySnapshot};

@@ -29,7 +29,12 @@
 //!
 //! Like every library crate in the workspace, webiq-prof is
 //! dependency-free and panic-free.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod counters;
 pub mod timing;

@@ -4,10 +4,11 @@
 //! [`time`] brackets a closure with a monotonic [`Instant`] and credits
 //! the elapsed nanoseconds to a [`Stage`] accumulator in the global
 //! registry. Confining every clock read to this file keeps the
-//! workspace's wall-clock hygiene auditable: the lexical lint exempts
-//! `timing.rs` by name, and the flow-taint pass can certify that timed
-//! values flow only into the profiling registry — never into the
-//! deterministic trace/obs streams.
+//! workspace's wall-clock hygiene auditable: clippy's
+//! `disallowed_methods` admits the one read below by an `#[expect]`, and
+//! the flow-taint pass, which exempts `timing.rs` by name, can certify
+//! that timed values flow only into the profiling registry — never into
+//! the deterministic trace/obs streams.
 
 use std::time::Instant;
 
@@ -18,6 +19,10 @@ use crate::counters::{record_stage, Stage};
 /// The overhead is one `Instant::now` pair plus two relaxed atomic adds;
 /// elapsed times beyond ~584 years saturate rather than wrap.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the profiling registry's one wall-clock read; timed values never enter the trace"
+)]
 pub fn time<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
     let start = Instant::now();
     let out = f();

@@ -13,7 +13,6 @@
 //! parallel-acquisition determinism guarantee (DESIGN.md) builds on that.
 //! The generator is fully specified here and will never change behaviour
 //! underneath a seed.
-#![forbid(unsafe_code)]
 
 pub mod prop;
 

@@ -11,7 +11,12 @@
 //! - [`entropy`] — entropy and information-gain threshold estimation for
 //!   the validation-based classifier (§3.2);
 //! - [`bayes`] — Laplace-smoothed binary naive Bayes (Formula 1).
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod bayes;
 pub mod entropy;

@@ -1,4 +1,9 @@
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 //! webiq-store: the crash-safe persistent knowledge store.
 //!
 //! WebIQ's expensive artefacts — acquired instances, verified

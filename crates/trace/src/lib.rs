@@ -32,7 +32,12 @@
 //! The crate is dependency-free and panic-free, and sits below every
 //! pipeline crate in the workspace graph so all of them can record into
 //! it.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod event;
 pub mod json;

@@ -61,8 +61,9 @@ pub struct Snippet {
 /// delegation, so every extraction/validation routine is generic over
 /// whether it talks to the raw engine or a guarded one.
 pub trait QueryEngine {
-    /// Top-`k` result snippets for `query` (extraction queries).
-    fn search(&self, query: &str, k: usize) -> Vec<Snippet>;
+    /// Top-`k` result snippets for `query` (extraction queries), shared
+    /// with the engine's cache.
+    fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>>;
 
     /// Number of pages matching `query` (validation queries).
     fn num_hits(&self, query: &str) -> u64;
@@ -76,7 +77,7 @@ pub trait QueryEngine {
 }
 
 impl QueryEngine for SearchEngine {
-    fn search(&self, query: &str, k: usize) -> Vec<Snippet> {
+    fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>> {
         SearchEngine::search(self, query, k)
     }
 
@@ -209,13 +210,14 @@ impl SearchEngine {
 
     /// Sleep for the configured simulated round-trip, if any. Called on
     /// the issuing thread outside any cache lock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "opt-in latency simulation of the network's own round-trip (off by default); \
+                  no deterministic output depends on when this thread wakes"
+    )]
     fn simulate_round_trip(&self) {
         let us = self.latency_us.load(Ordering::Relaxed);
         if us > 0 {
-            // Opt-in latency simulation: models the network's own round-trip
-            // (off by default, enabled only by chaos/latency experiments); no
-            // deterministic output depends on when this thread wakes.
-            // lint:allow(no-sleep) simulated network round-trip; output never depends on wake time
             std::thread::sleep(std::time::Duration::from_micros(us));
         }
     }
@@ -252,35 +254,37 @@ impl SearchEngine {
 
     /// Top-`k` snippets for `query`, in ascending doc-id order (the
     /// deterministic stand-in for relevance order). Results are memoised
-    /// per `(query, k)` in a bounded LRU; [`EngineStats`] records whether
+    /// per `(query, k)` in a bounded LRU, and every call returns the
+    /// cached list itself, not a copy; [`EngineStats`] records whether
     /// each call hit or missed it.
-    pub fn search(&self, query: &str, k: usize) -> Vec<Snippet> {
+    pub fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>> {
         webiq_trace::incr(Counter::EngineSearchIssued);
         let key = (query.to_string(), k);
         if let Some(hit) = self.search_cache.get(query, &key) {
             bump(&self.stats.search_hits, ProfCounter::SearchCacheHit);
-            return hit.as_ref().clone();
+            return hit;
         }
         bump(&self.stats.search_misses, ProfCounter::SearchCacheMiss);
         webiq_prof::time(Stage::EngineQuery, || {
             self.simulate_round_trip();
-            let snippets: Vec<Snippet> = self
-                .index
-                .matches(&query::parse(query))
-                .take(k)
-                .filter_map(|(doc_id, pos)| {
-                    // Doc ids come from the index; a miss means index/corpus
-                    // drift and the snippet is dropped rather than panicking.
-                    let doc = self.corpus.get(doc_id)?;
-                    Some(Snippet {
-                        doc_id,
-                        text: make_snippet(&doc.text, pos),
+            let snippets: Arc<Vec<Snippet>> = Arc::new(
+                self.index
+                    .matches(&query::parse(query))
+                    .take(k)
+                    .filter_map(|(doc_id, pos)| {
+                        // Doc ids come from the index; a miss means index/corpus
+                        // drift and the snippet is dropped rather than panicking.
+                        let doc = self.corpus.get(doc_id)?;
+                        Some(Snippet {
+                            doc_id,
+                            text: make_snippet(&doc.text, pos),
+                        })
                     })
-                })
-                .collect();
+                    .collect(),
+            );
             if self
                 .search_cache
-                .insert(query, key, Arc::new(snippets.clone()))
+                .insert(query, key, Arc::clone(&snippets))
                 .is_some()
             {
                 webiq_prof::incr(ProfCounter::SearchCacheEvict);

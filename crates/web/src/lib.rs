@@ -15,7 +15,12 @@
 //! [`gen`] corpus generator, which reproduces the statistical structure the
 //! paper relied on: Hearst-pattern sentences, proximity co-occurrences,
 //! Zipf popularity skew, false completions, and noise.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod cache;
 pub mod corpus;

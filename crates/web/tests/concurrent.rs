@@ -53,7 +53,7 @@ fn concurrent_queries_match_sequential_answers() {
     let expected_hits: Vec<u64> = queries.iter().map(|q| engine.num_hits(q)).collect();
     let expected_snippets: Vec<Vec<String>> = queries
         .iter()
-        .map(|q| engine.search(q, 5).into_iter().map(|s| s.text).collect())
+        .map(|q| engine.search(q, 5).iter().map(|s| s.text.clone()).collect())
         .collect();
 
     std::thread::scope(|scope| {
@@ -69,8 +69,8 @@ fn concurrent_queries_match_sequential_answers() {
                     assert_eq!(engine.num_hits(&queries[i]), expected_hits[i], "query {i}");
                     let got: Vec<String> = engine
                         .search(&queries[i], 5)
-                        .into_iter()
-                        .map(|s| s.text)
+                        .iter()
+                        .map(|s| s.text.clone())
                         .collect();
                     assert_eq!(got, expected_snippets[i], "query {i}");
                 }

@@ -51,7 +51,7 @@ fn snippets_contain_phrase() {
         let q = format!("\"{phrase}\"");
         let snippets = engine.search(&q, 10);
         assert!(!snippets.is_empty());
-        for s in snippets {
+        for s in snippets.iter() {
             assert!(
                 s.text.to_lowercase().contains(&phrase),
                 "snippet {:?} lacks {:?}",
@@ -118,7 +118,7 @@ fn snippets_contain_phrase_tokens_on_tricky_text() {
         let Some(phrase) = query::parse(&q).phrases.into_iter().next() else {
             return;
         };
-        for s in engine.search(&q, 10) {
+        for s in engine.search(&q, 10).iter() {
             let got = query::tokenize(&s.text);
             assert!(
                 got.windows(phrase.len()).any(|w| w == phrase.as_slice()),

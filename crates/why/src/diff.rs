@@ -13,11 +13,12 @@
 //!   `bayes_verify [0/3 author] "writer": accept -> reject; posterior
 //!   0.81 -> 0.43`;
 //! - **drift** is a key whose verdict held but whose evidence terms
-//!   changed — reported for lineage, never gated.
+//!   changed — reported for lineage, not gated here (CI's byte
+//!   comparison against the baseline gates it).
 //!
 //! [`DecisionDiff::regressed`] drives the `webiq-report diff
-//! --decisions` exit code: any flip beyond the configured allowance
-//! (default zero) fails CI against the committed `WHY_BASELINE.jsonl`.
+//! --decisions` exit code: any flip fails CI against the committed
+//! `WHY_BASELINE.jsonl`.
 
 use std::collections::BTreeMap;
 
@@ -109,14 +110,12 @@ pub struct DecisionDiff {
     pub flips: Vec<Flip>,
     /// Evidence drift under held verdicts, in key order.
     pub drift: Vec<Drift>,
-    /// Flips tolerated before [`DecisionDiff::regressed`] (CI default 0).
-    pub allowed_flips: u64,
 }
 
 impl DecisionDiff {
-    /// True when the flip count exceeds the allowance — the CI gate.
+    /// True when any decision flipped — the CI gate.
     pub fn regressed(&self) -> bool {
-        self.flips.len() as u64 > self.allowed_flips
+        !self.flips.is_empty()
     }
 
     /// True when the two decision streams are identical.
@@ -155,7 +154,7 @@ impl DecisionDiff {
             }
         }
         if !self.drift.is_empty() {
-            out.push_str("\nevidence drift (verdict held, not gated):\n");
+            out.push_str("\nevidence drift (verdict held):\n");
             for d in &self.drift {
                 out.push_str(&format!(
                     "  {}: {} held; {} {} -> {}\n",
@@ -174,7 +173,7 @@ impl DecisionDiff {
                 if self.flips.len() == 1 { "" } else { "s" }
             ));
         } else {
-            out.push_str("\nverdict: OK (no decision flipped past the allowance)\n");
+            out.push_str("\nverdict: OK (no decision flipped)\n");
         }
         out
     }
@@ -275,14 +274,12 @@ fn dominant_delta(base: &BTreeMap<String, f64>, cand: &BTreeMap<String, f64>) ->
     best
 }
 
-/// Compare two parsed decision streams. `allowed_flips` is the gate
-/// allowance (0 in CI: any flip fails).
+/// Compare two parsed decision streams.
 pub fn diff_decisions(
     baseline_label: &str,
     baseline: &[Event],
     candidate_label: &str,
     candidate: &[Event],
-    allowed_flips: u64,
 ) -> DecisionDiff {
     let base = index(baseline);
     let cand = index(candidate);
@@ -333,7 +330,6 @@ pub fn diff_decisions(
         cand_count: cand.len(),
         flips,
         drift,
-        allowed_flips,
     }
 }
 
@@ -370,7 +366,7 @@ mod tests {
     #[test]
     fn identical_streams_are_zero() {
         let a = stream("accept", 0.81);
-        let r = diff_decisions("a", &a, "b", &a, 0);
+        let r = diff_decisions("a", &a, "b", &a);
         assert!(r.is_zero());
         assert!(!r.regressed());
         assert!(r.render_text().contains("zero deltas"));
@@ -379,13 +375,7 @@ mod tests {
 
     #[test]
     fn verdict_flip_names_pair_and_dominant_delta() {
-        let r = diff_decisions(
-            "a",
-            &stream("accept", 0.81),
-            "b",
-            &stream("reject", 0.43),
-            0,
-        );
+        let r = diff_decisions("a", &stream("accept", 0.81), "b", &stream("reject", 0.43));
         assert!(r.regressed());
         assert_eq!(r.flips.len(), 1);
         let text = r.render_text();
@@ -420,23 +410,17 @@ mod tests {
                 hists: vec![],
             },
         ];
-        let gone = diff_decisions("a", &full, "b", &empty, 0);
+        let gone = diff_decisions("a", &full, "b", &empty);
         assert!(gone.regressed());
         assert!(gone.render_text().contains("accept -> absent"));
-        let new = diff_decisions("a", &empty, "b", &full, 0);
+        let new = diff_decisions("a", &empty, "b", &full);
         assert!(new.regressed());
         assert!(new.render_text().contains("absent -> accept"));
     }
 
     #[test]
     fn drift_reports_but_does_not_gate() {
-        let r = diff_decisions(
-            "a",
-            &stream("accept", 0.81),
-            "b",
-            &stream("accept", 0.79),
-            0,
-        );
+        let r = diff_decisions("a", &stream("accept", 0.81), "b", &stream("accept", 0.79));
         assert!(!r.regressed());
         assert!(!r.is_zero());
         assert_eq!(r.drift.len(), 1);
@@ -444,19 +428,6 @@ mod tests {
         assert!(text.contains("evidence drift"));
         assert!(text.contains("posterior 0.81 -> 0.79"));
         assert!(text.contains("verdict: OK"));
-    }
-
-    #[test]
-    fn allowance_tolerates_flips() {
-        let r = diff_decisions(
-            "a",
-            &stream("accept", 0.81),
-            "b",
-            &stream("reject", 0.43),
-            1,
-        );
-        assert!(!r.regressed());
-        assert!(r.render_text().contains("verdict: OK"));
     }
 
     #[test]
@@ -473,14 +444,14 @@ mod tests {
                 terms: vec![],
             },
         );
-        let r = diff_decisions("a", &a, "b", &a, 0);
+        let r = diff_decisions("a", &a, "b", &a);
         assert!(r.is_zero(), "occurrence indices pair duplicates");
         // flipping only the second occurrence flips exactly one key
         let mut b = a.clone();
         if let Some(Event::Decision { verdict, .. }) = b.get_mut(2) {
             *verdict = "accept".into();
         }
-        let r = diff_decisions("a", &a, "b", &b, 0);
+        let r = diff_decisions("a", &a, "b", &b);
         assert_eq!(r.flips.len(), 1);
         assert_eq!(r.flips.first().map(|f| f.key.occ), Some(1));
         assert!(r.render_text().contains("#1"));

@@ -23,7 +23,12 @@
 //!   runs, and names the largest evidence delta that moved each flip.
 //!
 //! The crate is dependency-free (webiq-trace only) and panic-free.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod diff;
 pub mod provenance;

@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! webiq-report TRACE.jsonl [MORE.jsonl ...]
-//! webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--config obs.toml] [--json]
-//!                   [--decisions]
+//! webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--json] [--decisions]
 //! webiq-report explain TRACE.jsonl [QUERY]
 //! webiq-report profile PROF_BASELINE.json
 //! webiq-report store STORE_DIR
@@ -18,11 +17,11 @@
 //! stdin. A malformed trace line is a hard error naming the file and
 //! line — a gate must not quietly skip the very evidence it gates on.
 //!
-//! The diff mode aggregates both runs and compares counters, funnel
-//! stage rates, and histogram quantiles against the thresholds in
-//! `--config` (defaults when absent; see `webiq_obs::DiffThresholds`).
-//! Exit codes: `0` no regression, `1` regression detected, `2` usage or
-//! I/O error — so CI can gate on the exit status alone.
+//! The diff mode aggregates both runs and lists every counter, funnel
+//! stage rate, and histogram quantile that differs. The pipeline is
+//! deterministic, so any delta is a regression. Exit codes: `0` zero
+//! deltas, `1` regression detected, `2` usage or I/O error — so CI can
+//! gate on the exit status alone.
 //!
 //! With `--decisions` the diff mode gates on the decision streams
 //! instead: every recorded decision (instance validation, Bayes and
@@ -30,8 +29,9 @@
 //! owning attribute, and subject, and any *verdict flip* between
 //! baseline and candidate fails the gate, naming the pair and the
 //! largest evidence delta behind the flip. Evidence drift with the
-//! verdict held is reported but never gates. The flip allowance comes
-//! from `decision_flips` in `--config` (default 0).
+//! verdict held is reported but does not change the exit code; CI
+//! gates it by comparing the decision stream with its baseline byte
+//! for byte.
 //!
 //! The explain mode renders a deterministic evidence-chain tree for
 //! every decision matching QUERY (case-insensitive substring of the
@@ -50,20 +50,18 @@
 //! Exit codes: `0` clean, `1` recoverable damage found (a torn tail or
 //! an orphan `snapshot.tmp` — the next `Store::open` repairs it), `2`
 //! on I/O or usage errors.
-#![forbid(unsafe_code)]
 
 use std::io::Read;
 use std::process::ExitCode;
 
 use webiq::core::WebIqError;
-use webiq::obs::{diff_events, parse_jsonl, profile, DiffThresholds, ObsError};
+use webiq::obs::{diff_events, parse_jsonl, profile, ObsError};
 use webiq::trace::report;
 use webiq::trace::Event;
 use webiq::why::{diff_decisions, Provenance};
 
 const USAGE: &str = "usage: webiq-report TRACE.jsonl [MORE.jsonl ...]
-       webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--config FILE] [--json]
-                    [--decisions]
+       webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--json] [--decisions]
        webiq-report explain TRACE.jsonl [QUERY]
        webiq-report profile PROF_BASELINE.json
        webiq-report store STORE_DIR
@@ -145,21 +143,12 @@ fn run_render(paths: &[String]) -> ExitCode {
 
 fn run_diff(args: &[String]) -> ExitCode {
     let mut inputs: Vec<&String> = Vec::new();
-    let mut config: Option<&String> = None;
     let mut json = false;
     let mut decisions = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
             "--json" => json = true,
             "--decisions" => decisions = true,
-            "--config" => {
-                let Some(path) = it.next() else {
-                    eprintln!("webiq-report: --config needs a file argument\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                config = Some(path);
-            }
             other if other.starts_with("--") => {
                 eprintln!("webiq-report: unknown flag `{other}`\n{USAGE}");
                 return ExitCode::from(2);
@@ -175,16 +164,6 @@ fn run_diff(args: &[String]) -> ExitCode {
         eprintln!("webiq-report: at most one input may be `-`\n{USAGE}");
         return ExitCode::from(2);
     }
-    let thresholds = match config {
-        Some(path) => match DiffThresholds::from_file(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("webiq-report: {}", WebIqError::from(e));
-                return ExitCode::from(2);
-            }
-        },
-        None => DiffThresholds::default(),
-    };
     let (base, cand) = match (load_trace(baseline), load_trace(candidate)) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
@@ -193,7 +172,7 @@ fn run_diff(args: &[String]) -> ExitCode {
         }
     };
     if decisions {
-        let d = diff_decisions(baseline, &base, candidate, &cand, thresholds.decision_flips);
+        let d = diff_decisions(baseline, &base, candidate, &cand);
         if json {
             println!("{}", d.to_json());
         } else {
@@ -205,7 +184,7 @@ fn run_diff(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         };
     }
-    let r = diff_events(baseline, &base, candidate, &cand, &thresholds);
+    let r = diff_events(baseline, &base, candidate, &cand);
     if json {
         println!("{}", r.to_json());
     } else {

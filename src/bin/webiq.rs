@@ -9,7 +9,6 @@
 //!
 //! All subcommands accept `--seed N` (default 0x1ce0) and are
 //! deterministic in it.
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

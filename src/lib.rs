@@ -23,7 +23,12 @@
 //!
 //! The [`pipeline`] module wires everything together for one domain; see
 //! `examples/quickstart.rs` for the three-line version.
-#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub use webiq_core as core;
 pub use webiq_data as data;

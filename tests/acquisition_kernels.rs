@@ -8,7 +8,10 @@
 //! `crates/core/tests/profiles.rs`.
 
 #[path = "../crates/nlp/tests/support/reference.rs"]
-#[allow(dead_code)] // its lexicon listing feeds the adversarial tests only
+#[allow(
+    dead_code,
+    reason = "its lexicon listing feeds the adversarial tests only"
+)]
 mod tagger;
 
 #[path = "../crates/deep/tests/support/reference.rs"]
@@ -52,8 +55,8 @@ fn check_tagging(p: &DomainPipeline, cfg: &WebIQConfig) -> usize {
         for np in label_noun_phrases(label) {
             for pattern in extraction_patterns(&np, &info.object) {
                 let query = build_query(&pattern, &info, cfg);
-                for snippet in p.engine.search(&query, cfg.snippets_per_query) {
-                    let text = snippet.text;
+                for snippet in p.engine.search(&query, cfg.snippets_per_query).iter() {
+                    let text = &snippet.text;
                     let at = text.to_lowercase().find(&pattern.cue);
                     if let (true, Some(at)) = (text.is_ascii(), at) {
                         texts.insert(match pattern.side {
@@ -61,7 +64,7 @@ fn check_tagging(p: &DomainPipeline, cfg: &WebIQConfig) -> usize {
                             CompletionSide::Before => text[..at].to_string(),
                         });
                     }
-                    texts.insert(text);
+                    texts.insert(text.clone());
                 }
             }
         }

@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use webiq::obs::{diff_events, DiffThresholds};
+use webiq::obs::diff_events;
 use webiq::trace::json::Json;
 use webiq::trace::Event;
 use webiq::why::diff_decisions;
@@ -66,8 +66,7 @@ fn flow_baseline_parses() {
 fn report_json_parses() {
     // Against an empty candidate every counter, stage and quantile of
     // the trace diff moves.
-    let t = DiffThresholds::default();
-    let r = diff_events("base \"x\"", &events("OBS_BASELINE.jsonl"), "cand", &[], &t);
+    let r = diff_events("base \"x\"", &events("OBS_BASELINE.jsonl"), "cand", &[]);
     let doc = Json::parse(&r.to_json()).expect("DiffReport::to_json parses");
     assert_eq!(doc.get("baseline"), Some(&Json::from("base \"x\"")));
     for section in ["counters", "stages", "quantiles", "failures"] {
@@ -85,7 +84,7 @@ fn report_json_parses() {
             terms.iter_mut().for_each(|t| t.1 += 1.0);
         }
     }
-    let r = diff_decisions("base", &base, "cand", &cand, 0);
+    let r = diff_decisions("base", &base, "cand", &cand);
     let doc = Json::parse(&r.to_json()).expect("DecisionDiff::to_json parses");
     for section in ["flips", "drift"] {
         let items = doc.get(section).and_then(Json::as_arr);
