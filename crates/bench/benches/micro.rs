@@ -2,8 +2,9 @@
 //! classification, stemming, corpus generation, index building,
 //! search-engine queries, PMI validation,
 //! outlier removal, naive-Bayes training, HTML form extraction,
-//! response-page classification, the §5 very-similar value test, and the
-//! pairwise similarity the matcher computes O(n²) times.
+//! response-page classification, the §5 very-similar value test, the
+//! pairwise similarity the matcher computes O(n²) times, and one traced
+//! item's recording and submission.
 
 use webiq::core::{patterns, verify};
 use webiq::data::{corpus, kb};
@@ -13,6 +14,7 @@ use webiq::matcher::domsim::ValueSet;
 use webiq::matcher::{similarity, MatchAttribute, MatchConfig};
 use webiq::nlp::{chunk, pos, stem};
 use webiq::stats::{bayes::NaiveBayes, outlier};
+use webiq::trace::{span, Tracer};
 use webiq::web::index::InvertedIndex;
 use webiq::web::{gen, GenConfig, SearchEngine};
 use webiq_bench::timing::{black_box, Criterion};
@@ -192,9 +194,50 @@ fn bench_similarity(c: &mut Criterion) {
     });
 }
 
+fn bench_trace(c: &mut Criterion) {
+    // One attribute item as book's trace records it: 20 `bayes_verify`
+    // decisions of 17 evidence terms each (posterior, prior and five
+    // terms per feature), recorded and submitted to a JSONL tracer.
+    let names: Vec<String> =
+        ["posterior".to_string(), "prior_pos".to_string()]
+            .into_iter()
+            .chain((0..3).flat_map(|f| {
+                ["score", "thresh", "on", "p_pos", "p_neg"].map(|t| format!("f{f}_{t}"))
+            }))
+            .collect();
+    let decisions: Vec<(&str, Vec<(&str, f64)>)> = kb::pools::BOOK_TITLES
+        .iter()
+        .take(20)
+        .enumerate()
+        .map(|(i, title)| {
+            let terms = names
+                .iter()
+                .enumerate()
+                .map(|(j, n)| (n.as_str(), ((i * 17 + j) as f64).sqrt() / 977.0))
+                .collect();
+            (*title, terms)
+        })
+        .collect();
+    let tracer = Tracer::jsonl(Box::new(std::io::sink()));
+    c.bench_function("trace/submit_item", |b| {
+        b.iter(|| {
+            let item = tracer.item("attribute", "Title");
+            {
+                let _surface = span("attr_surface");
+                let _verify = span("bayes_verify");
+                for (i, (subject, terms)) in decisions.iter().enumerate() {
+                    webiq::why::record::bayes_verify(subject, i % 7 != 0, black_box(terms));
+                }
+            }
+            tracer.submit(item.finish());
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_nlp, bench_engine, bench_verification, bench_html, bench_deep, bench_similarity
+    targets = bench_nlp, bench_engine, bench_verification, bench_html, bench_deep, bench_similarity,
+        bench_trace
 }
 criterion_main!(benches);

@@ -2,14 +2,17 @@
 //!
 //! [`diff`] aggregates two JSONL traces into run totals
 //! ([`webiq_trace::report::aggregate_run`]) and lists everything that
-//! differs between them, three ways:
+//! differs between them, four ways:
 //!
-//! - **counters**: every [`Counter`] whose value changed, with its
+//! - **counters**: every [`Counter`] whose run total changed, with its
 //!   relative change;
 //! - **funnel stages**: the acceptance rates of the five pipeline stages
 //!   (surface, verify, borrow, bayes, probe) that changed;
 //! - **quantiles**: per-histogram p50/p90/p99 from the trace layer's
-//!   power-of-two buckets that shifted.
+//!   power-of-two buckets that shifted;
+//! - **span counters**: every counter whose total over one span name's
+//!   closes changed, which catches a count moved inside the span tree
+//!   while the run totals held.
 //!
 //! The resulting [`DiffReport`] renders as deterministic text
 //! ([`DiffReport::render_text`]) and JSON ([`DiffReport::to_json`]);
@@ -17,6 +20,8 @@
 //! exit code. The pipeline is deterministic, so two traces of the same
 //! code are byte-identical and the report states `zero deltas`; any
 //! delta at all is a behaviour change someone made, and fails the gate.
+
+use std::collections::BTreeSet;
 
 use webiq_trace::json::{obj, Json};
 use webiq_trace::report::{aggregate_run, Totals};
@@ -98,6 +103,19 @@ pub struct StageDelta {
     pub candidate: Option<f64>,
 }
 
+/// One counter's change summed over every close of one span name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanDelta {
+    /// The span name (e.g. `bayes_verify`).
+    pub span: String,
+    /// Which counter.
+    pub counter: Counter,
+    /// Baseline total over the span's closes.
+    pub baseline: u64,
+    /// Candidate total over the span's closes.
+    pub candidate: u64,
+}
+
 /// One histogram quantile's shift.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileDelta {
@@ -111,8 +129,8 @@ pub struct QuantileDelta {
     pub candidate: Option<f64>,
 }
 
-/// The outcome of comparing two runs: every counter, stage rate and
-/// quantile that differs, each list in fixed order.
+/// The outcome of comparing two runs: every counter, stage rate,
+/// quantile and span counter that differs, each list in fixed order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
     /// Label of the baseline trace (usually its path).
@@ -125,13 +143,18 @@ pub struct DiffReport {
     pub stages: Vec<StageDelta>,
     /// Quantiles whose values differ.
     pub quantiles: Vec<QuantileDelta>,
+    /// Span-name counter totals that differ, by span name then counter.
+    pub spans: Vec<SpanDelta>,
 }
 
 impl DiffReport {
     /// True when anything differs — the CI gate. The pipeline is
     /// deterministic, so any delta is a behaviour change.
     pub fn regressed(&self) -> bool {
-        !(self.counters.is_empty() && self.stages.is_empty() && self.quantiles.is_empty())
+        !(self.counters.is_empty()
+            && self.stages.is_empty()
+            && self.quantiles.is_empty()
+            && self.spans.is_empty())
     }
 
     /// Names of everything that differs, in report order — what the
@@ -146,7 +169,15 @@ impl DiffReport {
             .quantiles
             .iter()
             .map(|d| format!("quantile {} {}", d.hist.name(), d.quantile));
-        counters.chain(stages).chain(quantiles).collect()
+        let spans = self
+            .spans
+            .iter()
+            .map(|d| format!("span {} counter {}", d.span, d.counter.name()));
+        counters
+            .chain(stages)
+            .chain(quantiles)
+            .chain(spans)
+            .collect()
     }
 
     /// Deterministic human-readable rendering.
@@ -195,6 +226,18 @@ impl DiffReport {
                 ));
             }
         }
+        if !self.spans.is_empty() {
+            out.push_str("\nspan counters changed (summed over every close of the span):\n");
+            for d in &self.spans {
+                out.push_str(&format!(
+                    "  {:<16} {:<24} {:>8} -> {}\n",
+                    d.span,
+                    d.counter.name(),
+                    d.baseline,
+                    d.candidate
+                ));
+            }
+        }
         let failing = self.regressions();
         out.push_str(&format!(
             "\nverdict: REGRESSION ({}: {})\n",
@@ -230,6 +273,14 @@ impl DiffReport {
                 ("candidate", Json::from(d.candidate)),
             ])
         });
+        let spans = self.spans.iter().map(|d| {
+            obj([
+                ("span", Json::from(d.span.as_str())),
+                ("counter", Json::from(d.counter.name())),
+                ("baseline", Json::from(d.baseline)),
+                ("candidate", Json::from(d.candidate)),
+            ])
+        });
         obj([
             ("baseline", Json::from(self.baseline_label.as_str())),
             ("candidate", Json::from(self.candidate_label.as_str())),
@@ -237,6 +288,7 @@ impl DiffReport {
             ("counters", Json::Arr(counters.collect())),
             ("stages", Json::Arr(stages.collect())),
             ("quantiles", Json::Arr(quantiles.collect())),
+            ("spans", Json::Arr(spans.collect())),
             ("failures", Json::from(self.regressions())),
         ])
         .compact()
@@ -344,12 +396,31 @@ pub fn diff_totals(
         }
     }
 
+    let empty = MetricSet::new();
+    let mut spans = Vec::new();
+    let names: BTreeSet<&String> = base.spans.keys().chain(cand.spans.keys()).collect();
+    for name in names {
+        let b = base.spans.get(name).unwrap_or(&empty);
+        let v = cand.spans.get(name).unwrap_or(&empty);
+        for c in Counter::ALL {
+            if b.get(c) != v.get(c) {
+                spans.push(SpanDelta {
+                    span: name.clone(),
+                    counter: c,
+                    baseline: b.get(c),
+                    candidate: v.get(c),
+                });
+            }
+        }
+    }
+
     DiffReport {
         baseline_label: baseline_label.to_string(),
         candidate_label: candidate_label.to_string(),
         counters,
         stages,
         quantiles,
+        spans,
     }
 }
 
@@ -434,6 +505,8 @@ mod tests {
                 "counter validation_accepted",
                 "counter validation_rejected",
                 "stage verify",
+                "span acquire counter validation_accepted",
+                "span acquire counter validation_rejected",
             ]
         );
         // Stages whose rate held are not listed.
@@ -449,6 +522,49 @@ mod tests {
         let r = diff_events("a", &run(75, 25, 40), "b", &run(75, 25, 3));
         assert!(!r.quantiles.is_empty());
         assert!(r.regressed());
+    }
+
+    #[test]
+    fn nested_count_moved_under_held_totals_names_the_span() {
+        // One engine query moves from `verify` to `surface` inside the
+        // same root: the run totals hold, the span totals do not.
+        let run = |verify: u64, surface: u64| -> Vec<Event> {
+            let open = |seq, id, parent, name: &str| Event::Open {
+                seq,
+                id,
+                parent,
+                name: name.into(),
+                attr: None,
+            };
+            let close = |seq, id, v| Event::Close {
+                seq,
+                id,
+                metrics: vec![(Counter::EngineHitIssued, v)],
+                hists: vec![],
+            };
+            vec![
+                open(0, 0, None, "acquire"),
+                open(1, 1, Some(0), "verify"),
+                close(2, 1, verify),
+                open(3, 2, Some(0), "surface"),
+                close(4, 2, surface),
+                close(5, 0, verify + surface),
+            ]
+        };
+        let r = diff_events("a", &run(3, 4), "b", &run(2, 5));
+        assert!(r.counters.is_empty());
+        assert!(r.regressed());
+        assert_eq!(
+            r.regressions(),
+            [
+                "span surface counter engine_hit_issued",
+                "span verify counter engine_hit_issued",
+            ]
+        );
+        let text = r.render_text();
+        assert!(text.contains("span counters changed"), "{text}");
+        assert!(text.contains("verify"), "{text}");
+        assert!(r.to_json().contains(r#""span":"surface""#));
     }
 
     #[test]

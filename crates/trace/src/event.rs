@@ -32,15 +32,20 @@
 //! latency/size distributions — the basis of `webiq-report diff`'s
 //! quantile comparison.
 //!
-//! Both directions go through the workspace codec, [`crate::json`]: the
-//! encoder builds a [`Json`] object with keys in a fixed order and
-//! absent optional fields omitted, and writes it in the compact form,
-//! so equality of two streams is byte equality. The parser reads any
-//! JSON document but accepts only this shape; unknown counter and
-//! histogram names inside `"m"`/`"h"` are skipped so old reports can
-//! read newer traces.
+//! Both directions share the workspace codec, [`crate::json`]. The
+//! encoder writes each line straight into a `String` with the codec's
+//! string and number writers, keys in a fixed order and absent optional
+//! fields omitted: exactly the compact form of the equivalent [`Json`]
+//! object, so equality of two streams is byte equality. A line is a
+//! seq-dependent head, `{"ev":…,"seq":N,"id":M`, and a tail that depends
+//! on nothing the merge assigns except an open's parent. The tracer
+//! encodes decision tails on the worker that records them and writes
+//! heads at merge time ([`crate::tracer`]); [`Event::to_jsonl`] writes
+//! both for readers and tests. The parser reads any JSON document but
+//! accepts only this shape; unknown counter and histogram names inside
+//! `"m"`/`"h"` are skipped so old reports can read newer traces.
 
-use crate::json::Json;
+use crate::json::{escape_str, write_float, write_uint, Json};
 use crate::metrics::{Counter, HistKey, NUM_BUCKETS};
 
 /// One trace event.
@@ -106,52 +111,44 @@ impl Event {
         }
     }
 
-    /// Serialize to one JSONL line (no trailing newline): the event as a
-    /// [`Json`] object in the wire format's key order, written compact.
+    /// Serialize to one JSONL line (no trailing newline), as the tracer
+    /// writes it.
     pub fn to_jsonl(&self) -> String {
-        let ev = match self {
-            Event::Open { .. } => "open",
-            Event::Close { .. } => "close",
-            Event::Decision { .. } => "decision",
-        };
-        let mut f: Vec<(String, Json)> = vec![
-            ("ev".into(), ev.into()),
-            ("seq".into(), self.seq().into()),
-            ("id".into(), self.id().into()),
-        ];
+        let mut out = String::with_capacity(128);
         match self {
             Event::Open {
-                parent, name, attr, ..
+                seq,
+                id,
+                parent,
+                name,
+                attr,
             } => {
-                f.extend(parent.map(|p| ("parent".into(), p.into())));
-                f.push(("name".into(), name.as_str().into()));
-                f.extend(attr.as_deref().map(|a| ("attr".into(), a.into())));
+                write_head(&mut out, "open", *seq, *id);
+                write_open_tail(&mut out, *parent, name, attr.as_deref());
             }
-            Event::Close { metrics, hists, .. } => {
-                let m = metrics.iter().map(|(c, v)| (c.name().into(), (*v).into()));
-                f.push(("m".into(), Json::Obj(m.collect())));
-                if !hists.is_empty() {
-                    let h = hists
-                        .iter()
-                        .map(|(h, b)| (h.name().into(), b.to_vec().into()));
-                    f.push(("h".into(), Json::Obj(h.collect())));
-                }
+            Event::Close {
+                seq,
+                id,
+                metrics,
+                hists,
+            } => {
+                write_head(&mut out, "close", *seq, *id);
+                write_close_tail(&mut out, metrics, hists);
             }
             Event::Decision {
+                seq,
+                id,
                 kind,
                 subject,
                 verdict,
                 terms,
-                ..
             } => {
-                f.push(("kind".into(), kind.as_str().into()));
-                f.push(("subject".into(), subject.as_str().into()));
-                f.push(("verdict".into(), verdict.as_str().into()));
-                let t = terms.iter().map(|(k, v)| (k.clone(), (*v).into()));
-                f.push(("t".into(), Json::Obj(t.collect())));
+                write_head(&mut out, "decision", *seq, *id);
+                let terms = terms.iter().map(|(k, v)| (k.as_str(), *v));
+                write_decision_tail(&mut out, kind, subject, verdict, terms);
             }
         }
-        Json::Obj(f).compact()
+        out
     }
 
     /// Parse one JSONL line produced by [`Event::to_jsonl`]. Returns
@@ -237,6 +234,104 @@ impl Event {
             _ => None,
         }
     }
+}
+
+/// Append a line's head: `{"ev":<ev>,"seq":<seq>,"id":<id>`.
+pub(crate) fn write_head(out: &mut String, ev: &str, seq: u64, id: u64) {
+    out.push_str("{\"ev\":");
+    escape_str(out, ev);
+    out.push_str(",\"seq\":");
+    write_uint(out, seq);
+    out.push_str(",\"id\":");
+    write_uint(out, id);
+}
+
+/// Append an open's tail: `,"parent":…,"name":…,"attr":…}`, each
+/// optional field omitted when absent.
+pub(crate) fn write_open_tail(
+    out: &mut String,
+    parent: Option<u64>,
+    name: &str,
+    attr: Option<&str>,
+) {
+    if let Some(p) = parent {
+        out.push_str(",\"parent\":");
+        write_uint(out, p);
+    }
+    out.push_str(",\"name\":");
+    escape_str(out, name);
+    if let Some(a) = attr {
+        out.push_str(",\"attr\":");
+        escape_str(out, a);
+    }
+    out.push('}');
+}
+
+/// Append a close's tail: `,"m":{…}` and, when there are any,
+/// `,"h":{…}`, then `}`.
+pub(crate) fn write_close_tail(
+    out: &mut String,
+    metrics: &[(Counter, u64)],
+    hists: &[(HistKey, [u64; NUM_BUCKETS])],
+) {
+    out.push_str(",\"m\":{");
+    for (i, &(c, v)) in metrics.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        escape_str(out, c.name());
+        out.push(':');
+        write_uint(out, v);
+    }
+    out.push('}');
+    if !hists.is_empty() {
+        out.push_str(",\"h\":{");
+        for (i, (h, buckets)) in hists.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            escape_str(out, h.name());
+            out.push_str(":[");
+            for (j, &n) in buckets.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                write_uint(out, n);
+            }
+            out.push(']');
+        }
+        out.push('}');
+    }
+    out.push('}');
+}
+
+/// Append a decision's tail:
+/// `,"kind":…,"subject":…,"verdict":…,"t":{…}}`, the terms in order.
+/// A non-finite term is written `null`; the tracer drops those before
+/// calling this.
+pub(crate) fn write_decision_tail<'a>(
+    out: &mut String,
+    kind: &str,
+    subject: &str,
+    verdict: &str,
+    terms: impl IntoIterator<Item = (&'a str, f64)>,
+) {
+    out.push_str(",\"kind\":");
+    escape_str(out, kind);
+    out.push_str(",\"subject\":");
+    escape_str(out, subject);
+    out.push_str(",\"verdict\":");
+    escape_str(out, verdict);
+    out.push_str(",\"t\":{");
+    for (i, (k, v)) in terms.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        escape_str(out, k);
+        out.push(':');
+        write_float(out, v, false);
+    }
+    out.push_str("}}");
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
 
 /// Append `s` as a quoted JSON string (quotes, backslashes and control
 /// characters escaped).
-fn escape_str(out: &mut String, s: &str) {
+pub(crate) fn escape_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -111,7 +111,7 @@ fn escape_str(out: &mut String, s: &str) {
 
 /// Append a float in Rust's shortest round-trip form (`null` when not
 /// finite); `point` adds `.0` to whole values.
-fn write_float(out: &mut String, v: f64, point: bool) {
+pub(crate) fn write_float(out: &mut String, v: f64, point: bool) {
     if !v.is_finite() {
         out.push_str("null");
         return;
@@ -124,6 +124,16 @@ fn write_float(out: &mut String, v: f64, point: bool) {
             .is_some_and(|s| !s.contains(['.', 'e', 'E']))
     {
         out.push_str(".0");
+    }
+}
+
+/// Append `v` as [`Json::from`] writes it compact: an integer while it
+/// fits an `i64`, a float beyond.
+pub(crate) fn write_uint(out: &mut String, v: u64) {
+    if i64::try_from(v).is_ok() {
+        let _ = write!(out, "{v}");
+    } else {
+        write_float(out, v as f64, false);
     }
 }
 

@@ -12,9 +12,10 @@
 //! - metrics are typed [`Counter`]s / [`Gauge`]s / [`HistKey`]s recorded
 //!   in thread-local [`MetricSet`]s whose per-item *deltas* are merged at
 //!   scope-join ([`metrics`]);
-//! - sinks are pluggable: [`MemorySink`] for tests and [`JsonlSink`]
-//!   for durable traces ([`sink`]); a disabled tracer builds no events
-//!   at all;
+//! - the tracer writes one format, JSONL, into any writer: a file, or a
+//!   [`SharedBuf`] kept in memory, which [`Tracer::memory`]'s
+//!   [`MemoryHandle`] parses back for tests ([`sink`]); a disabled
+//!   tracer builds no events at all;
 //! - [`json`] is the workspace's one JSON codec: the trace wire format,
 //!   the committed `*.json` artifacts, and every report's `--json`
 //!   output are written and read through it;
@@ -49,7 +50,7 @@ pub mod tracer;
 pub use event::Event;
 pub use metrics::{Counter, Gauge, GaugeSet, HistKey, HistSet, MetricSet};
 pub use report::Totals;
-pub use sink::{JsonlSink, MemoryHandle, MemorySink, SharedBuf, TraceSink};
+pub use sink::{MemoryHandle, SharedBuf};
 pub use tracer::{
     add, decision, hist_snapshot, incr, observe, snapshot, span, span_attr, ItemBuf, ItemTrace,
     SpanGuard, TraceScope, Tracer,

@@ -6,23 +6,30 @@
 //! `AcquisitionReport` is derived from (asserted by
 //! `crates/core/tests/trace_report.rs`).
 //!
-//! Aggregation works from close events of *root* spans only (spans with
+//! Run totals come from close events of *root* spans only (spans with
 //! no parent): a span's close delta already includes everything nested
-//! inside it, so summing every close would double-count.
+//! inside it, so summing every close would double-count. Beside them,
+//! each span *name*'s counters are summed over all its closes, so a
+//! change that moves a nested span's count without moving the run's
+//! total still shows.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::event::Event;
 use crate::metrics::{Counter, HistSet, MetricSet};
 
-/// A run's totals read back from its trace: the counter and histogram
-/// deltas of its root spans, as produced by [`aggregate_run`].
+/// A run's totals read back from its trace, as produced by
+/// [`aggregate_run`]: the counter and histogram deltas of its root
+/// spans, and the counters of every span name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Totals {
-    /// Summed counter deltas.
+    /// Summed counter deltas of the root spans.
     pub counters: MetricSet,
-    /// Summed histogram deltas.
+    /// Summed histogram deltas of the root spans.
     pub hists: HistSet,
+    /// Counter deltas per span name, summed over every close of that
+    /// name, root or nested; in name order.
+    pub spans: BTreeMap<String, MetricSet>,
 }
 
 /// The per-stage funnel totals extracted from a counter set.
@@ -85,13 +92,18 @@ pub fn aggregate(events: &[Event]) -> MetricSet {
 }
 
 /// Aggregate a full event stream into run [`Totals`]: the counter *and*
-/// histogram deltas of all root spans (parent-less). This is what
-/// `webiq-report diff` compares two runs by.
+/// histogram deltas of all root spans (parent-less), plus every span
+/// name's counters over all its closes. This is what `webiq-report
+/// diff` compares two runs by. A close with no matching open counts
+/// nowhere.
 pub fn aggregate_run(events: &[Event]) -> Totals {
-    let mut roots: HashMap<u64, bool> = HashMap::new();
+    let mut opens: HashMap<u64, (&str, bool)> = HashMap::new();
     for e in events {
-        if let Event::Open { id, parent, .. } = e {
-            roots.insert(*id, parent.is_none());
+        if let Event::Open {
+            id, parent, name, ..
+        } = e
+        {
+            opens.insert(*id, (name, parent.is_none()));
         }
     }
     let mut out = Totals::default();
@@ -100,7 +112,14 @@ pub fn aggregate_run(events: &[Event]) -> Totals {
             id, metrics, hists, ..
         } = e
         {
-            if roots.get(id).copied().unwrap_or(false) {
+            let Some(&(name, root)) = opens.get(id) else {
+                continue;
+            };
+            let by_name = out.spans.entry(name.to_string()).or_default();
+            for &(c, v) in metrics {
+                by_name.add(c, v);
+            }
+            if root {
                 for &(c, v) in metrics {
                     out.counters.add(c, v);
                 }
@@ -324,6 +343,41 @@ mod tests {
         assert_eq!(t.hists.count(HistKey::ProbesPerAttr), 1);
         assert_eq!(t.hists.bucket(HistKey::ProbesPerAttr, 3), 1);
         assert_eq!(t.hists.quantile(HistKey::ProbesPerAttr, 0.5), Some(7.0));
+    }
+
+    #[test]
+    fn aggregate_run_sums_every_close_by_span_name() {
+        let open = |seq, id, parent, name: &str| Event::Open {
+            seq,
+            id,
+            parent,
+            name: name.into(),
+            attr: None,
+        };
+        let close = |seq, id, v| Event::Close {
+            seq,
+            id,
+            metrics: vec![(Counter::EngineHitIssued, v)],
+            hists: vec![],
+        };
+        let events = vec![
+            open(0, 0, None, "acquire"),
+            open(1, 1, Some(0), "verify"),
+            close(2, 1, 2),
+            open(3, 2, Some(0), "verify"),
+            close(4, 2, 3),
+            close(5, 0, 5),
+            // a close without its open counts nowhere
+            close(6, 9, 100),
+        ];
+        let t = aggregate_run(&events);
+        assert_eq!(t.counters.get(Counter::EngineHitIssued), 5);
+        let by_name: Vec<(&str, u64)> = t
+            .spans
+            .iter()
+            .map(|(n, m)| (n.as_str(), m.get(Counter::EngineHitIssued)))
+            .collect();
+        assert_eq!(by_name, [("acquire", 5), ("verify", 5)]);
     }
 
     #[test]

@@ -16,11 +16,21 @@
 //! 3. The merge loop — which already walks outcomes in attribute order
 //!    to keep results byte-identical — calls [`Tracer::submit`] on each
 //!    buffer *in item order*. Only here are the logical clock (`seq`)
-//!    and global span ids assigned and events pushed to the sink.
+//!    and global span ids assigned and the item's lines written.
 //!
 //! Because every event is produced from thread-local state and
 //! serialized in item order, the stream is byte-identical for any
 //! worker count.
+//!
+//! ## Encoding on the worker
+//!
+//! A decision's line is all evidence after its `seq` and `id`, so
+//! [`decision`] encodes that tail once, on the worker, into the item's
+//! text buffer. The merge loop then only writes each line's head
+//! (`{"ev":…,"seq":N,"id":M`), copies the tail, encodes the item's few
+//! open and close lines directly, and hands the writer the whole item
+//! in one `write_all`. The bytes are those of [`crate::Event::to_jsonl`]:
+//! both go through the same encoder ([`crate::event`]).
 //!
 //! ## Always-on counters
 //!
@@ -30,11 +40,12 @@
 //! buffer (span records) is gated on an enabled tracer.
 
 use std::cell::RefCell;
+use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::event::Event;
+use crate::event::{write_close_tail, write_decision_tail, write_head, write_open_tail};
 use crate::metrics::{Counter, HistKey, HistSet, MetricSet};
-use crate::sink::{JsonlSink, MemoryHandle, MemorySink, TraceSink};
+use crate::sink::{MemoryHandle, SharedBuf};
 
 /// Recover a mutex guard even if a panicking thread poisoned the lock.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -50,8 +61,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A span record local to one work item; ids are item-local and remapped
 /// to global ids at [`Tracer::submit`] time.
-#[derive(Debug, Clone)]
-pub(crate) enum LocalEvent {
+#[derive(Debug)]
+enum LocalEvent {
     Open {
         id: u32,
         parent: Option<u32>,
@@ -65,16 +76,17 @@ pub(crate) enum LocalEvent {
     Decision {
         /// Enclosing span's local id.
         parent: u32,
-        kind: &'static str,
-        subject: String,
-        verdict: &'static str,
-        terms: Vec<(String, f64)>,
+        /// End of this decision's encoded tail in the item's `tails`;
+        /// it starts where the previous decision's ends.
+        end: usize,
     },
 }
 
 /// The ambient event buffer installed by [`Tracer::item`].
 struct ActiveItem {
     events: Vec<LocalEvent>,
+    /// Decision tails, encoded back to back.
+    tails: String,
     /// Open spans: local id plus the counter snapshot taken at open.
     stack: Vec<(u32, MetricSet)>,
     next_id: u32,
@@ -182,27 +194,18 @@ fn open_ambient(name: &'static str, attr: Option<String>) -> SpanGuard {
 /// terms — into the ambient work-item buffer, anchored to the innermost
 /// open span. A no-op when no traced item is installed (tracer disabled
 /// or outside an item), so call sites cost one thread-local borrow when
-/// tracing is off. Non-finite terms are dropped at record time: the
-/// wire format carries finite floats only.
-pub fn decision(
-    kind: &'static str,
-    subject: impl Into<String>,
-    verdict: &'static str,
-    terms: &[(&str, f64)],
-) {
+/// tracing is off. The decision is encoded here, on the recording
+/// thread, as its line's tail. Non-finite terms are dropped: the wire
+/// format carries finite floats only.
+pub fn decision(kind: &'static str, subject: &str, verdict: &'static str, terms: &[(&str, f64)]) {
     let _ = with_local(|s| {
         if let Some(it) = s.item.as_mut() {
             let parent = it.stack.last().map_or(0, |&(p, _)| p);
+            let finite = terms.iter().filter(|(_, v)| v.is_finite()).copied();
+            write_decision_tail(&mut it.tails, kind, subject, verdict, finite);
             it.events.push(LocalEvent::Decision {
                 parent,
-                kind,
-                subject: subject.into(),
-                verdict,
-                terms: terms
-                    .iter()
-                    .filter(|(_, v)| v.is_finite())
-                    .map(|&(k, v)| (k.to_string(), v))
-                    .collect(),
+                end: it.tails.len(),
             });
         }
     });
@@ -258,6 +261,7 @@ impl ItemTrace {
         let totals = now.diff(&self.base);
         let hists = hist_snapshot().diff(&self.hist_base);
         let mut events = Vec::new();
+        let mut tails = String::new();
         let mut next_id = 0;
         if self.installed {
             self.installed = false;
@@ -270,11 +274,13 @@ impl ItemTrace {
                     });
                 }
                 events = it.events;
+                tails = it.tails;
                 next_id = it.next_id;
             }
         }
         ItemBuf {
             events,
+            tails,
             next_id,
             totals,
             hists,
@@ -295,8 +301,9 @@ impl Drop for ItemTrace {
 /// the tracer was disabled) plus its deterministic metric deltas.
 #[derive(Debug)]
 pub struct ItemBuf {
-    pub(crate) events: Vec<LocalEvent>,
-    pub(crate) next_id: u32,
+    events: Vec<LocalEvent>,
+    tails: String,
+    next_id: u32,
     totals: MetricSet,
     hists: HistSet,
 }
@@ -324,7 +331,12 @@ impl ItemBuf {
 // ---------------------------------------------------------------------------
 
 struct TracerState {
-    sink: Box<dyn TraceSink>,
+    /// Where the JSONL goes. I/O errors are swallowed: tracing must
+    /// never fail the pipeline.
+    w: Box<dyn Write + Send>,
+    /// The lines of one item (or scope event) being encoded; empty
+    /// between writes, its capacity reused.
+    out: String,
     next_seq: u64,
     next_id: u64,
     /// Open tracer-level scopes: global id plus the counters and
@@ -355,11 +367,14 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An enabled tracer emitting into `sink`.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
+    /// An enabled tracer writing JSONL, one event per line, into `w`
+    /// (a file, or a [`SharedBuf`] for in-process inspection). Call
+    /// [`Tracer::flush`] before reading a buffered writer's output.
+    pub fn jsonl(w: Box<dyn Write + Send>) -> Self {
         Tracer {
             inner: Some(Arc::new(Mutex::new(TracerState {
-                sink,
+                w,
+                out: String::new(),
                 next_seq: 0,
                 next_id: 0,
                 open: Vec::new(),
@@ -367,15 +382,11 @@ impl Tracer {
         }
     }
 
-    /// An enabled tracer collecting into memory, plus its read handle.
+    /// An enabled tracer writing JSONL into memory, plus the handle that
+    /// reads it back.
     pub fn memory() -> (Self, MemoryHandle) {
-        let (sink, handle) = MemorySink::new();
-        (Tracer::with_sink(Box::new(sink)), handle)
-    }
-
-    /// An enabled tracer writing JSONL into `w`.
-    pub fn jsonl(w: Box<dyn std::io::Write + Send>) -> Self {
-        Tracer::with_sink(Box::new(JsonlSink::new(w)))
+        let buf = SharedBuf::new();
+        (Tracer::jsonl(Box::new(buf.clone())), MemoryHandle::new(buf))
     }
 
     /// Whether events are being recorded.
@@ -400,13 +411,10 @@ impl Tracer {
             let parent = s.open.last().map(|&(p, ..)| p);
             let seq = s.next_seq;
             s.next_seq += 1;
-            s.sink.event(&Event::Open {
-                seq,
-                id,
-                parent,
-                name: name.to_string(),
-                attr: Some(attr),
-            });
+            write_head(&mut s.out, "open", seq, id);
+            write_open_tail(&mut s.out, parent, name, Some(&attr));
+            s.out.push('\n');
+            s.emit();
             s.open.push((id, MetricSet::new(), HistSet::new()));
             id
         });
@@ -439,6 +447,7 @@ impl Tracer {
                         name,
                         attr: Some(attr),
                     }],
+                    tails: String::new(),
                     stack: vec![(0, snap)],
                     next_id: 1,
                 });
@@ -455,7 +464,7 @@ impl Tracer {
 
     /// Merge a finished item into the trace: assign logical-clock
     /// sequence numbers and global span ids, parent the item under the
-    /// innermost open scope, emit its events, and fold its deltas into
+    /// innermost open scope, write its lines, and fold its deltas into
     /// that scope's close. Call in deterministic item order.
     pub fn submit(&self, buf: ItemBuf) {
         let _ = self.with_state(|s| {
@@ -468,58 +477,58 @@ impl Tracer {
             }
             let base = s.next_id;
             s.next_id += u64::from(buf.next_id.max(1));
+            let global = |local: u32| base + u64::from(local);
             let scope_parent = s.open.last().map(|&(p, ..)| p);
+            let out = &mut s.out;
+            let mut tail_start = 0;
             for ev in &buf.events {
                 let seq = s.next_seq;
                 s.next_seq += 1;
-                let e = match ev {
+                match ev {
                     LocalEvent::Open {
                         id,
                         parent,
                         name,
                         attr,
-                    } => Event::Open {
-                        seq,
-                        id: base + u64::from(*id),
-                        parent: parent.map(|p| base + u64::from(p)).or(scope_parent),
-                        name: (*name).to_string(),
-                        attr: attr.clone(),
-                    },
+                    } => {
+                        write_head(out, "open", seq, global(*id));
+                        let parent = parent.map(global).or(scope_parent);
+                        write_open_tail(out, parent, name, attr.as_deref());
+                    }
                     // the item root (local id 0) carries the item's
                     // histogram deltas; nested spans carry none
-                    LocalEvent::Close { id, delta } => Event::Close {
-                        seq,
-                        id: base + u64::from(*id),
-                        metrics: delta.clone(),
-                        hists: if *id == 0 {
+                    LocalEvent::Close { id, delta } => {
+                        write_head(out, "close", seq, global(*id));
+                        let hists = if *id == 0 {
                             buf.hists.nonzero()
                         } else {
                             Vec::new()
-                        },
-                    },
-                    LocalEvent::Decision {
-                        parent,
-                        kind,
-                        subject,
-                        verdict,
-                        terms,
-                    } => Event::Decision {
-                        seq,
-                        id: base + u64::from(*parent),
-                        kind: (*kind).to_string(),
-                        subject: subject.clone(),
-                        verdict: (*verdict).to_string(),
-                        terms: terms.clone(),
-                    },
-                };
-                s.sink.event(&e);
+                        };
+                        write_close_tail(out, delta, &hists);
+                    }
+                    LocalEvent::Decision { parent, end } => {
+                        write_head(out, "decision", seq, global(*parent));
+                        out.push_str(buf.tails.get(tail_start..*end).unwrap_or_default());
+                        tail_start = *end;
+                    }
+                }
+                out.push('\n');
             }
+            s.emit();
         });
     }
 
-    /// Flush the sink.
+    /// Flush the writer.
     pub fn flush(&self) {
-        let _ = self.with_state(|s| s.sink.flush());
+        let _ = self.with_state(|s| s.w.flush());
+    }
+}
+
+impl TracerState {
+    /// Hand the encoded lines in `out` to the writer and empty it.
+    fn emit(&mut self) {
+        let _ = self.w.write_all(self.out.as_bytes());
+        self.out.clear();
     }
 }
 
@@ -539,12 +548,10 @@ impl Drop for TraceScope {
             while let Some((top, acc, acc_h)) = s.open.pop() {
                 let seq = s.next_seq;
                 s.next_seq += 1;
-                s.sink.event(&Event::Close {
-                    seq,
-                    id: top,
-                    metrics: acc.nonzero(),
-                    hists: acc_h.nonzero(),
-                });
+                write_head(&mut s.out, "close", seq, top);
+                write_close_tail(&mut s.out, &acc.nonzero(), &acc_h.nonzero());
+                s.out.push('\n');
+                s.emit();
                 if let Some(parent) = s.open.last_mut() {
                     parent.1.merge(&acc);
                     parent.2.merge(&acc_h);

@@ -1,9 +1,9 @@
 //! Integration tests for webiq-trace: span nesting, deterministic
-//! counter merge, sink behavior, and the work-item buffer lifecycle.
+//! counter merge, the JSONL output, and the work-item buffer lifecycle.
 
 use webiq_trace::{
-    add, incr, report, snapshot, span, span_attr, Counter, Event, HistKey, JsonlSink, MetricSet,
-    SharedBuf, Tracer,
+    add, incr, report, snapshot, span, span_attr, Counter, Event, HistKey, MetricSet, SharedBuf,
+    Tracer,
 };
 
 /// Simulate one traced work item: a root "attribute" span containing a
@@ -197,7 +197,7 @@ fn histograms_reach_the_item_close() {
 #[test]
 fn jsonl_stream_roundtrips_through_the_parser() {
     let buf = SharedBuf::new();
-    let tracer = Tracer::with_sink(Box::new(JsonlSink::new(Box::new(buf.clone()))));
+    let tracer = Tracer::jsonl(Box::new(buf.clone()));
     let scope = tracer.scope("acquire", "book");
     tracer.submit(run_item(&tracer, "label with \"quotes\"", 1));
     drop(scope);

@@ -80,7 +80,7 @@ pub struct Flip {
     /// Candidate verdict; `None` when the decision disappeared.
     pub cand: Option<String>,
     /// The largest evidence delta between the two records (only when
-    /// the key exists on both sides and shares at least one term).
+    /// the key exists on both sides and a shared term moved).
     pub dominant: Option<TermDelta>,
 }
 
@@ -141,15 +141,19 @@ impl DecisionDiff {
                     f.base.as_deref().unwrap_or("absent"),
                     f.cand.as_deref().unwrap_or("absent")
                 );
-                match &f.dominant {
-                    Some(d) => out.push_str(&format!(
+                match (&f.dominant, &f.base, &f.cand) {
+                    (Some(d), ..) => out.push_str(&format!(
                         "  {}: {verdicts}; {} {} -> {} (largest evidence delta)\n",
                         f.key.display(),
                         d.name,
                         d.base,
                         d.cand
                     )),
-                    None => out.push_str(&format!("  {}: {verdicts}\n", f.key.display())),
+                    (None, Some(_), Some(_)) => out.push_str(&format!(
+                        "  {}: {verdicts}; no shared evidence term moved\n",
+                        f.key.display()
+                    )),
+                    (None, ..) => out.push_str(&format!("  {}: {verdicts}\n", f.key.display())),
                 }
             }
         }
@@ -253,7 +257,8 @@ fn index(events: &[Event]) -> BTreeMap<DecisionKey, Keyed> {
 }
 
 /// The largest absolute change among terms present on both sides
-/// (ties broken by name order, so the result is deterministic).
+/// (ties broken by name order, so the result is deterministic); `None`
+/// when no shared term moved.
 fn dominant_delta(base: &BTreeMap<String, f64>, cand: &BTreeMap<String, f64>) -> Option<TermDelta> {
     let mut best: Option<TermDelta> = None;
     for (name, b) in base {
@@ -261,7 +266,7 @@ fn dominant_delta(base: &BTreeMap<String, f64>, cand: &BTreeMap<String, f64>) ->
         let delta = (c - b).abs();
         let beats = match &best {
             Some(cur) => delta > (cur.cand - cur.base).abs(),
-            None => true,
+            None => delta > 0.0,
         };
         if beats {
             best = Some(TermDelta {
@@ -390,6 +395,22 @@ mod tests {
         assert!(text.contains("verdict: REGRESSION (1 flipped decision)"));
         assert!(r.to_json().contains("\"regressed\":true"));
         assert!(r.to_json().contains("\"name\":\"posterior\""));
+    }
+
+    #[test]
+    fn flip_with_unmoved_evidence_names_no_term() {
+        let r = diff_decisions("a", &stream("accept", 0.81), "b", &stream("reject", 0.81));
+        assert!(r.regressed());
+        assert_eq!(r.flips.first().map(|f| f.dominant.clone()), Some(None));
+        let text = r.render_text();
+        assert!(
+            text.contains(
+                "bayes_verify [0/3 author] \"writer\": accept -> reject; no shared evidence term moved"
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("largest evidence delta"), "{text}");
+        assert!(r.to_json().contains("\"dominant\":null"));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! line — a gate must not quietly skip the very evidence it gates on.
 //!
 //! The diff mode aggregates both runs and lists every counter, funnel
-//! stage rate, and histogram quantile that differs. The pipeline is
+//! stage rate, and histogram quantile that differs, and every counter
+//! whose total over one span name's closes differs. The pipeline is
 //! deterministic, so any delta is a regression. Exit codes: `0` zero
 //! deltas, `1` regression detected, `2` usage or I/O error — so CI can
 //! gate on the exit status alone.

@@ -64,12 +64,12 @@ fn flow_baseline_parses() {
 
 #[test]
 fn report_json_parses() {
-    // Against an empty candidate every counter, stage and quantile of
-    // the trace diff moves.
+    // Against an empty candidate every counter, stage, quantile and
+    // span counter of the trace diff moves.
     let r = diff_events("base \"x\"", &events("OBS_BASELINE.jsonl"), "cand", &[]);
     let doc = Json::parse(&r.to_json()).expect("DiffReport::to_json parses");
     assert_eq!(doc.get("baseline"), Some(&Json::from("base \"x\"")));
-    for section in ["counters", "stages", "quantiles", "failures"] {
+    for section in ["counters", "stages", "quantiles", "spans", "failures"] {
         let items = doc.get(section).and_then(Json::as_arr);
         assert!(items.is_some_and(|a| !a.is_empty()), "{section} empty");
     }

@@ -189,6 +189,44 @@ fn one_count_changes_exit_1_naming_both_counters() {
 }
 
 #[test]
+fn nested_count_change_exits_1_naming_the_span_and_counter() {
+    // One more engine query on a nested close (line 20, the first
+    // `bayes_verify` span's) leaves every root total as it was: only
+    // the span-name totals can see it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let baseline = std::fs::read_to_string(root.join("OBS_BASELINE.jsonl")).expect("baseline");
+    let mutated: String = baseline
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            let line = if i == 19 {
+                assert!(
+                    line.contains(r#""id":3,"m":{"engine_hit_issued":252,"#),
+                    "{line}"
+                );
+                line.replacen(":252,", ":253,", 1)
+            } else {
+                line.to_string()
+            };
+            line + "\n"
+        })
+        .collect();
+    assert_ne!(mutated, baseline);
+    let cand = temp_trace("nested-cand", &mutated);
+    let base = root.join("OBS_BASELINE.jsonl");
+    let out = report(&["diff", path_str(&base), path_str(&cand)]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let text = stdout(&out);
+    assert!(!text.contains("counters changed:\n"), "{text}");
+    assert!(
+        text.contains("span bayes_verify counter engine_hit_issued"),
+        "{text}"
+    );
+    assert!(text.contains("verdict: REGRESSION"), "{text}");
+    std::fs::remove_file(&cand).expect("cleanup");
+}
+
+#[test]
 fn diff_json_output_carries_the_verdict() {
     let base = temp_trace("jbase", &trace_jsonl(75, 25, 3));
     let cand = temp_trace("jcand", &trace_jsonl(55, 45, 3));
