@@ -2,13 +2,19 @@
 //! classification, stemming, corpus generation, index building,
 //! search-engine queries, PMI validation,
 //! outlier removal, naive-Bayes training, HTML form extraction,
-//! response-page classification, the §5 very-similar value test, the
+//! Deep-Web source building and probing, response-page classification,
+//! the §5 very-similar value test, the
 //! pairwise similarity the matcher computes O(n²) times, and one traced
 //! item's recording and submission.
 
+use std::collections::BTreeMap;
+
 use webiq::core::{patterns, verify};
-use webiq::data::{corpus, kb};
-use webiq::deep::{analyze_response, render, Record};
+use webiq::data::records::{build_deep_source, RecordOptions};
+use webiq::data::{corpus, generate_domain, kb, GenOptions};
+use webiq::deep::{
+    analyze_response, render, DeepSource, ParamDomain, Record, RecordStore, SubmissionOutcome,
+};
 use webiq::html::form::extract_forms;
 use webiq::matcher::domsim::ValueSet;
 use webiq::matcher::{similarity, MatchAttribute, MatchConfig};
@@ -142,14 +148,62 @@ fn bench_html(c: &mut Criterion) {
 }
 
 fn bench_deep(c: &mut Criterion) {
-    let records: Vec<Record> = kb::pools::CITIES
+    // A dataset's sources per domain: airfare's 20, as
+    // `DomainPipeline::from_def` builds them at seed 7392 (built and
+    // dropped each iteration).
+    let def = kb::domain("airfare").expect("domain");
+    let ds = generate_domain(
+        def,
+        &GenOptions {
+            seed: 7392,
+            ..GenOptions::default()
+        },
+    );
+    let opts = RecordOptions {
+        seed: 7392,
+        failure_rate: 0.05,
+        ..RecordOptions::default()
+    };
+    let build = || -> Vec<DeepSource> {
+        ds.interfaces
+            .iter()
+            .map(|i| build_deep_source(def, i, &opts))
+            .collect()
+    };
+    c.bench_function("deep/build_sources", |b| b.iter(build));
+
+    // One Attr-Deep probe, page and verdict, on the first source's first
+    // free-text field: for a value its first record holds, and for one
+    // no record holds.
+    let sources = build();
+    let (src, field) = sources
         .iter()
-        .zip(kb::pools::AIRLINES_NA)
-        .take(10)
-        .map(|(city, airline)| Record::new([("from", *city), ("airline", *airline)]))
-        .collect();
-    let refs: Vec<&Record> = records.iter().collect();
-    let results = render::results_page("AcmeAir", &refs);
+        .find_map(|s| {
+            let p = s.params().iter().find(|p| p.domain == ParamDomain::Free)?;
+            Some((s, p.name.as_str()))
+        })
+        .expect("a free-text field");
+    let all = src.try_submit(&BTreeMap::new()).expect("no injected fault");
+    let value = all[0].get(field).expect("the records hold the field");
+    let probe = |v: &str| {
+        let params = BTreeMap::from([(field.to_string(), v.to_string())]);
+        analyze_response(&src.submit(&params))
+    };
+    assert!(probe(value).is_success());
+    assert_eq!(probe("January"), SubmissionOutcome::NoResults);
+    c.bench_function("deep/probe", |b| {
+        b.iter(|| (probe(black_box(value)), probe(black_box("January"))));
+    });
+
+    let store = RecordStore::new(
+        kb::pools::CITIES
+            .iter()
+            .zip(kb::pools::AIRLINES_NA)
+            .take(10)
+            .map(|(city, airline)| Record::new([("from", *city), ("airline", *airline)]))
+            .collect(),
+    );
+    let results = render::results_page("AcmeAir", &store.query([]));
     c.bench_function("deep/analyze_results_page", |b| {
         b.iter(|| analyze_response(black_box(&results)));
     });

@@ -297,7 +297,7 @@ pub struct WeightsRow {
     pub webiq: f64,
 }
 
-/// The comparative study the paper cites from IceQ [28] ("instances
+/// The comparative study the paper cites from IceQ \[28\] ("instances
 /// greatly improve matching accuracy"): how much of the accuracy comes
 /// from instances, before and after acquisition.
 pub fn weights(seed: u64) -> Vec<WeightsRow> {

@@ -4,7 +4,7 @@
 //! then the persisted streams are attacked three ways:
 //!
 //! - **snapshot sweep** — the compacted snapshot is truncated at every
-//!   byte offset (stride sampling only past [`MAX_CUTS`], far beyond
+//!   byte offset (stride sampling only past `MAX_CUTS`, far beyond
 //!   the streams this workload produces) and each cut is recovered
 //!   into a fresh directory; the recovered state must equal the state
 //!   of the cut's committed record prefix (*prefix consistency*);

@@ -2,13 +2,14 @@
 //!
 //! The bench targets in `benches/` were written against Criterion; this
 //! module provides the subset they use — [`Criterion`], benchmark groups,
-//! [`Bencher::iter`], [`black_box`], and the [`criterion_group!`] /
-//! [`criterion_main!`] macros — backed by a simple calibrate-then-sample
+//! [`Bencher::iter`], [`black_box`], and the
+//! [`criterion_group!`](crate::criterion_group) /
+//! [`criterion_main!`](crate::criterion_main) macros — backed by a simple calibrate-then-sample
 //! timer, so the suite runs with no external dependencies.
 //!
 //! Methodology: each measurement first runs the closure once to estimate
 //! its cost, picks an iteration count that makes one sample take roughly
-//! [`TARGET_SAMPLE_SECS`], then records `sample_size` such samples and
+//! `TARGET_SAMPLE_SECS`, then records `sample_size` such samples and
 //! reports the median and mean per-iteration time.
 
 use std::time::Instant;

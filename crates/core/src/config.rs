@@ -30,7 +30,7 @@ pub struct WebIQConfig {
     /// (§2.2; switchable for the ablation study).
     pub outlier_phase: bool,
     /// Which discordancy test the outlier phase runs (the paper's 3σ rule
-    /// or Grubbs' sample-size-aware test — both from its citation [4]).
+    /// or Grubbs' sample-size-aware test — both from its citation \[4\]).
     pub discordancy: DiscordancyTest,
     /// Use PMI for validation scores; `false` falls back to raw joint hit
     /// counts (ablation: popularity bias).

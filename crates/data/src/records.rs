@@ -2,14 +2,16 @@
 //! interface.
 //!
 //! Each interface is backed by records whose field values are drawn from
-//! the knowledge-base pools of its attributes' concepts. Probing an
-//! attribute with a well-typed value (`from = Chicago`) therefore selects
-//! records, while an ill-typed value (`from = January`) selects nothing —
-//! the exact discrimination Attr-Deep (§4) relies on.
+//! the knowledge-base pools of its attributes' concepts: each pool is a
+//! column of the source's [`RecordStore`], and a record holds one pool
+//! index per attribute. Probing an attribute with a well-typed value
+//! (`from = Chicago`) therefore selects records, while an ill-typed value
+//! (`from = January`) selects nothing — the exact discrimination
+//! Attr-Deep (§4) relies on.
 
-use webiq_deep::{DeepSource, ParamDomain, Record, RecordStore, SourceParam};
+use webiq_deep::{DeepSource, ParamDomain, RecordStore, SourceParam};
 use webiq_fault::FaultPlan;
-use webiq_rng::{SliceRandom, StdRng};
+use webiq_rng::StdRng;
 
 use crate::generate::site_pool;
 use crate::interface::Interface;
@@ -66,16 +68,24 @@ pub fn build_deep_source(def: &DomainDef, iface: &Interface, opts: &RecordOption
         .map(|i| attribute_pool(def, iface, i))
         .collect();
 
-    let mut store = RecordStore::default();
-    for _ in 0..opts.records {
-        let mut record = Record::default();
-        for (a, pool) in iface.attributes.iter().zip(&pools) {
-            if let Some(v) = pool.choose(&mut rng) {
-                record.set(a.name.clone(), (*v).to_string());
-            }
-        }
-        store.push(record);
-    }
+    // One column per attribute holding its pool; each record draws a
+    // pool index per attribute, in form order, exactly as
+    // `SliceRandom::choose` would draw it (nothing from an empty pool).
+    let columns = iface
+        .attributes
+        .iter()
+        .zip(&pools)
+        .map(|(a, pool)| {
+            (
+                a.name.clone(),
+                pool.iter().map(|v| (*v).to_string()).collect(),
+            )
+        })
+        .collect();
+    let store = RecordStore::from_columns(columns, opts.records, |c| {
+        let len = pools.get(c).map_or(0, Vec::len);
+        (len > 0).then(|| rng.gen_range(0..len))
+    });
 
     let params = iface
         .attributes

@@ -2,7 +2,7 @@
 //!
 //! §4: "This step applies several heuristics to analyze the response page
 //! from the source and determine if the submission was successful. We
-//! employ a variant of the heuristics used for a similar purpose in [22]"
+//! employ a variant of the heuristics used for a similar purpose in \[22\]"
 //! (Raghavan & Garcia-Molina, *Crawling the hidden Web*). The heuristics
 //! operate on the parsed page:
 //!
@@ -156,13 +156,13 @@ fn extract_found_count(text: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
+    use crate::record::{Record, RecordStore};
     use crate::render;
 
     #[test]
     fn classifies_results_page() {
-        let r = Record::new([("from", "Chicago")]);
-        let page = render::results_page("X", &[&r]);
+        let store = RecordStore::new(vec![Record::new([("from", "Chicago")])]);
+        let page = render::results_page("X", &store.query([]));
         assert_eq!(
             analyze_response(&page),
             SubmissionOutcome::Success { results: 1 }
@@ -191,10 +191,8 @@ mod tests {
 
     #[test]
     fn counts_result_rows() {
-        let r1 = Record::new([("a", "1")]);
-        let r2 = Record::new([("a", "2")]);
-        let r3 = Record::new([("a", "3")]);
-        let page = render::results_page("X", &[&r1, &r2, &r3]);
+        let store = RecordStore::new(["1", "2", "3"].map(|v| Record::new([("a", v)])).to_vec());
+        let page = render::results_page("X", &store.query([]));
         assert_eq!(
             analyze_response(&page),
             SubmissionOutcome::Success { results: 3 }

@@ -5,8 +5,8 @@
 //! the other attributes at their defaults, then analyze the response page.
 //! This crate provides both sides of that interaction:
 //!
-//! - [`record`] — backend record stores with conjunctive, leniently-matched
-//!   queries;
+//! - [`record`] — columnar backend record stores with conjunctive,
+//!   leniently-matched queries;
 //! - [`source`] — the form handler: partial queries, enumerated-domain
 //!   enforcement, required fields, deterministic failure injection;
 //! - [`render`] — HTML result / no-results / error pages;
@@ -27,5 +27,5 @@ pub mod source;
 
 pub use analyze::{analyze_response, SubmissionOutcome};
 pub use error::DeepError;
-pub use record::{Record, RecordStore};
+pub use record::{Record, RecordStore, Row};
 pub use source::{DeepSource, ParamDomain, SourceParam};

@@ -4,6 +4,11 @@
 //! (§4) succeed or fail depending on whether the constrained values select
 //! any records — which is exactly the signal Attr-Deep exploits: `from =
 //! Chicago` selects flights, `from = January` selects nothing.
+//!
+//! The store is columnar: a field's values are held once, and a record is
+//! a row of `u32` cells indexing them (see [`RecordStore`]). [`Record`] is
+//! the row type hand-built stores take, and [`Row`] the one queries
+//! return.
 
 use std::collections::BTreeMap;
 
@@ -73,50 +78,223 @@ fn value_matches(record_value: &str, query_value: &str) -> bool {
             .any(|w| w.eq_ignore_ascii_case(needle))
 }
 
-/// A store of records.
+/// The cell of a field a record lacks. A cell past its field's value
+/// table reads the same way; this is the one the store writes.
+const ABSENT: u32 = u32::MAX;
+
+/// A store of records, held by column: each field's name once, in
+/// ascending order (the order a [`Record`] iterates its fields, so
+/// results pages keep their columns), one table of values per field,
+/// and one `u32` cell per record and field indexing that table, or a
+/// sentinel where the record lacks the field. A query tests each
+/// constrained field's value table once and keeps the records whose
+/// cells point at a matching value.
 #[derive(Debug, Clone, Default)]
 pub struct RecordStore {
-    records: Vec<Record>,
+    /// Field names, ascending.
+    names: Vec<String>,
+    /// Each field's values, parallel to `names`.
+    tables: Vec<Vec<String>>,
+    /// Row-major cells, `names.len()` per record.
+    cells: Vec<u32>,
+    /// Number of records: a store without fields has no cells, however
+    /// many records it holds.
+    rows: usize,
+}
+
+/// One record of a [`RecordStore`], as a query returns it.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    store: &'a RecordStore,
+    cells: &'a [u32],
+}
+
+impl<'a> Row<'a> {
+    /// Value of a field.
+    pub fn get(&self, name: &str) -> Option<&'a str> {
+        let col = self.store.column(name)?;
+        self.store.value(col, *self.cells.get(col)?)
+    }
+
+    /// Iterate `(name, value)` pairs in name order, skipping the fields
+    /// the record lacks.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let store = self.store;
+        let fields = store.names.iter().zip(self.cells).enumerate();
+        fields
+            .filter_map(move |(col, (name, &cell))| Some((name.as_str(), store.value(col, cell)?)))
+    }
 }
 
 impl RecordStore {
     /// Build from records.
     pub fn new(records: Vec<Record>) -> Self {
-        RecordStore { records }
+        let mut store = RecordStore::default();
+        for record in records {
+            store.push(record);
+        }
+        store
+    }
+
+    /// A store of `rows` records over `columns`, each a field name and
+    /// its table of values. `draw(c)` is called record by record and,
+    /// within a record, for each column `c` in the order given; it
+    /// returns the index into column `c`'s table of the record's value,
+    /// or `None` where the record lacks the field (an index past the
+    /// table reads the same). When a name repeats, the last of its
+    /// columns that gives a record a value holds it, as [`Record::set`]
+    /// would.
+    pub fn from_columns(
+        columns: Vec<(String, Vec<String>)>,
+        rows: usize,
+        mut draw: impl FnMut(usize) -> Option<usize>,
+    ) -> Self {
+        let mut names: Vec<String> = columns.iter().map(|(name, _)| name.clone()).collect();
+        names.sort_unstable();
+        names.dedup();
+        // Each given column's field and the span its values take in that
+        // field's table: repeated names share one table.
+        let mut tables = vec![Vec::new(); names.len()];
+        let mut slots = Vec::with_capacity(columns.len());
+        for (name, values) in columns {
+            let col = names.binary_search(&name).unwrap_or_else(|at| at);
+            let span = tables
+                .get_mut(col)
+                .map_or((0, 0), |table: &mut Vec<String>| {
+                    let start = table.len();
+                    table.extend(values);
+                    (start, table.len())
+                });
+            slots.push((col, span));
+        }
+        let width = names.len();
+        let mut cells = vec![ABSENT; rows.saturating_mul(width)];
+        for r in 0..rows {
+            let row = cells
+                .get_mut(r * width..(r + 1) * width)
+                .unwrap_or_default();
+            for (c, &(col, (start, end))) in slots.iter().enumerate() {
+                let cell = draw(c)
+                    .and_then(|i| start.checked_add(i))
+                    .filter(|&i| i < end)
+                    .and_then(|i| u32::try_from(i).ok());
+                if let (Some(cell), Some(slot)) = (cell, row.get_mut(col)) {
+                    *slot = cell;
+                }
+            }
+        }
+        RecordStore {
+            names,
+            tables,
+            cells,
+            rows,
+        }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.rows
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.rows == 0
     }
 
-    /// Append a record.
+    /// Append a record. A field no earlier record had becomes a column
+    /// that the earlier records lack.
     pub fn push(&mut self, record: Record) {
-        self.records.push(record);
+        for (name, _) in record.iter() {
+            if let Err(at) = self.names.binary_search_by(|n| n.as_str().cmp(name)) {
+                self.insert_column(at, name);
+            }
+        }
+        let start = self.cells.len();
+        self.cells.resize(start + self.names.len(), ABSENT);
+        for (name, value) in record.fields {
+            let Some(col) = self.column(&name) else {
+                continue;
+            };
+            let Some(table) = self.tables.get_mut(col) else {
+                continue;
+            };
+            let cell = u32::try_from(table.len()).unwrap_or(ABSENT);
+            table.push(value);
+            if let Some(slot) = self.cells.get_mut(start + col) {
+                *slot = cell;
+            }
+        }
+        self.rows += 1;
     }
 
-    /// All records matching every non-empty constraint. Constraints naming
-    /// fields absent from a record never match it.
-    pub fn query(&self, constraints: &BTreeMap<String, String>) -> Vec<&Record> {
-        self.records
-            .iter()
-            .filter(|r| {
-                constraints.iter().all(|(name, value)| {
-                    if value.trim().is_empty() {
-                        return true;
-                    }
-                    match r.get(name) {
-                        Some(rv) => value_matches(rv, value),
-                        None => false,
-                    }
+    /// All records matching every non-blank constraint `(name, value)`,
+    /// in store order. A constraint on a field a record lacks never
+    /// matches it, so one on a field no record has selects nothing.
+    pub fn query<'q>(
+        &self,
+        constraints: impl IntoIterator<Item = (&'q str, &'q str)>,
+    ) -> Vec<Row<'_>> {
+        // per constrained field, which of its table's values match
+        let mut tests = Vec::new();
+        for (name, value) in constraints {
+            if value.trim().is_empty() {
+                continue;
+            }
+            let Some(col) = self.column(name) else {
+                return Vec::new();
+            };
+            let table = self.tables.get(col).map_or(&[][..], Vec::as_slice);
+            let hits: Vec<bool> = table.iter().map(|v| value_matches(v, value)).collect();
+            tests.push((col, hits));
+        }
+        self.rows()
+            .filter(|row| {
+                tests.iter().all(|(col, hits)| {
+                    let hit = row
+                        .cells
+                        .get(*col)
+                        .and_then(|&cell| hits.get(cell as usize));
+                    hit.is_some_and(|&hit| hit)
                 })
             })
             .collect()
+    }
+
+    /// Every record, in store order.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        let width = self.names.len();
+        (0..self.rows).map(move |r| Row {
+            store: self,
+            cells: self
+                .cells
+                .get(r * width..(r + 1) * width)
+                .unwrap_or_default(),
+        })
+    }
+
+    /// The column holding field `name`.
+    fn column(&self, name: &str) -> Option<usize> {
+        self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()
+    }
+
+    /// The value cell `cell` of column `col` points at.
+    fn value(&self, col: usize, cell: u32) -> Option<&str> {
+        let table = self.tables.get(col)?;
+        table.get(cell as usize).map(String::as_str)
+    }
+
+    /// Add field `name` as column `at`, lacking from every record so far.
+    fn insert_column(&mut self, at: usize, name: &str) {
+        let mut cells = Vec::with_capacity(self.rows * (self.names.len() + 1));
+        for row in self.rows() {
+            let (before, after) = row.cells.split_at(at.min(row.cells.len()));
+            cells.extend_from_slice(before);
+            cells.push(ABSENT);
+            cells.extend_from_slice(after);
+        }
+        self.cells = cells;
+        self.names.insert(at, name.to_string());
+        self.tables.insert(at, Vec::new());
     }
 }
 
@@ -133,24 +311,17 @@ mod tests {
         ])
     }
 
-    fn constraints(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
-        pairs
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-            .collect()
-    }
-
     #[test]
     fn exact_match() {
         let s = flights();
-        assert_eq!(s.query(&constraints(&[("from", "Chicago")])).len(), 2);
-        assert_eq!(s.query(&constraints(&[("from", "chicago")])).len(), 2);
+        assert_eq!(s.query([("from", "Chicago")]).len(), 2);
+        assert_eq!(s.query([("from", "chicago")]).len(), 2);
     }
 
     #[test]
     fn conjunctive_constraints() {
         let s = flights();
-        let got = s.query(&constraints(&[("from", "Chicago"), ("to", "Boston")]));
+        let got = s.query([("from", "Chicago"), ("to", "Boston")]);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].get("airline"), Some("United"));
     }
@@ -158,23 +329,20 @@ mod tests {
     #[test]
     fn ill_typed_value_selects_nothing() {
         let s = flights();
-        assert!(s.query(&constraints(&[("from", "January")])).is_empty());
+        assert!(s.query([("from", "January")]).is_empty());
     }
 
     #[test]
     fn empty_values_are_unconstrained() {
         let s = flights();
-        assert_eq!(
-            s.query(&constraints(&[("from", ""), ("to", "  ")])).len(),
-            3
-        );
-        assert_eq!(s.query(&constraints(&[])).len(), 3);
+        assert_eq!(s.query([("from", ""), ("to", "  ")]).len(), 3);
+        assert_eq!(s.query([]).len(), 3);
     }
 
     #[test]
     fn unknown_field_never_matches() {
         let s = flights();
-        assert!(s.query(&constraints(&[("color", "red")])).is_empty());
+        assert!(s.query([("color", "red")]).is_empty());
     }
 
     #[test]
@@ -183,8 +351,8 @@ mod tests {
             "title",
             "The Art of Computer Programming",
         )])]);
-        assert_eq!(s.query(&constraints(&[("title", "computer")])).len(), 1);
-        assert_eq!(s.query(&constraints(&[("title", "biology")])).len(), 0);
+        assert_eq!(s.query([("title", "computer")]).len(), 1);
+        assert_eq!(s.query([("title", "biology")]).len(), 0);
     }
 
     /// The matcher before it went allocation-free: lowercase both trimmed
@@ -297,20 +465,18 @@ mod tests {
                     r
                 })
                 .collect();
-            let store = RecordStore::new(records);
+            let store = RecordStore::new(records.clone());
             let mut constraints = BTreeMap::new();
             for _ in 0..rng.gen_range(0usize..3) {
                 let name = pick(rng, &["from", "to", "airline", "color"]);
-                let base = store
-                    .records
-                    .get(rng.gen_range(0..store.len().max(1)))
+                let base = records
+                    .get(rng.gen_range(0..records.len().max(1)))
                     .and_then(|r| r.get(name))
                     .map_or_else(|| pick(rng, WORDS).to_string(), str::to_string);
                 constraints.insert(name.to_string(), query_value(rng, &base));
             }
-            // compare by address: the same records, in store order
-            let want: Vec<*const Record> = store
-                .records
+            // the same records' fields, in store order
+            let want: Vec<Vec<(&str, &str)>> = records
                 .iter()
                 .filter(|r| {
                     constraints.iter().all(|(name, value)| {
@@ -319,17 +485,93 @@ mod tests {
                                 .is_some_and(|rv| reference_value_matches(rv, value))
                     })
                 })
-                .map(std::ptr::from_ref)
+                .map(|r| r.iter().collect())
                 .collect();
-            let got: Vec<*const Record> = store
-                .query(&constraints)
-                .into_iter()
-                .map(std::ptr::from_ref)
+            let got: Vec<Vec<(&str, &str)>> = store
+                .query(constraints.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+                .iter()
+                .map(|r| r.iter().collect())
                 .collect();
             selected += want.len();
             assert_eq!(got, want, "{constraints:?}");
         });
         assert!(selected > 600, "{selected}");
+    }
+
+    #[test]
+    fn a_store_without_fields_keeps_its_records() {
+        let s = RecordStore::new(vec![Record::default(); 3]);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.query([]).len(), 3);
+        assert_eq!(s.query([("from", " ")]).len(), 3);
+        assert!(s.query([("from", "Chicago")]).is_empty());
+        let built = RecordStore::from_columns(Vec::new(), 150, |_| Some(0));
+        assert_eq!(built.query([]).len(), 150);
+        assert!(built.query([]).iter().all(|r| r.iter().next().is_none()));
+    }
+
+    #[test]
+    fn a_store_without_records_answers_nothing() {
+        let s = RecordStore::from_columns(vec![("from".into(), vec!["Chicago".into()])], 0, |_| {
+            panic!("no record to draw for")
+        });
+        assert!(s.is_empty());
+        assert!(s.query([]).is_empty());
+        assert!(s.query([("from", "Chicago")]).is_empty());
+    }
+
+    #[test]
+    fn a_field_pushed_late_is_lacked_by_earlier_records() {
+        let mut s = flights();
+        s.push(Record::new([("from", "Chicago"), ("class", "Economy")]));
+        let economy = s.query([("class", "economy")]);
+        assert_eq!(economy.len(), 1);
+        assert_eq!(
+            economy[0].iter().collect::<Vec<_>>(),
+            [("class", "Economy"), ("from", "Chicago")]
+        );
+        assert_eq!(s.query([("from", "Chicago")]).len(), 3);
+        let first = s.query([("airline", "United")]);
+        assert_eq!(first[0].get("class"), None);
+        assert_eq!(first[0].iter().count(), 3);
+    }
+
+    #[test]
+    fn columns_sort_by_name_and_a_repeated_name_keeps_the_last_value() {
+        let columns = vec![
+            ("to".to_string(), vec!["Boston".to_string()]),
+            (
+                "from".to_string(),
+                vec!["Chicago".to_string(), "Denver".to_string()],
+            ),
+            ("to".to_string(), vec!["Miami".to_string()]),
+        ];
+        // record 0: both `to` columns draw, the second wins; record 1:
+        // the second draws nothing, so the first holds; record 2: the
+        // draws fall past their tables
+        let draws = [
+            Some(0),
+            Some(1),
+            Some(0),
+            Some(0),
+            Some(0),
+            None,
+            Some(2),
+            Some(2),
+            Some(1),
+        ];
+        let mut next = draws.iter().copied();
+        let s = RecordStore::from_columns(columns, 3, |_| next.next().flatten());
+        let rows: Vec<Vec<(&str, &str)>> = s.query([]).iter().map(|r| r.iter().collect()).collect();
+        assert_eq!(
+            rows,
+            [
+                vec![("from", "Denver"), ("to", "Miami")],
+                vec![("from", "Chicago"), ("to", "Boston")],
+                vec![],
+            ]
+        );
+        assert_eq!(s.query([("to", "Boston")]).len(), 1);
     }
 
     #[test]

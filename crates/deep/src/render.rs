@@ -7,10 +7,12 @@
 
 use webiq_html::entities;
 
-use crate::record::Record;
+use crate::record::Row;
 
-/// Render a result-listing page with one table row per record.
-pub fn results_page(source_name: &str, records: &[&Record]) -> String {
+/// Render a result-listing page with one table row per record: a header
+/// of the first record's field names, then each record's values, both in
+/// name order.
+pub fn results_page(source_name: &str, records: &[Row<'_>]) -> String {
     let mut html = String::with_capacity(256 + records.len() * 128);
     html.push_str("<html><head><title>");
     html.push_str(&entities::encode(source_name));
@@ -74,12 +76,15 @@ pub fn server_error_page() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{Record, RecordStore};
 
     #[test]
     fn results_page_contains_rows() {
-        let r1 = Record::new([("from", "Chicago"), ("to", "Boston")]);
-        let r2 = Record::new([("from", "Chicago"), ("to", "Denver")]);
-        let html = results_page("AcmeAir", &[&r1, &r2]);
+        let store = RecordStore::new(vec![
+            Record::new([("from", "Chicago"), ("to", "Boston")]),
+            Record::new([("from", "Chicago"), ("to", "Denver")]),
+        ]);
+        let html = results_page("AcmeAir", &store.query([]));
         assert!(html.contains("Found 2 matching results"));
         assert_eq!(html.matches("<tr class=\"result\">").count(), 2);
         assert!(html.contains("<td>Chicago</td>"));
@@ -87,8 +92,8 @@ mod tests {
 
     #[test]
     fn results_page_escapes_values() {
-        let r = Record::new([("title", "AT&T <Guide>")]);
-        let html = results_page("Books", &[&r]);
+        let store = RecordStore::new(vec![Record::new([("title", "AT&T <Guide>")])]);
+        let html = results_page("Books", &store.query([]));
         assert!(html.contains("AT&amp;T &lt;Guide&gt;"));
     }
 

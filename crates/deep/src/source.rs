@@ -19,7 +19,7 @@ use webiq_fault::{FaultPlan, Fnv64};
 use webiq_trace::Counter;
 
 use crate::error::DeepError;
-use crate::record::{Record, RecordStore};
+use crate::record::{RecordStore, Row};
 use crate::render;
 
 /// How (and whether) the source injects failures.
@@ -126,7 +126,7 @@ impl DeepSource {
     /// [`Counter::ProbesIssued`] plus exactly one outcome-class counter.
     /// Failure injection is a pure function of the parameters, so these
     /// tallies are deterministic and safe for the trace event stream.
-    pub fn try_submit(&self, values: &BTreeMap<String, String>) -> Result<Vec<&Record>, DeepError> {
+    pub fn try_submit(&self, values: &BTreeMap<String, String>) -> Result<Vec<Row<'_>>, DeepError> {
         self.try_submit_attempt(values, 0)
     }
 
@@ -138,7 +138,7 @@ impl DeepSource {
         &self,
         values: &BTreeMap<String, String>,
         attempt: u32,
-    ) -> Result<Vec<&Record>, DeepError> {
+    ) -> Result<Vec<Row<'_>>, DeepError> {
         self.probes.fetch_add(1, Ordering::Relaxed);
         webiq_trace::incr(Counter::ProbesIssued);
         let result = self.serve(values, attempt);
@@ -157,7 +157,7 @@ impl DeepSource {
         &self,
         values: &BTreeMap<String, String>,
         attempt: u32,
-    ) -> Result<Vec<&Record>, DeepError> {
+    ) -> Result<Vec<Row<'_>>, DeepError> {
         match &self.injection {
             Injection::None => {}
             Injection::LegacyRate(rate) => {
@@ -206,13 +206,12 @@ impl DeepSource {
 
         // Unknown parameter names are ignored by real CGI endpoints; only
         // known ones constrain the query.
-        let known: BTreeMap<String, String> = values
+        let known = values
             .iter()
             .filter(|(k, _)| self.params.iter().any(|p| &p.name == *k))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+            .map(|(k, v)| (k.as_str(), v.as_str()));
 
-        Ok(self.store.query(&known))
+        Ok(self.store.query(known))
     }
 
     /// [`DeepSource::try_submit`] rendered the way a browser would see

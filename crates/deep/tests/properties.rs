@@ -191,12 +191,13 @@ fn results_page(rng: &mut StdRng) -> String {
     let values: Vec<String> = (0..rng.gen_range(0usize..=40))
         .map(|_| rng.gen_string(cs, 0, 16))
         .collect();
-    let records: Vec<Record> = values
-        .iter()
-        .map(|v| Record::new([("name", v.as_str()), ("note", "a&b <c> \"d\"")]))
-        .collect();
-    let refs: Vec<&Record> = records.iter().collect();
-    render::results_page("Books & <More>", &refs)
+    let store = RecordStore::new(
+        values
+            .iter()
+            .map(|v| Record::new([("name", v.as_str()), ("note", "a&b <c> \"d\"")]))
+            .collect(),
+    );
+    render::results_page("Books & <More>", &store.query([]))
 }
 
 /// Classification from the token stream equals the DOM walk on rendered

@@ -628,7 +628,7 @@ fn hash_iter_at<'a>(sig: &'a [Tok], i: usize, hash_names: &[String]) -> Option<(
 }
 
 /// Does the statement containing the call at `open_paren` later re-sort
-/// or reduce the stream (a [`SANCTIONED`] ident before the statement
+/// or reduce the stream (a `SANCTIONED` ident before the statement
 /// ends)?
 pub fn statement_sanctioned(sig: &[Tok], open_paren: usize) -> bool {
     let mut depth = 0i64;

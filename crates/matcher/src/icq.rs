@@ -1,7 +1,7 @@
 //! The IceQ-style interface matcher (§5).
 //!
 //! `Sim(A, B) = α · LabelSim(A, B) + β · DomSim(A, B)` with α = 0.6 and
-//! β = 0.4 (the paper's settings, taken from [28]); attributes are grouped
+//! β = 0.4 (the paper's settings, taken from \[28\]); attributes are grouped
 //! by constrained agglomerative clustering with threshold τ (0 for the
 //! unthresholded runs, 0.1 for the thresholded ones).
 

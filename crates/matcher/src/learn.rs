@@ -5,7 +5,7 @@
 //! to automatically learn a thresholding value. However, in the current
 //! implementation we employ only the automatic version of IceQ, and set
 //! the threshold manually" — to 0.1, "about the average of the thresholds
-//! learned for the five domains in [28]".
+//! learned for the five domains in \[28\]".
 //!
 //! This module implements the learning loop the paper references: a small
 //! budget of match/no-match questions to an oracle (the user in IceQ; any

@@ -311,14 +311,24 @@ fn fmt_opt(v: Option<f64>) -> String {
 
 /// Parse a JSONL trace, reporting the first malformed line by number.
 /// Blank lines are tolerated (a trailing newline is not an error); any
-/// other unparseable line is.
+/// other unparseable line is, and so is a close whose span is not open
+/// at that point of the stream (or a second open of one span id): a
+/// trace that lost an open line would otherwise diff as a counter
+/// change. A decision needs no open span, since a decision stream holds
+/// decisions only.
 pub fn parse_jsonl(label: &str, text: &str) -> Result<Vec<Event>, ObsError> {
     let mut events = Vec::new();
+    let mut open = BTreeSet::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        match Event::parse(line) {
+        let event = Event::parse(line).filter(|e| match e {
+            Event::Open { id, .. } => open.insert(*id),
+            Event::Close { id, .. } => open.remove(id),
+            Event::Decision { .. } => true,
+        });
+        match event {
             Some(e) => events.push(e),
             None => {
                 return Err(ObsError::MalformedTrace {
@@ -581,6 +591,26 @@ mod tests {
         // Blank lines are fine.
         let text = format!("{}\n\n{}\n", good[0].to_jsonl(), good[1].to_jsonl());
         assert_eq!(parse_jsonl("t.jsonl", &text).map(|v| v.len()), Ok(2));
+    }
+
+    #[test]
+    fn parse_jsonl_rejects_a_close_whose_span_is_not_open() {
+        let good = run(1, 1, 1);
+        let (open, close) = (good[0].to_jsonl(), good[1].to_jsonl());
+        let decision = r#"{"ev":"decision","seq":9,"id":7,"kind":"k","subject":"s","verdict":"accept","t":{}}"#;
+        for (text, line) in [
+            (format!("{close}\n"), 1),
+            (format!("{open}\n{close}\n{close}\n"), 3),
+            (format!("{open}\n{open}\n{close}\n"), 2),
+        ] {
+            match parse_jsonl("t.jsonl", &text) {
+                Err(ObsError::MalformedTrace { line: at, .. }) => assert_eq!(at, line, "{text}"),
+                other => panic!("expected MalformedTrace, got {other:?}"),
+            }
+        }
+        // decisions stand without their span
+        let text = format!("{decision}\n{open}\n{decision}\n{close}\n");
+        assert_eq!(parse_jsonl("t.jsonl", &text).map(|v| v.len()), Ok(4));
     }
 
     #[test]

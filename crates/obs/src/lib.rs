@@ -21,7 +21,7 @@
 //!   ring of recent epoch snapshots and reports the counter delta across
 //!   the window, so "what happened lately" is answerable without
 //!   re-reading a whole trace.
-//! - **Regression gating** ([`diff`]): [`diff::diff`] aggregates two
+//! - **Regression gating** ([`diff`](mod@diff)): [`diff::diff`] aggregates two
 //!   JSONL traces ([`webiq_trace::report::aggregate_run`]) and lists
 //!   every counter, funnel-stage rate and histogram quantile that
 //!   differs. The pipeline is deterministic, so any delta is a

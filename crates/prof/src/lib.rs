@@ -1,6 +1,6 @@
 //! # webiq-prof — always-on performance attribution for WebIQ
 //!
-//! The layer *beside* [`webiq-trace`]: where trace records what the
+//! The layer *beside* `webiq-trace`: where trace records what the
 //! pipeline *did* (deterministically, byte-identical at any worker
 //! count), prof records what it *cost* — lock contention, cache
 //! effectiveness, per-worker load balance, and per-stage wall-clock.

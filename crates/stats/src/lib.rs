@@ -7,7 +7,7 @@
 //!   date) and the 80 %-majority numeric-domain rule of §2.2;
 //! - [`outlier`] — discordancy tests over the §2.2 test statistics
 //!   (value; word count, capital count, length, numeric-character share);
-//! - [`pmi`] — pointwise mutual information over hit counts;
+//! - [`pmi`](mod@pmi) — pointwise mutual information over hit counts;
 //! - [`entropy`] — entropy and information-gain threshold estimation for
 //!   the validation-based classifier (§3.2);
 //! - [`bayes`] — Laplace-smoothed binary naive Bayes (Formula 1).

@@ -16,7 +16,7 @@ use crate::types::{domain_type, numeric_value, DomainType, NUMERIC_MAJORITY};
 pub const SIGMA_CUTOFF: f64 = 3.0;
 
 /// Which discordancy test to run (both from Barnett & Lewis, the paper's
-/// citation [4]).
+/// citation \[4\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DiscordancyTest {
     /// The paper's operational rule: a candidate is discordant when its

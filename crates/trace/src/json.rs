@@ -9,7 +9,8 @@
 //!   JSONL trace wire format ([`crate::Event::to_jsonl`]).
 //!
 //! [`Json::parse`] reads both forms back. Integers without a fraction
-//! or exponent stay exact ([`Json::Int`]); everything else is an `f64`.
+//! or exponent stay exact ([`Json::Int`], or [`Json::UInt`] past
+//! `i64::MAX`); everything else is an `f64`.
 //! `-0` is read as the float `-0.0`, since that is how the compact form
 //! writes it.
 //!
@@ -28,6 +29,9 @@ pub enum Json {
     Bool(bool),
     /// An integer (kept apart from floats so counters print exactly).
     Int(i64),
+    /// An integer past `i64::MAX`; [`Json::from`] and the parser keep
+    /// every smaller one a [`Json::Int`].
+    UInt(u64),
     /// A float; non-finite values render as `null` per RFC 8259.
     Num(f64),
     /// A string.
@@ -50,7 +54,7 @@ impl From<i64> for Json {
 }
 impl From<u64> for Json {
     fn from(v: u64) -> Self {
-        i64::try_from(v).map_or(Json::Num(v as f64), Json::Int)
+        i64::try_from(v).map_or(Json::UInt(v), Json::Int)
     }
 }
 impl From<usize> for Json {
@@ -127,14 +131,9 @@ pub(crate) fn write_float(out: &mut String, v: f64, point: bool) {
     }
 }
 
-/// Append `v` as [`Json::from`] writes it compact: an integer while it
-/// fits an `i64`, a float beyond.
+/// Append `v` as [`Json::from`] writes it: an exact integer.
 pub(crate) fn write_uint(out: &mut String, v: u64) {
-    if i64::try_from(v).is_ok() {
-        let _ = write!(out, "{v}");
-    } else {
-        write_float(out, v as f64, false);
-    }
+    let _ = write!(out, "{v}");
 }
 
 impl Json {
@@ -162,6 +161,7 @@ impl Json {
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
+            Json::UInt(u) => write_uint(out, *u),
             Json::Num(v) => write_float(out, *v, indent.is_some()),
             Json::Str(s) => escape_str(out, s),
             Json::Arr(items) => write_seq(out, indent, ('[', ']'), items, |out, item, inner| {
@@ -208,6 +208,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::UInt(u) => Some(*u as f64),
             Json::Num(v) => Some(*v),
             _ => None,
         }
@@ -217,6 +218,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(i) => u64::try_from(*i).ok(),
+            Json::UInt(u) => Some(*u),
             _ => None,
         }
     }
@@ -373,7 +375,8 @@ impl Parser<'_> {
     }
 
     /// A number: exact [`Json::Int`] when written without fraction or
-    /// exponent and in `i64` range (`-0` excepted), else a finite float.
+    /// exponent and in `i64` range (`-0` excepted), [`Json::UInt`] past
+    /// it up to `u64::MAX`, else a finite float.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
         while matches!(
@@ -388,6 +391,9 @@ impl Parser<'_> {
                 if i != 0 || !text.starts_with('-') {
                     return Ok(Json::Int(i));
                 }
+            }
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Json::UInt(u));
             }
         }
         text.parse::<f64>()
@@ -478,8 +484,10 @@ mod tests {
             r#"{"name":"a\"b\nc\u0001","runs":[1,-2],"empty":[],"inner":{"ok":true,"none":null},"whole":3,"neg_zero":-0,"nan":null}"#
         );
         assert_eq!(Json::from(0.0042).compact(), "0.0042");
-        // beyond i64: still serialises (as a float) rather than panicking
-        assert!(matches!(Json::from(u64::MAX), Json::Num(_)));
+        // beyond i64: still an exact integer
+        assert_eq!(Json::from(u64::MAX), Json::UInt(u64::MAX));
+        assert_eq!(Json::from(u64::MAX).compact(), "18446744073709551615");
+        assert_eq!(Json::from(1u64 << 63).pretty(), "9223372036854775808");
     }
 
     #[test]
@@ -497,8 +505,12 @@ mod tests {
         assert_eq!(Json::parse(&v.pretty()), Ok(v.clone()));
         assert_eq!(Json::parse(&v.compact()), Ok(v));
         assert_eq!(Json::parse(" 1e3 "), Ok(Json::Num(1000.0)));
-        let past_i64 = Json::parse("18446744073709551616");
-        assert_eq!(past_i64, Ok(Json::Num(2f64.powi(64))));
+        for v in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            let back = Json::parse(&Json::from(v).compact());
+            assert_eq!(back.map(|j| j.as_u64()), Ok(Some(v)));
+        }
+        let past_u64 = Json::parse("18446744073709551616");
+        assert_eq!(past_u64, Ok(Json::Num(2f64.powi(64))));
         // the compact form writes whole floats as integers and -0.0 as
         // `-0`; both must come back bit for bit
         for v in [-3.5, 17.0, 1e-9, f64::MIN_POSITIVE, 1e300, -0.0] {

@@ -95,7 +95,9 @@ pub fn aggregate(events: &[Event]) -> MetricSet {
 /// histogram deltas of all root spans (parent-less), plus every span
 /// name's counters over all its closes. This is what `webiq-report
 /// diff` compares two runs by. A close with no matching open counts
-/// nowhere.
+/// nowhere here; `webiq-report` never passes one, since its reader
+/// (`webiq_obs::parse_jsonl`) rejects such a trace as malformed, naming
+/// the close's line.
 pub fn aggregate_run(events: &[Event]) -> Totals {
     let mut opens: HashMap<u64, (&str, bool)> = HashMap::new();
     for e in events {

@@ -64,8 +64,7 @@ fn float(rng: &mut StdRng) -> f64 {
     }
 }
 
-/// A small count, or any `u64` (past `i64::MAX` the codec writes a
-/// float).
+/// A small count, or any `u64` (past `i64::MAX` too).
 fn count(rng: &mut StdRng) -> u64 {
     if rng.gen_bool(0.2) {
         rng.next_u64()
@@ -125,20 +124,12 @@ fn event(rng: &mut StdRng) -> Event {
     }
 }
 
-/// Whether [`Event::parse`] reads the event back: every float finite
-/// and every integer within `i64`.
+/// Whether [`Event::parse`] reads the event back: every float finite.
 fn parses_back(e: &Event) -> bool {
-    let small = |v: u64| i64::try_from(v).is_ok();
-    small(e.seq())
-        && small(e.id())
-        && match e {
-            Event::Open { parent, .. } => parent.is_none_or(small),
-            Event::Close { metrics, hists, .. } => {
-                metrics.iter().all(|&(_, v)| small(v))
-                    && hists.iter().all(|(_, b)| b.iter().all(|&v| small(v)))
-            }
-            Event::Decision { terms, .. } => terms.iter().all(|(_, v)| v.is_finite()),
-        }
+    match e {
+        Event::Decision { terms, .. } => terms.iter().all(|(_, v)| v.is_finite()),
+        Event::Open { .. } | Event::Close { .. } => true,
+    }
 }
 
 #[test]

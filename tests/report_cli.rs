@@ -286,6 +286,40 @@ fn malformed_trace_reports_file_and_line() {
 }
 
 #[test]
+fn a_trace_missing_an_open_line_is_malformed_and_exits_2() {
+    // Without line 4, the first `bayes_verify` span's open, its close
+    // (line 20, line 19 of the copy) closes a span that never opened.
+    // The decisions between them keep their span id and stay valid.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let base = root.join("OBS_BASELINE.jsonl");
+    let baseline = std::fs::read_to_string(&base).expect("baseline");
+    let lines: Vec<&str> = baseline.lines().collect();
+    assert!(
+        lines[3].starts_with(r#"{"ev":"open","seq":3,"id":3,"#),
+        "{}",
+        lines[3]
+    );
+    assert!(
+        lines[19].starts_with(r#"{"ev":"close","seq":19,"id":3,"#),
+        "{}",
+        lines[19]
+    );
+    let lost: String = lines
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != 3)
+        .map(|(_, line)| format!("{line}\n"))
+        .collect();
+    let cand = temp_trace("lost-open", &lost);
+    let out = report(&["diff", path_str(&base), path_str(&cand)]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    let err = stderr(&out);
+    let expected = format!("{}:19: not a valid trace event", path_str(&cand));
+    assert!(err.contains(&expected), "{err}");
+    std::fs::remove_file(&cand).expect("cleanup");
+}
+
+#[test]
 fn decisions_diff_of_identical_streams_exits_0() {
     let path = temp_trace("dident", &decision_trace("accept", 0.81));
     let out = report(&["diff", "--decisions", path_str(&path), path_str(&path)]);
