@@ -4,7 +4,7 @@
 //! *cost* side of each choice; the `experiments ablations` binary reports
 //! the accuracy side.
 
-use webiq::core::{surface, Components, DomainInfo, WebIQConfig};
+use webiq::core::{surface, CompletionMemo, Components, DomainInfo, WebIQConfig};
 use webiq::pipeline::DomainPipeline;
 use webiq_bench::timing::{black_box, Criterion};
 use webiq_bench::{criterion_group, criterion_main};
@@ -42,7 +42,10 @@ fn bench_surface_ablations(c: &mut Criterion) {
     group.sample_size(10);
     for (name, cfg) in &variants {
         group.bench_function(*name, |b| {
-            b.iter(|| black_box(surface::discover(&p.engine, "Make", &info, cfg)));
+            b.iter(|| {
+                let memo = CompletionMemo::new();
+                black_box(surface::discover(&p.engine, "Make", &info, cfg, &memo))
+            });
         });
     }
     group.finish();

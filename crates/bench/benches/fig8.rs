@@ -4,7 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use webiq::core::{attr_deep, attr_surface, surface, Components, DomainInfo, WebIQConfig};
+use webiq::core::{
+    attr_deep, attr_surface, surface, CompletionMemo, Components, DomainInfo, WebIQConfig,
+};
 use webiq::matcher::MatchConfig;
 use webiq::pipeline::DomainPipeline;
 use webiq_bench::timing::{black_box, Criterion};
@@ -28,7 +30,16 @@ fn bench_components(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("surface_discover_one_attr", |b| {
-        b.iter(|| black_box(surface::discover(&p.engine, "Departure city", &info, &cfg)));
+        b.iter(|| {
+            let memo = CompletionMemo::new();
+            black_box(surface::discover(
+                &p.engine,
+                "Departure city",
+                &info,
+                &cfg,
+                &memo,
+            ))
+        });
     });
 
     let positives: Vec<String> = ["Air Canada", "American", "Delta", "United"]

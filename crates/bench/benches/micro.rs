@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the hot substrate operations: POS tagging, label
 //! classification, stemming, corpus generation, index building,
-//! search-engine queries, PMI validation,
-//! outlier removal, naive-Bayes training, HTML form extraction,
+//! search-engine queries, snippet extraction, PMI validation,
+//! outlier removal, naive-Bayes training, HTML lexing and form extraction,
 //! Deep-Web source building and probing, response-page classification,
 //! the §5 very-similar value test, the
 //! pairwise similarity the matcher computes O(n²) times, and one traced
@@ -9,13 +9,15 @@
 
 use std::collections::BTreeMap;
 
-use webiq::core::{patterns, verify};
+use webiq::core::extract::{self, CompletionMemo};
+use webiq::core::{patterns, verify, DomainInfo, WebIQConfig};
 use webiq::data::records::{build_deep_source, RecordOptions};
 use webiq::data::{corpus, generate_domain, kb, GenOptions};
 use webiq::deep::{
     analyze_response, render, DeepSource, ParamDomain, Record, RecordStore, SubmissionOutcome,
 };
 use webiq::html::form::extract_forms;
+use webiq::html::Tokens;
 use webiq::matcher::domsim::ValueSet;
 use webiq::matcher::{similarity, MatchAttribute, MatchConfig};
 use webiq::nlp::{chunk, pos, stem};
@@ -117,6 +119,31 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// §2.1 extraction for airfare's `Departure city`: eight queries and the
+/// completions of every snippet, with a fresh memo (every snippet tagged)
+/// and with a memo the same label already filled (every snippet looked up).
+fn bench_extraction(c: &mut Criterion) {
+    let e = engine();
+    let def = kb::domain("airfare").expect("domain");
+    let info = DomainInfo {
+        object: def.object.to_string(),
+        domain_terms: def.domain_terms.iter().map(|s| (*s).to_string()).collect(),
+        sibling_terms: Vec::new(),
+    };
+    let cfg = WebIQConfig::default();
+    let run = |memo: &CompletionMemo| {
+        extract::extract_candidates(&e, black_box("Departure city"), &info, &cfg, memo)
+    };
+    c.bench_function("core/extract_candidates", |b| {
+        b.iter(|| run(&CompletionMemo::new()));
+    });
+    let filled = CompletionMemo::new();
+    assert!(!run(&filled).candidates.is_empty());
+    c.bench_function("core/extract_candidates_filled_memo", |b| {
+        b.iter(|| run(&filled));
+    });
+}
+
 fn bench_verification(c: &mut Criterion) {
     let e = engine();
     let np = webiq::core::extract::primary_noun_phrase("Airline").expect("np");
@@ -145,6 +172,24 @@ fn bench_html(c: &mut Criterion) {
     c.bench_function("html/extract_form", |b| {
         b.iter(|| extract_forms(black_box(&html)));
     });
+
+    // the borrowing token pass over a ten-row results page
+    let page = render::results_page("AcmeAir", &ten_row_store().query([]));
+    c.bench_function("html/tokens", |b| {
+        b.iter(|| Tokens::new(black_box(&page)).count());
+    });
+}
+
+/// Ten records of a departure city and an airline.
+fn ten_row_store() -> RecordStore {
+    RecordStore::new(
+        kb::pools::CITIES
+            .iter()
+            .zip(kb::pools::AIRLINES_NA)
+            .take(10)
+            .map(|(city, airline)| Record::new([("from", *city), ("airline", *airline)]))
+            .collect(),
+    )
 }
 
 fn bench_deep(c: &mut Criterion) {
@@ -195,15 +240,7 @@ fn bench_deep(c: &mut Criterion) {
         b.iter(|| (probe(black_box(value)), probe(black_box("January"))));
     });
 
-    let store = RecordStore::new(
-        kb::pools::CITIES
-            .iter()
-            .zip(kb::pools::AIRLINES_NA)
-            .take(10)
-            .map(|(city, airline)| Record::new([("from", *city), ("airline", *airline)]))
-            .collect(),
-    );
-    let results = render::results_page("AcmeAir", &store.query([]));
+    let results = render::results_page("AcmeAir", &ten_row_store().query([]));
     c.bench_function("deep/analyze_results_page", |b| {
         b.iter(|| analyze_response(black_box(&results)));
     });
@@ -291,7 +328,7 @@ fn bench_trace(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_nlp, bench_engine, bench_verification, bench_html, bench_deep, bench_similarity,
-        bench_trace
+    targets = bench_nlp, bench_engine, bench_extraction, bench_verification, bench_html, bench_deep,
+        bench_similarity, bench_trace
 }
 criterion_main!(benches);

@@ -37,7 +37,7 @@ use crate::attr_deep;
 use crate::attr_surface;
 use crate::config::{Components, WebIQConfig};
 use crate::error::WebIqError;
-use crate::extract::DomainInfo;
+use crate::extract::{CompletionMemo, DomainInfo};
 use crate::persist;
 use crate::resilience::{Resilience, ResilientEngine, ResilientSource};
 use crate::surface;
@@ -331,6 +331,9 @@ struct AcquireCtx<'a> {
     /// The run-wide query meter — the one shared piece of resilience
     /// state (one run, one API key).
     quota: &'a QuotaTracker,
+    /// The snippet completions this domain's attributes have extracted,
+    /// shared by the workers and dropped when `acquire` returns.
+    completions: &'a CompletionMemo,
 }
 
 /// A candidate reference that no longer resolves in the dataset — an
@@ -411,7 +414,7 @@ fn attribute_body<E: QueryEngine>(
             let mut attr_info = info.clone();
             attr_info.sibling_terms = sibling_terms(ds, r1);
             let result = webiq_prof::time(Stage::Extract, || {
-                surface::discover(engine, &a1.label, &attr_info, cfg)
+                surface::discover(engine, &a1.label, &attr_info, cfg, ctx.completions)
             });
             let delta = webiq_trace::snapshot().diff(&before);
             webiq_trace::add(Counter::SurfaceQueries, engine_queries(&delta));
@@ -630,6 +633,7 @@ pub fn acquire(
 
     let quota = QuotaTracker::new(fault.daily_quota);
     let table = AttrTable::new(ds);
+    let completions = CompletionMemo::new();
     let ctx = AcquireCtx {
         ds,
         table: &table,
@@ -640,6 +644,7 @@ pub fn acquire(
         cfg,
         fault: &fault,
         quota: &quota,
+        completions: &completions,
     };
     let items: Vec<(AttrRef, &Attribute)> = ds.attributes().collect();
     if let Some(obs) = &cfg.obs {

@@ -2,10 +2,13 @@
 //! query formulation, and candidate extraction from result snippets.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use webiq_nlp::chunk::{self, LabelForm, NounPhrase};
 use webiq_nlp::pos::{self, Tagged};
 use webiq_trace::Counter;
+use webiq_web::cache::ShardedMap;
 use webiq_web::QueryEngine;
 
 use crate::config::WebIQConfig;
@@ -153,6 +156,68 @@ pub fn completions(snippet: &str, pattern: &MaterializedPattern) -> Vec<String> 
     }
 }
 
+/// The [`completions`] one domain's acquisition has extracted, shared by
+/// its workers. Interfaces share labels, so most (snippet, pattern) pairs
+/// recur across attributes; each is tagged and parsed once. The key is
+/// exactly the inputs [`completions`] reads: the pattern's cue, side and
+/// kind, and the snippet text. Every value is a pure function of its key,
+/// so a worker that misses while another computes the same key inserts
+/// an equal value, and outputs never depend on which worker came first.
+#[derive(Default)]
+pub struct CompletionMemo {
+    map: ShardedMap<Arc<[String]>>,
+}
+
+impl CompletionMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`completions`] of `snippet` under `pattern`, computed once.
+    pub fn completions(&self, snippet: &str, pattern: &MaterializedPattern) -> Arc<[String]> {
+        let key = memo_key(snippet, pattern);
+        if let Some(hit) = self.map.get(&key) {
+            return hit;
+        }
+        let computed: Arc<[String]> = completions(snippet, pattern).into();
+        self.map.insert(key, Arc::clone(&computed));
+        computed
+    }
+
+    /// Distinct (snippet, pattern) keys held.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True when nothing has been extracted yet.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+}
+
+/// The memo key: side and kind as one byte each, the cue's length, the
+/// cue, then the snippet, so no two inputs share a key.
+fn memo_key(snippet: &str, pattern: &MaterializedPattern) -> String {
+    let side = match pattern.side {
+        CompletionSide::After => 'a',
+        CompletionSide::Before => 'b',
+    };
+    let kind = match pattern.kind {
+        PatternKind::Set => 's',
+        PatternKind::Singleton => '1',
+    };
+    let cue = &pattern.cue;
+    let mut key = String::with_capacity(cue.len() + snippet.len() + 8);
+    key.push(side);
+    key.push(kind);
+    // writing to a `String` cannot fail
+    let _ = write!(key, "{}:", cue.len());
+    key.push_str(cue);
+    key.push_str(snippet);
+    key
+}
+
 /// The NP list forming the *suffix* of a tagged sequence (completions that
 /// precede a cue, as in `NP₁, …, NPₙ, and other Ls`). A single trailing
 /// separator (the comma before `and other`) is tolerated.
@@ -198,12 +263,14 @@ fn plausible(text: &str, label_lower: &str) -> bool {
 
 /// Run the full extraction phase for one attribute label. Traced as an
 /// `extract` span; poses one [`Counter::ExtractQueries`] per query and
-/// tallies raw yields under [`Counter::CandidatesExtracted`].
+/// tallies raw yields under [`Counter::CandidatesExtracted`]. Every query
+/// is issued; each snippet's completions come from `memo`.
 pub fn extract_candidates<E: QueryEngine>(
     engine: &E,
     label: &str,
     info: &DomainInfo,
     cfg: &WebIQConfig,
+    memo: &CompletionMemo,
 ) -> ExtractionOutcome {
     let _span = webiq_trace::span("extract");
     let nps = label_noun_phrases(label);
@@ -221,8 +288,8 @@ pub fn extract_candidates<E: QueryEngine>(
             queries += 1;
             webiq_trace::incr(Counter::ExtractQueries);
             for snippet in engine.search(&query, cfg.snippets_per_query).iter() {
-                for text in completions(&snippet.text, &pattern) {
-                    if !plausible(&text, &label_lower) {
+                for text in memo.completions(&snippet.text, &pattern).iter() {
+                    if !plausible(text, &label_lower) {
                         continue;
                     }
                     let key = text.to_lowercase();
@@ -230,7 +297,10 @@ pub fn extract_candidates<E: QueryEngine>(
                         Some(&idx) => candidates[idx].count += 1,
                         None => {
                             seen.insert(key, candidates.len());
-                            candidates.push(Candidate { text, count: 1 });
+                            candidates.push(Candidate {
+                                text: text.clone(),
+                                count: 1,
+                            });
                         }
                     }
                 }
@@ -420,7 +490,13 @@ mod tests {
             "We feature such departure cities as Seattle and Atlanta. This page is about travel.",
             "This page is about gardening.",
         ]));
-        let outcome = extract_candidates(&engine, "Departure city", &info(), &cfg());
+        let outcome = extract_candidates(
+            &engine,
+            "Departure city",
+            &info(),
+            &cfg(),
+            &CompletionMemo::new(),
+        );
         let texts: Vec<&str> = outcome.candidates.iter().map(|c| c.text.as_str()).collect();
         assert!(texts.contains(&"Boston"), "{texts:?}");
         assert!(texts.contains(&"Seattle"), "{texts:?}");
@@ -430,7 +506,7 @@ mod tests {
     #[test]
     fn label_without_np_yields_nothing() {
         let engine = SearchEngine::new(Corpus::from_texts(["anything"]));
-        let outcome = extract_candidates(&engine, "From", &info(), &cfg());
+        let outcome = extract_candidates(&engine, "From", &info(), &cfg(), &CompletionMemo::new());
         assert!(outcome.candidates.is_empty());
         assert_eq!(outcome.queries, 0);
     }
@@ -441,7 +517,7 @@ mod tests {
             "cities such as Boston and Chicago. This page is about travel.",
             "more cities such as Boston and Denver here. This page is about travel.",
         ]));
-        let outcome = extract_candidates(&engine, "City", &info(), &cfg());
+        let outcome = extract_candidates(&engine, "City", &info(), &cfg(), &CompletionMemo::new());
         let boston = outcome
             .candidates
             .iter()
@@ -456,7 +532,13 @@ mod tests {
             "first names such as Alice and Bob. This page is about travel.",
             "last names such as Smith and Jones. This page is about travel.",
         ]));
-        let outcome = extract_candidates(&engine, "First name or last name", &info(), &cfg());
+        let outcome = extract_candidates(
+            &engine,
+            "First name or last name",
+            &info(),
+            &cfg(),
+            &CompletionMemo::new(),
+        );
         let texts: Vec<&str> = outcome.candidates.iter().map(|c| c.text.as_str()).collect();
         assert!(texts.contains(&"Alice"), "{texts:?}");
         assert!(texts.contains(&"Smith"), "{texts:?}");

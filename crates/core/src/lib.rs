@@ -70,6 +70,6 @@ pub mod verify;
 pub use acquire::{Acquisition, AcquisitionReport, ComponentCost};
 pub use config::{Components, WebIQConfig};
 pub use error::WebIqError;
-pub use extract::DomainInfo;
+pub use extract::{CompletionMemo, DomainInfo};
 pub use resilience::{Resilience, ResilientEngine, ResilientSource};
 pub use surface::SurfaceResult;

@@ -6,7 +6,7 @@ use webiq_trace::HistKey;
 use webiq_web::QueryEngine;
 
 use crate::config::WebIQConfig;
-use crate::extract::{self, DomainInfo};
+use crate::extract::{self, CompletionMemo, DomainInfo};
 use crate::patterns;
 use crate::verify::{self, ValidatedInstance};
 
@@ -41,14 +41,16 @@ impl SurfaceResult {
 /// Run the Surface component for `label`. Observes the per-attribute
 /// candidate yield in the `candidates_per_attr` trace histogram; the
 /// nested extraction and verification phases record their own spans and
-/// counters.
+/// counters. Extraction reads and fills `memo`, which may be shared by
+/// every attribute of a domain.
 pub fn discover<E: QueryEngine>(
     engine: &E,
     label: &str,
     info: &DomainInfo,
     cfg: &WebIQConfig,
+    memo: &CompletionMemo,
 ) -> SurfaceResult {
-    let outcome = extract::extract_candidates(engine, label, info, cfg);
+    let outcome = extract::extract_candidates(engine, label, info, cfg, memo);
     webiq_trace::observe(HistKey::CandidatesPerAttr, outcome.candidates.len() as u64);
     if outcome.candidates.is_empty() {
         return SurfaceResult {
@@ -94,7 +96,13 @@ mod tests {
     fn discovers_cities_for_departure_city() {
         let engine = airfare_engine();
         let cfg = WebIQConfig::default();
-        let result = discover(&engine, "Departure city", &airfare_info(), &cfg);
+        let result = discover(
+            &engine,
+            "Departure city",
+            &airfare_info(),
+            &cfg,
+            &CompletionMemo::new(),
+        );
         assert!(
             result.successful(cfg.k),
             "only {} instances: {:?}",
@@ -116,14 +124,26 @@ mod tests {
     fn prepositional_label_discovers_via_inner_np() {
         let engine = airfare_engine();
         let cfg = WebIQConfig::default();
-        let result = discover(&engine, "From city", &airfare_info(), &cfg);
+        let result = discover(
+            &engine,
+            "From city",
+            &airfare_info(),
+            &cfg,
+            &CompletionMemo::new(),
+        );
         assert!(!result.instances.is_empty(), "no instances for 'From city'");
     }
 
     #[test]
     fn bare_preposition_fails_fast() {
         let engine = airfare_engine();
-        let result = discover(&engine, "From", &airfare_info(), &WebIQConfig::default());
+        let result = discover(
+            &engine,
+            "From",
+            &airfare_info(),
+            &WebIQConfig::default(),
+            &CompletionMemo::new(),
+        );
         assert!(result.instances.is_empty());
         assert_eq!(result.extraction_queries, 0);
     }
@@ -132,7 +152,13 @@ mod tests {
     fn airline_discovery_spans_both_pools() {
         let engine = airfare_engine();
         let cfg = WebIQConfig::default();
-        let result = discover(&engine, "Airline", &airfare_info(), &cfg);
+        let result = discover(
+            &engine,
+            "Airline",
+            &airfare_info(),
+            &cfg,
+            &CompletionMemo::new(),
+        );
         assert!(result.successful(cfg.k), "got {:?}", result.texts());
         let texts = result.texts();
         let has = |pool: &[&str]| {
@@ -151,6 +177,7 @@ mod tests {
             "Spacecraft registry",
             &airfare_info(),
             &WebIQConfig::default(),
+            &CompletionMemo::new(),
         );
         assert!(result.instances.is_empty());
     }
@@ -163,6 +190,7 @@ mod tests {
             "Departure city",
             &airfare_info(),
             &WebIQConfig::default(),
+            &CompletionMemo::new(),
         );
         assert!(result.instances.is_empty());
         assert!(result.extraction_queries > 0);

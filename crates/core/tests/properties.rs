@@ -2,7 +2,7 @@
 //! invariants of the extraction/verification pipeline, and probing-rule
 //! arithmetic.
 
-use webiq_core::{extract, patterns, surface, verify, DomainInfo, WebIQConfig};
+use webiq_core::{extract, patterns, surface, verify, CompletionMemo, DomainInfo, WebIQConfig};
 use webiq_rng::prop;
 use webiq_web::{Corpus, SearchEngine};
 
@@ -32,7 +32,8 @@ fn extraction_total_on_arbitrary_labels() {
             sibling_terms: Vec::new(),
         };
         let cfg = WebIQConfig::default();
-        let outcome = extract::extract_candidates(&engine, &label, &info, &cfg);
+        let outcome =
+            extract::extract_candidates(&engine, &label, &info, &cfg, &CompletionMemo::new());
         // 8 patterns per noun phrase; conjunction labels have at most a
         // handful of NPs
         assert!(outcome.queries <= 8 * 8);
@@ -59,7 +60,13 @@ fn surface_respects_k_and_ordering() {
             k,
             ..WebIQConfig::default()
         };
-        let result = surface::discover(&engine, "Departure city", &info, &cfg);
+        let result = surface::discover(
+            &engine,
+            "Departure city",
+            &info,
+            &cfg,
+            &CompletionMemo::new(),
+        );
         assert!(result.instances.len() <= k);
         for w in result.instances.windows(2) {
             assert!(w[0].score >= w[1].score);

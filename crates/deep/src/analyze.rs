@@ -17,13 +17,15 @@
 //!    carry results.
 //!
 //! The heuristics read the page in one pass over its tokens
-//! ([`webiq_html::lexer::tokenize`]), not over a DOM tree: a start tag
-//! makes exactly one element, and a tree's depth-first text order is
-//! token order, so the page text and the `<tr>`/`<li>` counts are the
-//! ones a DOM walk finds. The DOM stays for form extraction
+//! ([`webiq_html::lexer::Tokens`], which borrow from the page), not over
+//! a DOM tree: a start tag makes exactly one element, and a tree's
+//! depth-first text order is token order, so the page text and the
+//! `<tr>`/`<li>` counts are the ones a DOM walk finds. The pass allocates
+//! no token: only the page text, plus a decoded copy of any text run or
+//! `class` value that holds a `&`. The DOM stays for form extraction
 //! ([`webiq_html::form`]).
 
-use webiq_html::lexer::{self, HtmlToken};
+use webiq_html::lexer::{Token, Tokens};
 
 /// Classified outcome of one probe submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,9 +79,9 @@ pub fn analyze_response(html: &str) -> SubmissionOutcome {
     // result-classed `<tr>` and `<li>` start tags.
     let mut text = String::new();
     let (mut rows, mut result_rows, mut items) = (0, 0, 0);
-    for token in lexer::tokenize(html) {
+    for token in Tokens::new(html) {
         match token {
-            HtmlToken::Text(t) => {
+            Token::Text(t) => {
                 for word in t.split_whitespace() {
                     if !text.is_empty() {
                         text.push(' ');
@@ -87,14 +89,13 @@ pub fn analyze_response(html: &str) -> SubmissionOutcome {
                     text.push_str(word);
                 }
             }
-            HtmlToken::StartTag { name, attrs, .. } if name == "tr" => {
+            Token::StartTag(tag) if tag.is("tr") => {
                 rows += 1;
-                let class = attrs.iter().find(|a| a.name == "class");
-                if class.is_some_and(|a| a.value.to_ascii_lowercase().contains("result")) {
+                if tag.attr("class").is_some_and(|c| contains_ci(&c, "result")) {
                     result_rows += 1;
                 }
             }
-            HtmlToken::StartTag { name, .. } if name == "li" => items += 1,
+            Token::StartTag(tag) if tag.is("li") => items += 1,
             _ => {}
         }
     }
@@ -103,7 +104,7 @@ pub fn analyze_response(html: &str) -> SubmissionOutcome {
     if ERROR_MARKERS.iter().any(|m| text.contains(m)) {
         return SubmissionOutcome::Error;
     }
-    if NO_RESULT_MARKERS.iter().any(|m| text.contains(m)) {
+    if NO_RESULT_MARKERS.iter().any(|m| has_marker(&text, m)) {
         return SubmissionOutcome::NoResults;
     }
 
@@ -139,14 +140,43 @@ pub fn analyze_response(html: &str) -> SubmissionOutcome {
     }
 }
 
-/// Parse "found N matching" / "N results" phrases.
+/// Does `haystack` contain `needle` (lowercase), ignoring ASCII case?
+fn contains_ci(haystack: &str, needle: &str) -> bool {
+    haystack
+        .as_bytes()
+        .windows(needle.len())
+        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+}
+
+/// Does `text` hold `marker`? A marker that starts with a digit (`0
+/// results`) counts only where no digit precedes it, so it is not read
+/// inside a longer number (`10 results`).
+fn has_marker(text: &str, marker: &str) -> bool {
+    if !marker.starts_with(|c: char| c.is_ascii_digit()) {
+        return text.contains(marker);
+    }
+    text.match_indices(marker).any(|(at, _)| {
+        !at.checked_sub(1)
+            .and_then(|i| text.as_bytes().get(i))
+            .is_some_and(u8::is_ascii_digit)
+    })
+}
+
+/// The count in a `found N …` or `showing N …` phrase (`found 3 matching
+/// homes`, `showing 10 results`): every occurrence of `found ` is tried in
+/// order, then every one of `showing `, and the first followed by a digit
+/// gives its digit run; `None` when no occurrence is, or the run
+/// overflows.
 fn extract_found_count(text: &str) -> Option<usize> {
     for marker in ["found ", "showing "] {
-        if let Some(pos) = text.find(marker) {
-            let rest = &text[pos + marker.len()..];
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            if !digits.is_empty() {
-                return digits.parse().ok();
+        for rest in text.split(marker).skip(1) {
+            if rest.starts_with(|c: char| c.is_ascii_digit()) {
+                return rest
+                    .bytes()
+                    .take_while(u8::is_ascii_digit)
+                    .try_fold(0usize, |n, d| {
+                        n.checked_mul(10)?.checked_add(usize::from(d - b'0'))
+                    });
             }
         }
     }
@@ -203,6 +233,36 @@ mod tests {
     fn foreign_no_results_wording() {
         let html = "<html><body><p>Your search did not match any documents.</p></body></html>";
         assert_eq!(analyze_response(html), SubmissionOutcome::NoResults);
+    }
+
+    #[test]
+    fn a_count_ending_in_zero_is_not_the_zero_results_marker() {
+        let html = "<html><body><p>Showing 10 results for your search.</p></body></html>";
+        assert_eq!(
+            analyze_response(html),
+            SubmissionOutcome::Success { results: 10 }
+        );
+        let html = "<html><body><p>Sorry, 0 results.</p></body></html>";
+        assert_eq!(analyze_response(html), SubmissionOutcome::NoResults);
+    }
+
+    #[test]
+    fn every_found_is_tried_for_a_count() {
+        let html = "<html><body><p>We found the following listings. \
+                    Found 3 matching homes.</p></body></html>";
+        assert_eq!(
+            analyze_response(html),
+            SubmissionOutcome::Success { results: 3 }
+        );
+    }
+
+    #[test]
+    fn tag_names_and_classes_ignore_case() {
+        let html = "<TABLE><Tr CLASS=\"Result-Row\"><td>a</td></tR><TR class=RESULT></TABLE>";
+        assert_eq!(
+            analyze_response(html),
+            SubmissionOutcome::Success { results: 2 }
+        );
     }
 
     #[test]

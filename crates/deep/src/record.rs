@@ -425,7 +425,7 @@ mod tests {
                     .collect();
                 let a = rng.gen_range(0..cuts.len());
                 let b = rng.gen_range(a..cuts.len());
-                record[cuts[a]..cuts[b]].to_string()
+                record.get(cuts[a]..cuts[b]).unwrap_or_default().to_string()
             }
             1 => pick(rng, WORDS).to_string(),
             2 => pick(rng, SPACE).to_string(),

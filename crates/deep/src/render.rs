@@ -5,39 +5,52 @@
 //! analyser exercises the same parse-and-heuristics path it would against
 //! live sources.
 
+use std::fmt::Write as _;
+
 use webiq_html::entities;
 
 use crate::record::Row;
 
 /// Render a result-listing page with one table row per record: a header
 /// of the first record's field names, then each record's values, both in
-/// name order.
+/// name order. Everything is written straight into the page's buffer.
 pub fn results_page(source_name: &str, records: &[Row<'_>]) -> String {
     let mut html = String::with_capacity(256 + records.len() * 128);
     html.push_str("<html><head><title>");
-    html.push_str(&entities::encode(source_name));
+    entities::push_encoded(&mut html, source_name);
     html.push_str(" - Search Results</title></head><body>");
-    html.push_str(&format!(
-        "<h1>Search Results</h1><p class=\"summary\">Found {} matching results.</p>",
-        records.len()
-    ));
+    html.push_str("<h1>Search Results</h1><p class=\"summary\">Found ");
+    // writing to a `String` cannot fail
+    let _ = write!(html, "{}", records.len());
+    html.push_str(" matching results.</p>");
     html.push_str("<table class=\"results\">");
     if let Some(first) = records.first() {
         html.push_str("<tr>");
         for (name, _) in first.iter() {
-            html.push_str(&format!("<th>{}</th>", entities::encode(name)));
+            cell(&mut html, "th", name);
         }
         html.push_str("</tr>");
     }
     for r in records {
         html.push_str("<tr class=\"result\">");
         for (_, value) in r.iter() {
-            html.push_str(&format!("<td>{}</td>", entities::encode(value)));
+            cell(&mut html, "td", value);
         }
         html.push_str("</tr>");
     }
     html.push_str("</table></body></html>");
     html
+}
+
+/// `<tag>text</tag>`, `text` encoded, onto the end of `html`.
+fn cell(html: &mut String, tag: &str, text: &str) {
+    html.push('<');
+    html.push_str(tag);
+    html.push('>');
+    entities::push_encoded(html, text);
+    html.push_str("</");
+    html.push_str(tag);
+    html.push('>');
 }
 
 /// Render a "no results" page.

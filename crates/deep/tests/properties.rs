@@ -3,6 +3,9 @@
 #[path = "support/reference.rs"]
 mod reference;
 
+#[path = "../../html/tests/support/reference.rs"]
+mod lexer;
+
 use std::collections::BTreeMap;
 
 use webiq_deep::{
@@ -152,6 +155,17 @@ const SOUP: &[&str] = &[
     "showing 7 of 9",
     "Found",
     "0 results",
+    "10 results",
+    "Showing 10 results for your search.",
+    "We found the following listings.",
+    "Found 3 matching homes.",
+    "found 99999999999999999999999",
+    "&#48; results",
+    "1&#48; results",
+    "<script>found &amp; 0 results</script>",
+    "<Style>&lt;tr&gt;</STYLE>",
+    "<Tr class=RESULT>",
+    "<lI>",
     "NO RESULTS",
     "Error: invalid value",
     "please try again",
@@ -200,10 +214,18 @@ fn results_page(rng: &mut StdRng) -> String {
     render::results_page("Books & <More>", &store.query([]))
 }
 
-/// Classification from the token stream equals the DOM walk on rendered
-/// results, no-results, error and server-error pages and on tag soup.
+/// Classification from the borrowing token iterator equals the owned
+/// token pass over the test-only lexer on rendered results, no-results,
+/// error and server-error pages and on tag soup.
 #[test]
-fn analyze_equals_the_dom_walk_reference() {
+fn analyze_equals_the_reference() {
+    for page in [
+        "<p>Showing 10 results for your search.</p>",
+        "<p>We found the following listings. Found 3 matching homes.</p>",
+    ] {
+        let want = reference::analyze_tokens(lexer::tokenize(page));
+        assert_eq!(analyze_response(page), want, "{page:?}");
+    }
     prop::cases(16 * prop::CASES, |rng| {
         let page = match rng.gen_range(0u32..6) {
             0 => results_page(rng),
@@ -214,8 +236,27 @@ fn analyze_equals_the_dom_walk_reference() {
         };
         assert_eq!(
             analyze_response(&page),
-            reference::analyze_response(&page),
+            reference::analyze_tokens(lexer::tokenize(&page)),
             "{page:?}"
         );
+    });
+}
+
+/// Classification is total on adversarial text (final sigma, `İ`, `ẞ`,
+/// the Kelvin and Ohm signs, combining marks) mixed with the lexer's
+/// delimiters and the markers.
+#[test]
+fn analyze_never_panics_on_adversarial_text() {
+    let chars = prop::charset("ΣσςİıẞßK\u{212A}\u{2126}\u{301}\u{345}é0 <>&;\"'-");
+    prop::cases(4 * prop::CASES, |rng| {
+        let mut page = String::new();
+        for _ in 0..rng.gen_range(0usize..=24) {
+            if rng.gen_bool(0.3) {
+                page.push_str(SOUP.choose(rng).expect("non-empty"));
+            } else {
+                page.push_str(&rng.gen_string(chars, 0, 8));
+            }
+        }
+        let _ = analyze_response(&page);
     });
 }

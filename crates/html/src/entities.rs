@@ -17,56 +17,55 @@ static NAMED: &[(&str, &str)] = &[
 ];
 
 /// Decode HTML entities in `s`. Unknown or malformed references are left
-/// verbatim (browser-like leniency).
+/// verbatim (browser-like leniency). Each run between references is copied
+/// whole.
 pub fn decode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&s[i..i + ch_len]);
-            i += ch_len;
-            continue;
-        }
-        // find terminating ';' within a sane distance
-        let end = s[i + 1..].char_indices().take(10).find(|(_, c)| *c == ';');
-        let Some((off, _)) = end else {
-            out.push('&');
-            i += 1;
-            continue;
-        };
-        let name = &s[i + 1..i + 1 + off];
-        if let Some(stripped) = name.strip_prefix('#') {
-            let code = if let Some(hex) = stripped.strip_prefix(['x', 'X']) {
-                u32::from_str_radix(hex, 16).ok()
-            } else {
-                stripped.parse::<u32>().ok()
-            };
-            match code.and_then(char::from_u32) {
-                Some(c) => {
-                    out.push(c);
-                    i += 2 + off;
-                }
-                None => {
-                    out.push('&');
-                    i += 1;
-                }
+    let mut rest = s;
+    while let Some((run, after)) = rest.split_once('&') {
+        out.push_str(run);
+        rest = match push_reference(&mut out, after) {
+            Some(len) => after.get(len..).unwrap_or_default(),
+            None => {
+                out.push('&');
+                after
             }
-        } else if let Some((_, repl)) = NAMED.iter().find(|(n, _)| *n == name) {
-            out.push_str(repl);
-            i += 2 + off;
-        } else {
-            out.push('&');
-            i += 1;
-        }
+        };
     }
+    out.push_str(rest);
     out
+}
+
+/// Decode the reference at the start of `after` (the text following a
+/// `&`) onto `out`, returning its length through the `;`; `None`, with
+/// nothing pushed, when it is not a known, well-formed reference.
+fn push_reference(out: &mut String, after: &str) -> Option<usize> {
+    // the terminating ';' within a sane distance
+    let (off, _) = after.char_indices().take(10).find(|&(_, c)| c == ';')?;
+    let name = after.get(..off)?;
+    if let Some(stripped) = name.strip_prefix('#') {
+        let code = if let Some(hex) = stripped.strip_prefix(['x', 'X']) {
+            u32::from_str_radix(hex, 16).ok()
+        } else {
+            stripped.parse::<u32>().ok()
+        };
+        out.push(code.and_then(char::from_u32)?);
+    } else {
+        let (_, repl) = NAMED.iter().find(|(n, _)| *n == name)?;
+        out.push_str(repl);
+    }
+    Some(off + 1)
 }
 
 /// Encode the five XML-significant characters.
 pub fn encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_encoded(&mut out, s);
+    out
+}
+
+/// [`encode`] `s` onto the end of `out`.
+pub fn push_encoded(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -76,16 +75,6 @@ pub fn encode(s: &str) -> String {
             '\'' => out.push_str("&#39;"),
             other => out.push(other),
         }
-    }
-    out
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
     }
 }
 

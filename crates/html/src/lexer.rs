@@ -4,6 +4,15 @@
 //! comments, and doctype declarations. Lenient in the ways real-world 2006
 //! query-interface pages require: unquoted attribute values, valueless
 //! attributes (`selected`), mixed case, stray `<` in text.
+//!
+//! [`Tokens`] is the one lexer: an iterator of [`Token`]s that borrow
+//! from the page. Text is decoded only when it holds a `&` (the contents
+//! of `<script>` and `<style>` never), tag and attribute names are slices
+//! of the page compared ignoring ASCII case, and a start tag's attributes
+//! are parsed only when asked for. [`tokenize`] collects it into owned
+//! [`HtmlToken`]s, lowercased and decoded, for the DOM builder.
+
+use std::borrow::Cow;
 
 use crate::entities;
 
@@ -16,7 +25,7 @@ pub struct Attr {
     pub value: String,
 }
 
-/// A lexical HTML token.
+/// A lexical HTML token, owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HtmlToken {
     /// `<name attr=value …>`; `self_closing` for `<input/>`.
@@ -41,107 +50,259 @@ pub enum HtmlToken {
     Doctype(String),
 }
 
-/// Tokenize an HTML document.
-pub fn tokenize(html: &str) -> Vec<HtmlToken> {
-    let b = html.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    let mut text_start = 0;
+/// A lexical HTML token borrowing from the page.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Token<'a> {
+    /// `<name attr=value …>`.
+    StartTag(StartTag<'a>),
+    /// `</name>`.
+    EndTag {
+        /// Tag name as written.
+        name: &'a str,
+    },
+    /// Character data between tags, whitespace preserved: entities
+    /// decoded (borrowed unless it holds a `&`), or the raw contents of
+    /// `<script>` or `<style>`.
+    Text(Cow<'a, str>),
+    /// `<!-- … -->` contents.
+    Comment(&'a str),
+    /// `<!DOCTYPE …>` contents, trimmed.
+    Doctype(&'a str),
+}
 
-    // Inside <script> or <style>, text runs to the matching close tag.
-    let mut raw_text_until: Option<&'static str> = None;
+impl Token<'_> {
+    /// The owned token: names lowercased, attributes parsed and decoded.
+    pub fn into_owned(self) -> HtmlToken {
+        match self {
+            Token::StartTag(tag) => HtmlToken::StartTag {
+                name: tag.name.to_ascii_lowercase(),
+                attrs: tag
+                    .attrs()
+                    .map(|(name, value)| Attr {
+                        name: name.to_ascii_lowercase(),
+                        value: value.into_owned(),
+                    })
+                    .collect(),
+                self_closing: tag.self_closing,
+            },
+            Token::EndTag { name } => HtmlToken::EndTag {
+                name: name.to_ascii_lowercase(),
+            },
+            Token::Text(text) => HtmlToken::Text(text.into_owned()),
+            Token::Comment(c) => HtmlToken::Comment(c.to_string()),
+            Token::Doctype(d) => HtmlToken::Doctype(d.to_string()),
+        }
+    }
+}
 
-    while i < b.len() {
-        if let Some(close) = raw_text_until {
-            let rest = &html[i..];
-            let pos = find_ci(rest, close).unwrap_or(rest.len());
-            if i + pos > text_start {
-                out.push(HtmlToken::Text(html[text_start..i + pos].to_string()));
-            }
-            i += pos;
-            text_start = i;
-            raw_text_until = None;
-            continue;
+/// A start tag as written: its name and its attributes' unparsed source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StartTag<'a> {
+    name: &'a str,
+    attrs: &'a str,
+    self_closing: bool,
+}
+
+impl<'a> StartTag<'a> {
+    /// The tag name as written.
+    pub fn name(&self) -> &'a str {
+        self.name
+    }
+
+    /// Is this a `name` tag? `name` is lowercase; case is ignored.
+    pub fn is(&self, name: &str) -> bool {
+        self.name.eq_ignore_ascii_case(name)
+    }
+
+    /// True when a `/` stands between the attributes (`<input/>`).
+    pub fn self_closing(&self) -> bool {
+        self.self_closing
+    }
+
+    /// The attributes in source order, parsed now: each name as written
+    /// (never empty) and its value with entities decoded (`""` when
+    /// valueless).
+    pub fn attrs(&self) -> Attrs<'a> {
+        Attrs {
+            src: self.attrs,
+            pos: 0,
         }
-        if b[i] != b'<' {
-            i += 1;
-            continue;
-        }
-        // Decide what the '<' introduces *before* flushing text, so a stray
-        // '<' stays part of the surrounding text run.
-        let flush = |out: &mut Vec<HtmlToken>, upto: usize, from: usize| {
-            if upto > from {
-                out.push(HtmlToken::Text(entities::decode(&html[from..upto])));
-            }
-        };
-        if html[i..].starts_with("<!--") {
-            flush(&mut out, i, text_start);
-            let end = html[i + 4..].find("-->").map(|p| i + 4 + p);
-            match end {
-                Some(e) => {
-                    out.push(HtmlToken::Comment(html[i + 4..e].to_string()));
-                    i = e + 3;
+    }
+
+    /// The value of the first attribute named `name` (lowercase; case is
+    /// ignored).
+    pub fn attr(&self, name: &str) -> Option<Cow<'a, str>> {
+        self.attrs()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, value)| value)
+    }
+}
+
+/// The attributes of a [`StartTag`], parsed as they are iterated.
+#[derive(Debug, Clone)]
+pub struct Attrs<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+impl<'a> Iterator for Attrs<'a> {
+    type Item = (&'a str, Cow<'a, str>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            match attr_step(self.src.as_bytes(), self.pos) {
+                Step::Close(_) | Step::End => {
+                    self.pos = self.src.len();
+                    return None;
                 }
-                None => {
-                    out.push(HtmlToken::Comment(html[i + 4..].to_string()));
-                    i = b.len();
-                }
-            }
-            text_start = i;
-            continue;
-        }
-        if i + 1 < b.len() && (b[i + 1] == b'!' || b[i + 1] == b'?') {
-            // doctype or processing instruction
-            flush(&mut out, i, text_start);
-            let end = html[i..].find('>').map_or(b.len(), |p| i + p);
-            out.push(HtmlToken::Doctype(html[i + 2..end].trim().to_string()));
-            i = (end + 1).min(b.len());
-            text_start = i;
-            continue;
-        }
-        match lex_tag(html, i) {
-            Some((token, next)) => {
-                flush(&mut out, i, text_start);
-                if let HtmlToken::StartTag { name, .. } = &token {
-                    if name == "script" {
-                        raw_text_until = Some("</script");
-                    } else if name == "style" {
-                        raw_text_until = Some("</style");
+                Step::Slash(next) => self.pos = next,
+                Step::Attr { name, value, next } => {
+                    self.pos = next;
+                    if name.0 < name.1 {
+                        return Some((cut(self.src, name), text(cut(self.src, value))));
                     }
                 }
-                out.push(token);
-                i = next;
-                text_start = i;
-            }
-            None => {
-                // stray '<' — stays inside the current text run
-                i += 1;
             }
         }
     }
-    if b.len() > text_start {
-        out.push(HtmlToken::Text(entities::decode(&html[text_start..])));
+}
+
+/// Tokenize an HTML document into owned tokens.
+pub fn tokenize(html: &str) -> Vec<HtmlToken> {
+    Tokens::new(html).map(Token::into_owned).collect()
+}
+
+/// The tokens of an HTML document, borrowing from it.
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    html: &'a str,
+    /// Where scanning resumes.
+    pos: usize,
+    /// Start of the text run not yet yielded.
+    text_start: usize,
+    /// Inside `<script>` or `<style>`: the close tag its text runs to.
+    raw_until: Option<&'static str>,
+    /// The token that ended a text run, yielded after it.
+    pending: Option<Token<'a>>,
+}
+
+impl<'a> Tokens<'a> {
+    /// Lex `html` from its start.
+    pub fn new(html: &'a str) -> Self {
+        Tokens {
+            html,
+            pos: 0,
+            text_start: 0,
+            raw_until: None,
+            pending: None,
+        }
     }
-    out
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(token) = self.pending.take() {
+            return Some(token);
+        }
+        let html = self.html;
+        let len = html.len();
+        if let Some(close) = self.raw_until.take() {
+            // raw text runs to the close tag, undecoded
+            let start = self.pos;
+            let end = find_ci(cut(html, (start, len)), close).map_or(len, |p| start + p);
+            self.pos = end;
+            self.text_start = end;
+            if end > start {
+                return Some(Token::Text(Cow::Borrowed(cut(html, (start, end)))));
+            }
+        }
+        while let Some(at) = cut(html, (self.pos, len)).find('<') {
+            let i = self.pos + at;
+            // Decide what the '<' introduces *before* ending the text run,
+            // so a stray '<' stays part of it.
+            let Some((token, next)) = lex_at(html, i) else {
+                self.pos = i + 1;
+                continue;
+            };
+            if let Token::StartTag(tag) = &token {
+                if tag.is("script") {
+                    self.raw_until = Some("</script");
+                } else if tag.is("style") {
+                    self.raw_until = Some("</style");
+                }
+            }
+            let run = (self.text_start, i);
+            self.pos = next;
+            self.text_start = next;
+            if run.0 < run.1 {
+                self.pending = Some(token);
+                return Some(Token::Text(text(cut(html, run))));
+            }
+            return Some(token);
+        }
+        self.pos = len;
+        if self.text_start < len {
+            let run = (self.text_start, len);
+            self.text_start = len;
+            return Some(Token::Text(text(cut(html, run))));
+        }
+        None
+    }
+}
+
+/// `s[range]`, or `""` off a char boundary. Every cut the lexer makes
+/// sits at an ASCII delimiter or an end of the input, so the fallback is
+/// never taken.
+fn cut(s: &str, (from, to): (usize, usize)) -> &str {
+    s.get(from..to).unwrap_or_default()
+}
+
+/// Text with entities decoded, borrowed when it holds no reference.
+fn text(s: &str) -> Cow<'_, str> {
+    if s.contains('&') {
+        Cow::Owned(entities::decode(s))
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 /// Case-insensitive substring search.
 fn find_ci(haystack: &str, needle: &str) -> Option<usize> {
-    let h = haystack.as_bytes();
     let n = needle.as_bytes();
-    if n.is_empty() || h.len() < n.len() {
+    if n.is_empty() {
         return None;
     }
-    (0..=h.len() - n.len()).find(|&i| {
-        h[i..i + n.len()]
-            .iter()
-            .zip(n)
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
-    })
+    haystack
+        .as_bytes()
+        .windows(n.len())
+        .position(|w| w.eq_ignore_ascii_case(n))
+}
+
+/// The token a `<` at byte `i` opens, and the index after it; `None` for
+/// a stray `<`.
+fn lex_at(html: &str, i: usize) -> Option<(Token<'_>, usize)> {
+    let len = html.len();
+    let rest = cut(html, (i, len));
+    if let Some(body) = rest.strip_prefix("<!--") {
+        let start = i + 4;
+        return Some(match body.find("-->") {
+            Some(p) => (Token::Comment(cut(html, (start, start + p))), start + p + 3),
+            None => (Token::Comment(body), len),
+        });
+    }
+    if matches!(rest.as_bytes().get(1), Some(b'!' | b'?')) {
+        // doctype or processing instruction
+        let end = rest.find('>').map_or(len, |p| i + p);
+        let body = cut(html, (i + 2, end)).trim();
+        return Some((Token::Doctype(body), (end + 1).min(len)));
+    }
+    lex_tag(html, i)
 }
 
 /// Lex a tag starting at `<`; returns the token and the index after `>`.
-fn lex_tag(html: &str, start: usize) -> Option<(HtmlToken, usize)> {
+fn lex_tag(html: &str, start: usize) -> Option<(Token<'_>, usize)> {
     let b = html.as_bytes();
     let mut i = start + 1;
     let closing = b.get(i) == Some(&b'/');
@@ -149,89 +310,116 @@ fn lex_tag(html: &str, start: usize) -> Option<(HtmlToken, usize)> {
         i += 1;
     }
     let name_start = i;
-    while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'-') {
+    while b
+        .get(i)
+        .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'-')
+    {
         i += 1;
     }
     if i == name_start {
         return None; // not a tag
     }
-    let name = html[name_start..i].to_ascii_lowercase();
+    let name = cut(html, (name_start, i));
     if closing {
-        let end = html[i..].find('>').map(|p| i + p)?;
-        return Some((HtmlToken::EndTag { name }, end + 1));
+        let end = cut(html, (i, b.len())).find('>').map(|p| i + p)?;
+        return Some((Token::EndTag { name }, end + 1));
     }
-    let mut attrs = Vec::new();
+    // Scan the attribute syntax for the tag's end (a quoted value may
+    // hold a '>'); the attributes themselves are parsed on demand.
+    let attrs_start = i;
     let mut self_closing = false;
     loop {
-        while i < b.len() && b[i].is_ascii_whitespace() {
+        let (end, next) = match attr_step(b, i) {
+            Step::Close(at) => (at, at + 1),
+            Step::End => (b.len(), b.len()),
+            Step::Slash(next) => {
+                self_closing = true;
+                i = next;
+                continue;
+            }
+            Step::Attr { next, .. } => {
+                i = next;
+                continue;
+            }
+        };
+        let tag = StartTag {
+            name,
+            attrs: cut(html, (attrs_start, end)),
+            self_closing,
+        };
+        return Some((Token::StartTag(tag), next));
+    }
+}
+
+/// One step through a start tag's attribute syntax.
+enum Step {
+    /// The `>` at this index closes the tag.
+    Close(usize),
+    /// The input ends inside the tag.
+    End,
+    /// A `/` outside any value; the syntax resumes at the index given.
+    Slash(usize),
+    /// An attribute: its name's byte range (empty for `=value` without a
+    /// name), its value's (empty when valueless), and where the syntax
+    /// resumes.
+    Attr {
+        name: (usize, usize),
+        value: (usize, usize),
+        next: usize,
+    },
+}
+
+/// The step at byte `i` of a start tag's attribute syntax in `b`. Every
+/// index it returns is an end of `b` or next to an ASCII delimiter.
+fn attr_step(b: &[u8], mut i: usize) -> Step {
+    let space = |b: &[u8], mut i: usize| {
+        while b.get(i).is_some_and(u8::is_ascii_whitespace) {
             i += 1;
         }
-        if i >= b.len() {
-            return Some((
-                HtmlToken::StartTag {
-                    name,
-                    attrs,
-                    self_closing,
-                },
-                i,
-            ));
-        }
-        match b[i] {
-            b'>' => {
-                return Some((
-                    HtmlToken::StartTag {
-                        name,
-                        attrs,
-                        self_closing,
-                    },
-                    i + 1,
-                ));
-            }
-            b'/' => {
-                self_closing = true;
+        i
+    };
+    i = space(b, i);
+    match b.get(i) {
+        None => Step::End,
+        Some(b'>') => Step::Close(i),
+        Some(b'/') => Step::Slash(i + 1),
+        Some(_) => {
+            let name_start = i;
+            while b
+                .get(i)
+                .is_some_and(|&c| !c.is_ascii_whitespace() && !matches!(c, b'=' | b'>' | b'/'))
+            {
                 i += 1;
             }
-            _ => {
-                // attribute name
-                let an_start = i;
-                while i < b.len()
-                    && !b[i].is_ascii_whitespace()
-                    && b[i] != b'='
-                    && b[i] != b'>'
-                    && b[i] != b'/'
-                {
-                    i += 1;
-                }
-                let an = html[an_start..i].to_ascii_lowercase();
-                while i < b.len() && b[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                let mut value = String::new();
-                if i < b.len() && b[i] == b'=' {
-                    i += 1;
-                    while i < b.len() && b[i].is_ascii_whitespace() {
+            let name = (name_start, i);
+            i = space(b, i);
+            let mut value = (i, i);
+            if b.get(i) == Some(&b'=') {
+                i = space(b, i + 1);
+                if let Some(&quote @ (b'"' | b'\'')) = b.get(i) {
+                    let v_start = i + 1;
+                    let v_end = b
+                        .iter()
+                        .skip(v_start)
+                        .position(|&c| c == quote)
+                        .map_or(b.len(), |p| v_start + p);
+                    value = (v_start, v_end);
+                    i = (v_end + 1).min(b.len());
+                } else {
+                    let v_start = i;
+                    while b
+                        .get(i)
+                        .is_some_and(|&c| !c.is_ascii_whitespace() && c != b'>')
+                    {
                         i += 1;
                     }
-                    if i < b.len() && (b[i] == b'"' || b[i] == b'\'') {
-                        let quote = b[i];
-                        i += 1;
-                        let v_start = i;
-                        while i < b.len() && b[i] != quote {
-                            i += 1;
-                        }
-                        value = entities::decode(&html[v_start..i]);
-                        i = (i + 1).min(b.len());
-                    } else {
-                        let v_start = i;
-                        while i < b.len() && !b[i].is_ascii_whitespace() && b[i] != b'>' {
-                            i += 1;
-                        }
-                        value = entities::decode(&html[v_start..i]);
-                    }
+                    value = (v_start, i);
                 }
-                if !an.is_empty() {
-                    attrs.push(Attr { name: an, value });
-                }
+            }
+            Step::Attr {
+                name,
+                value,
+                next: i,
             }
         }
     }
@@ -394,5 +582,58 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(tokenize("").is_empty());
+        assert_eq!(Tokens::new("").next(), None);
+    }
+
+    #[test]
+    fn text_is_borrowed_unless_it_holds_a_reference() {
+        let toks: Vec<Token> = Tokens::new("<p>plain</p><p>R&amp;D</p>").collect();
+        assert!(matches!(&toks[1], Token::Text(Cow::Borrowed("plain"))));
+        match &toks[4] {
+            Token::Text(Cow::Owned(t)) => assert_eq!(t, "R&D"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn script_and_style_text_is_never_decoded() {
+        for html in ["<SCRIPT>a &amp; b</Script>", "<style>a &amp; b</STYLE>"] {
+            let toks: Vec<Token> = Tokens::new(html).collect();
+            assert!(
+                matches!(&toks[1], Token::Text(Cow::Borrowed("a &amp; b"))),
+                "{toks:?}"
+            );
+            assert_eq!(toks.len(), 3, "{toks:?}");
+        }
+    }
+
+    #[test]
+    fn names_compare_ignoring_ascii_case_in_place() {
+        let toks: Vec<Token> = Tokens::new("<TR Class='Result'>x</tR>").collect();
+        let Token::StartTag(tag) = &toks[0] else {
+            panic!("{toks:?}");
+        };
+        assert_eq!(tag.name(), "TR");
+        assert!(tag.is("tr") && !tag.is("td"));
+        assert_eq!(tag.attr("class").as_deref(), Some("Result"));
+        assert_eq!(toks[2], Token::EndTag { name: "tR" });
+    }
+
+    #[test]
+    fn attributes_parse_on_demand_past_a_quoted_gt() {
+        let toks: Vec<Token> = Tokens::new("<a title='x>y' =z HREF=b/ />after").collect();
+        let Token::StartTag(tag) = &toks[0] else {
+            panic!("{toks:?}");
+        };
+        assert!(tag.self_closing());
+        let attrs: Vec<(&str, Cow<str>)> = tag.attrs().collect();
+        assert_eq!(
+            attrs,
+            [
+                ("title", Cow::Borrowed("x>y")),
+                ("HREF", Cow::Borrowed("b/"))
+            ]
+        );
+        assert_eq!(toks[1], Token::Text(Cow::Borrowed("after")));
     }
 }

@@ -6,7 +6,8 @@
 //! path from markup to schema:
 //!
 //! - [`entities`] — character-reference decoding/encoding;
-//! - [`lexer`] — a lenient tag/text/comment tokenizer;
+//! - [`lexer`] — a lenient tag/text/comment tokenizer: a token iterator
+//!   borrowing from the page, and its owned collection;
 //! - [`dom`] — a forgiving DOM-lite tree builder (void elements,
 //!   implicit closes, tag-soup recovery);
 //! - [`form`] — query-interface extraction: controls, labels (via
@@ -18,6 +19,9 @@
     clippy::panic,
     clippy::unreachable
 )]
+// Slicing a `str` off a char boundary panics: every cut here is
+// `str::get` or an audited `#[expect]`.
+#![warn(clippy::string_slice)]
 
 pub mod dom;
 pub mod entities;
@@ -26,4 +30,4 @@ pub mod lexer;
 
 pub use dom::{parse, parse_document, Node};
 pub use form::{extract_forms, ExtractedForm, FieldKind, FormField};
-pub use lexer::{Attr, HtmlToken};
+pub use lexer::{Attr, HtmlToken, StartTag, Token, Tokens};

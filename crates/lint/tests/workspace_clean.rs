@@ -111,3 +111,18 @@ fn panic_lints_cover_exactly_the_panic_scope() {
     let panic_scope: BTreeSet<&str> = scope.panic_crates.iter().map(String::as_str).collect();
     assert_eq!(carrying, panic_scope);
 }
+
+/// The crates whose library roots also deny slicing a `str` off a char
+/// boundary: the HTML lexer and the response-page analyser that cut page
+/// text at byte offsets.
+#[test]
+fn string_slice_lint_covers_the_page_text_crates() {
+    let files = walk::workspace_sources(&workspace_root()).expect("walk workspace");
+    let carrying: BTreeSet<&str> = files
+        .iter()
+        .filter(|f| f.is_crate_root && !f.is_bin && f.file_name == "lib.rs")
+        .filter(|f| f.text.contains("#![warn(clippy::string_slice)]"))
+        .map(|f| f.crate_name.as_str())
+        .collect();
+    assert_eq!(carrying, BTreeSet::from(["deep", "html"]));
+}

@@ -7,7 +7,7 @@
 //! cargo run --release --example instance_discovery
 //! ```
 
-use webiq::core::extract::{self, DomainInfo};
+use webiq::core::extract::{self, CompletionMemo, DomainInfo};
 use webiq::core::{patterns, surface, verify, WebIQConfig};
 use webiq::data::{corpus, kb};
 use webiq::nlp::{classify_label, LabelForm};
@@ -63,7 +63,8 @@ fn main() {
         }
 
         // 3–4. pose queries, extract candidates
-        let outcome = extract::extract_candidates(&engine, label, &info, &cfg);
+        let memo = CompletionMemo::new();
+        let outcome = extract::extract_candidates(&engine, label, &info, &cfg, &memo);
         println!(
             "   {} extraction queries → {} distinct candidates",
             outcome.queries,
@@ -71,7 +72,7 @@ fn main() {
         );
 
         // 5–6. verification: outliers, then PMI-based Web validation
-        let result = surface::discover(&engine, label, &info, &cfg);
+        let result = surface::discover(&engine, label, &info, &cfg, &memo);
         println!(
             "   verification removed {} outliers, {} by Web validation",
             result.outliers_removed, result.validation_removed

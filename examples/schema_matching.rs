@@ -8,7 +8,7 @@
 //! the empty columns, then label+domain similarity clustering. The
 //! "Surface Web" here is a handful of pages about the publishing domain.
 
-use webiq::core::{surface, DomainInfo, WebIQConfig};
+use webiq::core::{surface, CompletionMemo, DomainInfo, WebIQConfig};
 use webiq::matcher::{match_attributes, MatchAttribute, MatchConfig};
 use webiq::web::{Corpus, SearchEngine};
 
@@ -93,12 +93,13 @@ fn main() {
     // Enrich the empty columns from the (simulated) Web, exactly as WebIQ
     // enriches instance-less interface attributes.
     let mut attrs: Vec<MatchAttribute> = Vec::new();
+    let memo = CompletionMemo::new();
     for (iface, schema) in [(0usize, schema_a()), (1, schema_b())] {
         for (j, col) in schema.into_iter().enumerate() {
             let mut values = col.samples;
             if values.is_empty() {
                 let label = col.name.replace('_', " ");
-                let found = surface::discover(&engine, &label, &info, &cfg);
+                let found = surface::discover(&engine, &label, &info, &cfg, &memo);
                 println!(
                     "column {:<20} had no data → acquired {:?}",
                     format!("{}(schema {})", col.name, iface),

@@ -3,7 +3,8 @@
 //! attribute label, and every snippet the five domains' extraction
 //! queries return, tag as the char-by-char tokenizer and the linear
 //! lexicon scan tag them; every response page a source renders for a
-//! borrowed value classifies as the DOM walk classifies it. The §5
+//! borrowed value classifies as the owned-token pass over the test-only
+//! lexer classifies it. The §5
 //! case-2 very-similar test is checked on the same datasets in
 //! `crates/core/tests/profiles.rs`.
 
@@ -16,6 +17,9 @@ mod tagger;
 
 #[path = "../crates/deep/tests/support/reference.rs"]
 mod classifier;
+
+#[path = "../crates/html/tests/support/reference.rs"]
+mod lexer;
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -99,7 +103,7 @@ fn check_classification(p: &DomainPipeline, cfg: &WebIQConfig) -> usize {
         let page = p.sources[source].submit(&params);
         assert_eq!(
             analyze_response(&page),
-            classifier::analyze_response(&page),
+            classifier::analyze_tokens(lexer::tokenize(&page)),
             "{page:?}"
         );
     }
@@ -128,6 +132,6 @@ fn tagging_equals_the_reference_on_labels_and_snippets() {
 }
 
 #[test]
-fn classification_equals_the_dom_walk_on_probe_pages() {
+fn classification_equals_the_reference_on_probe_pages() {
     each_pipeline(500, check_classification);
 }

@@ -5,21 +5,31 @@
 //! every probe Attr-Deep's case 1 would issue plus seeded ones (every
 //! pool value, cuts, case flips, padding, blanks, a name outside the
 //! form, a parameter no record carries, two-field conjunctions) the same
-//! records or error and the same page.
+//! records or error and the same page. Every page also lexes as the
+//! test-only lexer lexes it and classifies as the owned-token
+//! classifier classifies it.
 
 #[path = "../crates/deep/tests/support/map_store.rs"]
 mod reference;
 
-use std::collections::{BTreeMap, BTreeSet};
+#[path = "../crates/html/tests/support/reference.rs"]
+mod lexer;
+
+#[path = "../crates/deep/tests/support/reference.rs"]
+mod classifier;
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use webiq::core::acquire::{case1_candidates, AttrTable};
 use webiq::core::WebIQConfig;
 use webiq::data::generate::site_pool;
 use webiq::data::records::{build_deep_source, RecordOptions};
 use webiq::data::{kb, Attribute, DomainDef, Interface};
-use webiq::deep::{DeepSource, ParamDomain, Record, RecordStore, SourceParam};
+use webiq::deep::{analyze_response, DeepSource, ParamDomain, Record, RecordStore, SourceParam};
+use webiq::html::lexer::tokenize;
 use webiq::pipeline::DomainPipeline;
-use webiq_rng::{SliceRandom, StdRng};
+use webiq_rng::{fnv1a, SliceRandom, StdRng};
 
 /// The datasets: the paper seed and a held-out one.
 const SEEDS: [u64; 2] = [7392, 2006];
@@ -71,16 +81,24 @@ fn reference_source(
     }
 }
 
-/// Both sources answer `values` alike and render the same page; true
-/// when records were selected.
+/// Both sources answer `values` alike and render the same page, which
+/// (the first time this thread sees it) lexes and classifies as the
+/// references do; true when records were selected.
 fn check(new: &DeepSource, old: &reference::Source, values: &BTreeMap<String, String>) -> bool {
+    thread_local!(static SEEN: RefCell<HashSet<u64>> = RefCell::new(HashSet::new()));
     let answer = reference::answer(new, values);
     assert_eq!(answer, old.answer(values), "{} {values:?}", new.name);
+    let page = new.submit(values);
+    assert_eq!(page, old.submit(values), "{} {values:?}", new.name);
+    if !SEEN.with(|seen| seen.borrow_mut().insert(fnv1a(page.as_bytes()))) {
+        return answer.is_ok_and(|rows| !rows.is_empty());
+    }
+    let tokens = lexer::tokenize(&page);
+    assert_eq!(tokenize(&page), tokens, "{page:?}");
     assert_eq!(
-        new.submit(values),
-        old.submit(values),
-        "{} {values:?}",
-        new.name
+        analyze_response(&page),
+        classifier::analyze_tokens(tokens),
+        "{page:?}"
     );
     answer.is_ok_and(|rows| !rows.is_empty())
 }

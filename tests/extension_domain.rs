@@ -28,7 +28,7 @@ fn movie_domain_not_in_paper_experiments() {
 
 #[test]
 fn movie_surface_acquisition_finds_directors() {
-    use webiq::core::{surface, DomainInfo, WebIQConfig};
+    use webiq::core::{surface, CompletionMemo, DomainInfo, WebIQConfig};
     use webiq::data::corpus;
     use webiq::web::{gen, GenConfig, SearchEngine};
 
@@ -42,7 +42,13 @@ fn movie_surface_acquisition_finds_directors() {
         domain_terms: def.domain_terms.iter().map(|s| (*s).to_string()).collect(),
         sibling_terms: Vec::new(),
     };
-    let found = surface::discover(&engine, "Director", &info, &WebIQConfig::default());
+    let found = surface::discover(
+        &engine,
+        "Director",
+        &info,
+        &WebIQConfig::default(),
+        &CompletionMemo::new(),
+    );
     assert!(
         !found.instances.is_empty(),
         "no directors discovered from the movie corpus"
