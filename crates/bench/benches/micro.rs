@@ -104,6 +104,23 @@ fn bench_engine(c: &mut Criterion) {
             )))
         });
     });
+    // One batch of 24: twelve cache-missing phrase queries, each issued
+    // twice, so half the batch is answered by its own first half.
+    c.bench_function("web/num_hits_batch", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let distinct: Vec<String> = (0..12)
+                .map(|j| format!("\"departure cities such as\" +airfare -nx{}", i * 12 + j))
+                .collect();
+            let batch: Vec<&str> = distinct
+                .iter()
+                .chain(&distinct)
+                .map(String::as_str)
+                .collect();
+            e.num_hits_many(black_box(&batch))
+        });
+    });
     c.bench_function("web/search_top10", |b| {
         let mut i = 0u64;
         b.iter(|| {
@@ -148,8 +165,20 @@ fn bench_verification(c: &mut Criterion) {
     let e = engine();
     let np = webiq::core::extract::primary_noun_phrase("Airline").expect("np");
     let phrases = patterns::validation_phrases("Airline", Some(&np));
-    c.bench_function("core/validation_vector", |b| {
-        b.iter(|| verify::validation_vector(&e, &phrases, black_box("Delta"), true));
+    // The validation vectors of Airline's training examples (its own
+    // instances and its siblings'), in one batch.
+    let examples = [
+        "Air Canada",
+        "American",
+        "Delta",
+        "United",
+        "Economy",
+        "First Class",
+        "Jan",
+        "1",
+    ];
+    c.bench_function("core/validation_vectors", |b| {
+        b.iter(|| verify::validation_vectors(&e, &phrases, black_box(&examples), true));
     });
 
     let candidates: Vec<String> = kb::pools::CITIES.iter().map(|s| (*s).to_string()).collect();

@@ -10,8 +10,8 @@
 //! the same code path `webiq-report profile` uses, so the printed
 //! report and the committed artifact can never drift apart.
 //!
-//! Each cache-missing engine query is charged a simulated round-trip of
-//! [`LATENCY_US`], because that is the curve whose losses this
+//! Each wave of cache-missing engine queries is charged a simulated
+//! round-trip of [`LATENCY_US`], because that is the curve whose losses this
 //! diagnosis exists to attribute:
 //! real acquisition is I/O-bound, and workers buy their speedup by
 //! overlapping round-trips.
@@ -45,7 +45,7 @@ pub const FULL_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// 1-thread baseline plus one parallel point).
 pub const QUICK_THREADS: [usize; 2] = [1, 2];
 
-/// Simulated round-trip per cache-missing engine query — a 1:300
+/// Simulated round-trip per wave of cache-missing engine queries — a 1:300
 /// scale-down of the paper's ~0.3 s Google latency.
 pub const LATENCY_US: u64 = 1000;
 

@@ -72,10 +72,14 @@ impl ValidationClassifier {
         let np = extract::primary_noun_phrase(label);
         let phrases = patterns::validation_phrases(label, np.as_ref());
 
-        // Step 1: validation vectors for the training set.
-        let vector = |x: &str| verify::validation_vector(engine, &phrases, x, cfg.use_pmi);
-        let pos_vecs: Vec<Vec<f64>> = positives.iter().map(|x| vector(x)).collect();
-        let neg_vecs: Vec<Vec<f64>> = negatives.iter().map(|x| vector(x)).collect();
+        // Step 1: validation vectors for the training set, one batch.
+        let examples: Vec<&str> = positives
+            .iter()
+            .chain(negatives)
+            .map(String::as_str)
+            .collect();
+        let mut pos_vecs = verify::validation_vectors(engine, &phrases, &examples, cfg.use_pmi);
+        let neg_vecs = pos_vecs.split_off(positives.len().min(pos_vecs.len()));
 
         // Split each class: first half → T₁ (threshold estimation), rest →
         // T₂ (probability estimation). With tiny classes T₂ falls back to
@@ -138,34 +142,45 @@ impl ValidationClassifier {
         }
     }
 
-    /// Posterior probability that `candidate` is an instance of the
-    /// attribute.
-    pub fn posterior<E: QueryEngine>(&self, engine: &E, candidate: &str, cfg: &WebIQConfig) -> f64 {
-        let v = verify::validation_vector(engine, &self.phrases, candidate, cfg.use_pmi);
-        let features: Vec<bool> = v.iter().zip(&self.thresholds).map(|(m, t)| m > t).collect();
-        self.nb.posterior_pos(&features)
+    /// Binarize a validation vector by the per-feature thresholds.
+    fn features(&self, v: &[f64]) -> Vec<bool> {
+        v.iter().zip(&self.thresholds).map(|(m, t)| m > t).collect()
     }
 
-    /// Classify `candidate` (posterior > ½).
-    pub fn accepts<E: QueryEngine>(&self, engine: &E, candidate: &str, cfg: &WebIQConfig) -> bool {
-        self.posterior(engine, candidate, cfg) > 0.5
-    }
-
-    /// [`ValidationClassifier::posterior`] plus the evidence behind it:
-    /// the prior, and per feature its raw validation score, threshold,
-    /// on/off state, and smoothed class-conditional likelihoods — the
-    /// terms the provenance layer records for each accept/reject.
-    /// Issues the identical engine queries and computes the bit-equal
-    /// posterior, so it can replace `posterior` at a decision site
-    /// without perturbing the deterministic counter stream.
-    pub fn posterior_explained<E: QueryEngine>(
+    /// Posterior probability that each of `candidates` is an instance of
+    /// the attribute, from one engine batch.
+    pub fn posteriors<E: QueryEngine, S: AsRef<str>>(
         &self,
         engine: &E,
-        candidate: &str,
+        candidates: &[S],
         cfg: &WebIQConfig,
-    ) -> (f64, Vec<(String, f64)>) {
-        let v = verify::validation_vector(engine, &self.phrases, candidate, cfg.use_pmi);
-        let features: Vec<bool> = v.iter().zip(&self.thresholds).map(|(m, t)| m > t).collect();
+    ) -> Vec<f64> {
+        verify::validation_vectors(engine, &self.phrases, candidates, cfg.use_pmi)
+            .iter()
+            .map(|v| self.nb.posterior_pos(&self.features(v)))
+            .collect()
+    }
+
+    /// [`ValidationClassifier::posteriors`] plus the evidence behind each:
+    /// the prior, and per feature its raw validation score, threshold,
+    /// on/off state, and smoothed class-conditional likelihoods — the
+    /// terms the provenance layer records for each accept/reject. Issues
+    /// the identical engine batch and computes bit-equal posteriors.
+    pub fn posteriors_explained<E: QueryEngine, S: AsRef<str>>(
+        &self,
+        engine: &E,
+        candidates: &[S],
+        cfg: &WebIQConfig,
+    ) -> Vec<(f64, Vec<(String, f64)>)> {
+        verify::validation_vectors(engine, &self.phrases, candidates, cfg.use_pmi)
+            .iter()
+            .map(|v| self.explain(v))
+            .collect()
+    }
+
+    /// The posterior of one validation vector and its decision terms.
+    fn explain(&self, v: &[f64]) -> (f64, Vec<(String, f64)>) {
+        let features = self.features(v);
         let mut terms = Vec::new();
         let Some((posterior, evidence)) = self.nb.posterior_explained(&features) else {
             // unreachable by construction (features has one entry per
@@ -222,11 +237,14 @@ pub fn verify_borrowed_with_model<E: QueryEngine>(
         webiq_trace::incr(Counter::BayesTrainFailed);
         return (Vec::new(), None);
     };
+    // Every borrowed value's vector in one batch; the decisions are then
+    // recorded in borrowed order.
+    let explained = classifier.posteriors_explained(engine, borrowed, cfg);
     let accepted = borrowed
         .iter()
-        .filter(|b| {
-            let (posterior, terms) = classifier.posterior_explained(engine, b, cfg);
-            let accepted = posterior > 0.5;
+        .zip(explained)
+        .filter(|(b, (posterior, terms))| {
+            let accepted = *posterior > 0.5;
             let refs: Vec<(&str, f64)> = terms.iter().map(|(k, v)| (k.as_str(), *v)).collect();
             webiq_why::record::bayes_verify(b, accepted, &refs);
             webiq_trace::incr(if accepted {
@@ -236,7 +254,7 @@ pub fn verify_borrowed_with_model<E: QueryEngine>(
             });
             accepted
         })
-        .cloned()
+        .map(|(b, _)| b.clone())
         .collect();
     (accepted, Some(classifier.params()))
 }
@@ -298,10 +316,7 @@ mod tests {
         // airlines can be too rare on the simulated Web to clear every
         // feature threshold.
         let avg = |xs: &[&str]| {
-            xs.iter()
-                .map(|x| classifier.posterior(&engine, x, &cfg))
-                .sum::<f64>()
-                / xs.len() as f64
+            classifier.posteriors(&engine, xs, &cfg).iter().sum::<f64>() / xs.len() as f64
         };
         let p_airline = avg(&["Northwest", "Southwest", "Continental"]);
         let p_noise = avg(&["Round trip", "Economy", "Feb"]);

@@ -134,7 +134,7 @@ pub fn completions(snippet: &str, pattern: &MaterializedPattern) -> Vec<String> 
     };
     match pattern.side {
         CompletionSide::After => {
-            let after = &snippet[cue_end..];
+            let after = snippet.get(cue_end..).unwrap_or_default();
             let tagged = pos::tag(after);
             let spans = chunk::parse_np_list_spans(&tagged);
             let texts: Vec<String> = spans.iter().map(|s| span_text(&tagged, *s)).collect();
@@ -144,7 +144,7 @@ pub fn completions(snippet: &str, pattern: &MaterializedPattern) -> Vec<String> 
             }
         }
         CompletionSide::Before => {
-            let before = &snippet[..cue_start];
+            let before = snippet.get(..cue_start).unwrap_or_default();
             let tagged = pos::tag(before);
             let spans = trailing_np_list(&tagged);
             let texts: Vec<String> = spans.iter().map(|s| span_text(&tagged, *s)).collect();
@@ -264,7 +264,8 @@ fn plausible(text: &str, label_lower: &str) -> bool {
 /// Run the full extraction phase for one attribute label. Traced as an
 /// `extract` span; poses one [`Counter::ExtractQueries`] per query and
 /// tallies raw yields under [`Counter::CandidatesExtracted`]. Every query
-/// is issued; each snippet's completions come from `memo`.
+/// is issued, all of them in one batch; each snippet's completions come
+/// from `memo`.
 pub fn extract_candidates<E: QueryEngine>(
     engine: &E,
     label: &str,
@@ -280,28 +281,31 @@ pub fn extract_candidates<E: QueryEngine>(
     let label_lower = label.trim().trim_end_matches(':').to_lowercase();
     let mut seen: BTreeMap<String, usize> = BTreeMap::new(); // lower → index
     let mut candidates: Vec<Candidate> = Vec::new();
-    let mut queries = 0;
-
-    for np in &nps {
-        for pattern in extraction_patterns(np, &info.object) {
-            let query = build_query(&pattern, info, cfg);
-            queries += 1;
-            webiq_trace::incr(Counter::ExtractQueries);
-            for snippet in engine.search(&query, cfg.snippets_per_query).iter() {
-                for text in memo.completions(&snippet.text, &pattern).iter() {
-                    if !plausible(text, &label_lower) {
-                        continue;
-                    }
-                    let key = text.to_lowercase();
-                    match seen.get(&key) {
-                        Some(&idx) => candidates[idx].count += 1,
-                        None => {
-                            seen.insert(key, candidates.len());
-                            candidates.push(Candidate {
-                                text: text.clone(),
-                                count: 1,
-                            });
-                        }
+    let patterns: Vec<MaterializedPattern> = nps
+        .iter()
+        .flat_map(|np| extraction_patterns(np, &info.object))
+        .collect();
+    let queries: Vec<String> = patterns
+        .iter()
+        .map(|pattern| build_query(pattern, info, cfg))
+        .collect();
+    webiq_trace::add(Counter::ExtractQueries, queries.len() as u64);
+    let results = engine.search_many(&queries, cfg.snippets_per_query);
+    for (pattern, snippets) in patterns.iter().zip(&results) {
+        for snippet in snippets.iter() {
+            for text in memo.completions(&snippet.text, pattern).iter() {
+                if !plausible(text, &label_lower) {
+                    continue;
+                }
+                let key = text.to_lowercase();
+                match seen.get(&key) {
+                    Some(&idx) => candidates[idx].count += 1,
+                    None => {
+                        seen.insert(key, candidates.len());
+                        candidates.push(Candidate {
+                            text: text.clone(),
+                            count: 1,
+                        });
                     }
                 }
             }
@@ -310,7 +314,7 @@ pub fn extract_candidates<E: QueryEngine>(
     webiq_trace::add(Counter::CandidatesExtracted, candidates.len() as u64);
     ExtractionOutcome {
         candidates,
-        queries,
+        queries: queries.len(),
     }
 }
 

@@ -54,6 +54,9 @@
     clippy::panic,
     clippy::unreachable
 )]
+// Slicing a `str` off a char boundary panics: every cut here is
+// `str::get` or an audited `#[expect]`.
+#![warn(clippy::string_slice)]
 
 pub mod acquire;
 pub mod attr_deep;

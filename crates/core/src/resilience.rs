@@ -99,23 +99,18 @@ impl<'q> Resilience<'q> {
         false
     }
 
-    /// The engine-boundary call loop: breaker gate, planned injection,
-    /// quota charge, then the real call. Returns `fallback()` when the
-    /// call cannot complete.
-    fn guarded<T>(
-        &self,
-        breaker: &CircuitBreaker,
-        endpoint: &str,
-        key: u64,
-        exec: impl Fn() -> T,
-        fallback: impl FnOnce() -> T,
-    ) -> T {
+    /// The engine-boundary guard of one call: breaker gate, planned
+    /// injection with retries on the virtual clock, then the quota
+    /// charge. True when the call may go out; false when it falls back.
+    /// No step reads the call's answer, so a batch can run every query's
+    /// guard first and send the cleared queries together.
+    fn clears(&self, breaker: &CircuitBreaker, endpoint: &str, key: u64) -> bool {
         let mut attempt = 0u32;
         loop {
             if !breaker.allow(&self.clock) {
                 webiq_trace::incr(Counter::FaultBreakerOpen);
                 self.mark_degraded();
-                return fallback();
+                return false;
             }
             if self.plan.decide(endpoint, key, attempt).is_some() {
                 webiq_trace::incr(Counter::FaultInjected);
@@ -123,16 +118,49 @@ impl<'q> Resilience<'q> {
                     attempt += 1;
                     continue;
                 }
-                return fallback();
+                return false;
             }
             if !self.quota.try_consume(1) {
                 webiq_trace::incr(Counter::FaultQuotaDenied);
                 self.mark_degraded();
-                return fallback();
+                return false;
             }
             breaker.record_success();
-            return exec();
+            return true;
         }
+    }
+
+    /// Guard each of `queries` in order, send the cleared ones as one
+    /// batch through `send`, and answer the rest with `T::default()`
+    /// (the degradation ladder's empty result).
+    fn guarded_batch<Q: AsRef<str>, T: Default>(
+        &self,
+        breaker: &CircuitBreaker,
+        endpoint: &str,
+        queries: &[Q],
+        send: impl FnOnce(&[&str]) -> Vec<T>,
+    ) -> Vec<T> {
+        let cleared: Vec<bool> = queries
+            .iter()
+            .map(|q| self.clears(breaker, endpoint, query_key(q.as_ref())))
+            .collect();
+        let sent: Vec<&str> = queries
+            .iter()
+            .zip(&cleared)
+            .filter(|(_, &ok)| ok)
+            .map(|(q, _)| q.as_ref())
+            .collect();
+        let mut answers = send(&sent).into_iter();
+        cleared
+            .iter()
+            .map(|&ok| {
+                if ok {
+                    answers.next().unwrap_or_default()
+                } else {
+                    T::default()
+                }
+            })
+            .collect()
     }
 }
 
@@ -141,6 +169,9 @@ impl<'q> Resilience<'q> {
 /// the virtual clock, the per-endpoint breaker fast-fails a failing
 /// lane, and each completed call is charged against the daily quota.
 /// Fallbacks are empty results — the degradation ladder, not an abort.
+/// A batch runs each query's guard in input order and then sends the
+/// queries that cleared as one batch, which equals guarding and sending
+/// them one at a time.
 pub struct ResilientEngine<'a> {
     engine: &'a SearchEngine,
     res: &'a Resilience<'a>,
@@ -154,24 +185,18 @@ impl<'a> ResilientEngine<'a> {
 }
 
 impl QueryEngine for ResilientEngine<'_> {
-    fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>> {
-        self.res.guarded(
-            &self.res.search_breaker,
-            "engine/search",
-            query_key(query),
-            || self.engine.search(query, k),
-            Arc::default,
-        )
+    fn search_many<Q: AsRef<str>>(&self, queries: &[Q], k: usize) -> Vec<Arc<Vec<Snippet>>> {
+        self.res
+            .guarded_batch(&self.res.search_breaker, "engine/search", queries, |sent| {
+                self.engine.search_many(sent, k)
+            })
     }
 
-    fn num_hits(&self, query: &str) -> u64 {
-        self.res.guarded(
-            &self.res.hits_breaker,
-            "engine/hits",
-            query_key(query),
-            || self.engine.num_hits(query),
-            || 0,
-        )
+    fn num_hits_many<Q: AsRef<str>>(&self, queries: &[Q]) -> Vec<u64> {
+        self.res
+            .guarded_batch(&self.res.hits_breaker, "engine/hits", queries, |sent| {
+                self.engine.num_hits_many(sent)
+            })
     }
 
     /// Hit-count evidence stops being trustworthy once the daily quota
@@ -395,6 +420,84 @@ mod tests {
         assert_eq!(d.get(Counter::FaultRetryAttempt), 2);
         assert_eq!(d.get(Counter::FaultRetryExhausted), 1);
         assert!(res.degraded());
+    }
+
+    /// A batch through the wrapper equals its queries guarded and sent
+    /// one at a time: answers, every thread-local counter, the engine's
+    /// split, the virtual clock, the retry budget left and the degraded
+    /// flag. The budget runs out mid-batch, so some queries fall back.
+    #[test]
+    fn a_batch_equals_its_queries_guarded_one_at_a_time() {
+        let queries: Vec<String> = (0..60)
+            .map(|i| {
+                format!("\"{}\"", ["Honda", "Toyota", "Make", "q"][i % 4]) + &"!".repeat(i % 7)
+            })
+            .collect();
+        let cfg = FaultConfig {
+            retry_budget: 25,
+            ..FaultConfig::chaos(17, 0.45)
+        };
+        let run = |batched: bool| {
+            let quota = QuotaTracker::new(0);
+            let res = Resilience::new(&cfg, &quota);
+            let e = engine();
+            let wrapped = ResilientEngine::new(&e, &res);
+            let before = webiq_trace::snapshot();
+            let (hits, snippets) = if batched {
+                (
+                    wrapped.num_hits_many(&queries),
+                    wrapped.search_many(&queries, 2),
+                )
+            } else {
+                let one = |breaker, endpoint, q: &str| res.clears(breaker, endpoint, query_key(q));
+                (
+                    queries
+                        .iter()
+                        .map(|q| {
+                            if one(&res.hits_breaker, "engine/hits", q) {
+                                e.num_hits(q)
+                            } else {
+                                0
+                            }
+                        })
+                        .collect(),
+                    queries
+                        .iter()
+                        .map(|q| {
+                            if one(&res.search_breaker, "engine/search", q) {
+                                e.search(q, 2)
+                            } else {
+                                Arc::default()
+                            }
+                        })
+                        .collect(),
+                )
+            };
+            let counters = webiq_trace::snapshot().diff(&before);
+            let split = [
+                e.stats().hit_queries(),
+                e.stats().search_queries(),
+                e.stats().total_issued(),
+            ];
+            (
+                hits,
+                snippets,
+                counters,
+                split,
+                res.virtual_elapsed_ms(),
+                res.retries_remaining(),
+                res.degraded(),
+            )
+        };
+        let (batch, single) = (run(true), run(false));
+        assert_eq!(batch, single);
+        let counters = &batch.2;
+        assert!(counters.get(Counter::FaultInjected) > 0, "{counters:?}");
+        assert!(
+            counters.get(Counter::FaultRetryExhausted) > 0,
+            "{counters:?}"
+        );
+        assert!(batch.6, "retries ran out, so the item degraded");
     }
 
     #[test]

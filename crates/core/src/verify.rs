@@ -1,6 +1,8 @@
 //! The instance-verification phase (§2.2): statistical outlier removal
 //! followed by Web validation with PMI-scored validation queries.
 
+use std::fmt::Write as _;
+
 use webiq_prof::Stage;
 use webiq_stats::{outlier, pmi};
 use webiq_trace::Counter;
@@ -28,80 +30,133 @@ pub struct VerificationOutcome {
     pub validation_removed: usize,
 }
 
-/// Compute the validation score of `candidate` against one validation
-/// phrase (§2.2): `PMI(V, x) = NumHits(V + x) / (NumHits(V) · NumHits(x))`,
-/// or the raw joint hit count when `use_pmi` is off (the ablation that
-/// exhibits popularity bias).
-pub fn validation_score<E: QueryEngine>(
-    engine: &E,
-    phrase: &str,
-    candidate: &str,
-    use_pmi: bool,
-) -> f64 {
-    let joint = engine.num_hits(&format!("\"{phrase} {candidate}\""));
-    if !use_pmi {
-        return joint as f64;
-    }
-    let v = engine.num_hits(&format!("\"{phrase}\""));
-    let x = engine.num_hits(&format!("\"{candidate}\""));
-    pmi::pmi(joint, v, x)
+/// One candidate's score against one validation phrase (§2.2), with the
+/// hit counts behind it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhraseScore {
+    /// `NumHits("V x")`, the joint count of phrase `V` and candidate `x`.
+    pub joint: u64,
+    /// `NumHits("V")` and `NumHits("x")`, when PMI is on.
+    pub marginals: Option<(u64, u64)>,
+    /// `PMI(V, x) = NumHits(V + x) / (NumHits(V) · NumHits(x))`, or the
+    /// raw joint count when PMI is off (the ablation that exhibits
+    /// popularity bias).
+    pub score: f64,
 }
 
-/// The full validation vector of a candidate across all phrases.
-pub fn validation_vector<E: QueryEngine>(
+/// Every candidate's scores against every phrase, candidate by
+/// candidate, from one engine batch. Per candidate and phrase the batch
+/// holds the joint query, then (with `use_pmi`) the phrase's and the
+/// candidate's marginal query. The queries are written into one buffer,
+/// so a batch allocates once for its text rather than once per query.
+fn scores<E: QueryEngine, S: AsRef<str>>(
     engine: &E,
     phrases: &[String],
-    candidate: &str,
+    candidates: &[S],
     use_pmi: bool,
-) -> Vec<f64> {
-    phrases
+) -> impl Iterator<Item = PhraseScore> {
+    let mut text = String::new();
+    let mut ends = Vec::new();
+    for candidate in candidates {
+        let candidate = candidate.as_ref();
+        for phrase in phrases {
+            let _ = write!(text, "\"{phrase} {candidate}\"");
+            ends.push(text.len());
+            if use_pmi {
+                let _ = write!(text, "\"{phrase}\"");
+                ends.push(text.len());
+                let _ = write!(text, "\"{candidate}\"");
+                ends.push(text.len());
+            }
+        }
+    }
+    let mut start = 0;
+    let queries: Vec<&str> = ends
         .iter()
-        .map(|p| validation_score(engine, p, candidate, use_pmi))
+        .map(|&end| {
+            let query = text.get(start..end).unwrap_or_default();
+            start = end;
+            query
+        })
+        .collect();
+    let mut hits = engine.num_hits_many(&queries).into_iter();
+    std::iter::from_fn(move || {
+        let joint = hits.next()?;
+        Some(if use_pmi {
+            let (v, x) = (hits.next()?, hits.next()?);
+            PhraseScore {
+                joint,
+                marginals: Some((v, x)),
+                score: pmi::pmi(joint, v, x),
+            }
+        } else {
+            PhraseScore {
+                joint,
+                marginals: None,
+                score: joint as f64,
+            }
+        })
+    })
+}
+
+/// Every candidate's score against every phrase, from one engine batch:
+/// `scores[c][p]` scores `candidates[c]` against `phrases[p]`.
+pub fn phrase_scores<E: QueryEngine, S: AsRef<str>>(
+    engine: &E,
+    phrases: &[String],
+    candidates: &[S],
+    use_pmi: bool,
+) -> Vec<Vec<PhraseScore>> {
+    let mut all = scores(engine, phrases, candidates, use_pmi);
+    candidates
+        .iter()
+        .map(|_| all.by_ref().take(phrases.len()).collect())
         .collect()
 }
 
-/// Average validation score (the paper's confidence score).
-pub fn confidence<E: QueryEngine>(
+/// The validation vector (per-phrase scores) of each candidate, from one
+/// engine batch.
+pub fn validation_vectors<E: QueryEngine, S: AsRef<str>>(
     engine: &E,
     phrases: &[String],
-    candidate: &str,
+    candidates: &[S],
     use_pmi: bool,
-) -> f64 {
-    let scores = validation_vector(engine, phrases, candidate, use_pmi);
-    pmi::average(&scores)
+) -> Vec<Vec<f64>> {
+    let mut all = scores(engine, phrases, candidates, use_pmi);
+    candidates
+        .iter()
+        .map(|_| all.by_ref().take(phrases.len()).map(|s| s.score).collect())
+        .collect()
 }
 
-/// [`confidence`] plus the per-phrase evidence behind it: the joint and
-/// marginal hit counts and the PMI score of every validation phrase, as
-/// decision terms (`joint_i`, `vhits_i`, `xhits_i`, `pmi_i`). Issues
-/// exactly the same engine queries in exactly the same order as
-/// [`confidence`], so swapping one for the other cannot perturb the
-/// deterministic counter stream.
-pub fn confidence_with_evidence<E: QueryEngine>(
+/// Each candidate's average validation score (the paper's confidence
+/// score), from one engine batch.
+pub fn confidences<E: QueryEngine, S: AsRef<str>>(
     engine: &E,
     phrases: &[String],
-    candidate: &str,
+    candidates: &[S],
     use_pmi: bool,
-) -> (f64, Vec<(String, f64)>) {
+) -> Vec<f64> {
+    validation_vectors(engine, phrases, candidates, use_pmi)
+        .iter()
+        .map(|v| pmi::average(v))
+        .collect()
+}
+
+/// The decision terms of one candidate's scores: per phrase `i`, the
+/// joint count `joint_i` and, with PMI, the marginals `vhits_i` and
+/// `xhits_i` and the score `pmi_i`.
+fn evidence_terms(row: &[PhraseScore]) -> Vec<(String, f64)> {
     let mut terms = Vec::new();
-    let mut scores = Vec::with_capacity(phrases.len());
-    for (i, phrase) in phrases.iter().enumerate() {
-        let joint = engine.num_hits(&format!("\"{phrase} {candidate}\""));
-        terms.push((format!("joint_{i}"), joint as f64));
-        let s = if use_pmi {
-            let v = engine.num_hits(&format!("\"{phrase}\""));
-            let x = engine.num_hits(&format!("\"{candidate}\""));
-            let p = pmi::pmi(joint, v, x);
+    for (i, s) in row.iter().enumerate() {
+        terms.push((format!("joint_{i}"), s.joint as f64));
+        if let Some((v, x)) = s.marginals {
             terms.push((format!("vhits_{i}"), v as f64));
             terms.push((format!("xhits_{i}"), x as f64));
-            terms.push((format!("pmi_{i}"), p));
-            p
-        } else {
-            joint as f64
-        };
-        scores.push(s);
+            terms.push((format!("pmi_{i}"), s.score));
+        }
     }
-    (pmi::average(&scores), terms)
+    terms
 }
 
 /// Run the verification phase over extraction candidates: outlier
@@ -169,10 +224,13 @@ fn verify_candidates_inner<E: QueryEngine>(
         };
     }
 
+    let scores = phrase_scores(engine, phrases, &kept, cfg.use_pmi);
     let evidence: Vec<CandidateEvidence> = kept
         .into_iter()
-        .map(|text| {
-            let (score, mut terms) = confidence_with_evidence(engine, phrases, &text, cfg.use_pmi);
+        .zip(scores)
+        .map(|(text, row)| {
+            let score = pmi::average(&row.iter().map(|s| s.score).collect::<Vec<_>>());
+            let mut terms = evidence_terms(&row);
             terms.push(("score".to_string(), score));
             terms.push(("threshold".to_string(), cfg.min_validation_score));
             (text, score, terms)
@@ -239,8 +297,9 @@ mod tests {
     #[test]
     fn instances_outscore_non_instances() {
         let e = engine();
-        let honda = confidence(&e, &phrases(), "Honda", true);
-        let economy = confidence(&e, &phrases(), "Economy", true);
+        let [honda, economy] = confidences(&e, &phrases(), &["Honda", "Economy"], true)[..] else {
+            panic!("one confidence per candidate");
+        };
         assert!(honda > economy, "honda={honda} economy={economy}");
         assert_eq!(economy, 0.0);
     }
@@ -262,14 +321,16 @@ mod tests {
             "Star ratings",
         ]));
         let p = vec!["makes such as".to_string()];
-        let honda_pmi = confidence(&e, &p, "Honda", true);
-        let star_pmi = confidence(&e, &p, "Star", true);
+        let [honda_pmi, star_pmi] = confidences(&e, &p, &["Honda", "Star"], true)[..] else {
+            panic!("one confidence per candidate");
+        };
         assert!(
             honda_pmi > star_pmi,
             "pmi: honda={honda_pmi} star={star_pmi}"
         );
-        let honda_raw = confidence(&e, &p, "Honda", false);
-        let star_raw = confidence(&e, &p, "Star", false);
+        let [honda_raw, star_raw] = confidences(&e, &p, &["Honda", "Star"], false)[..] else {
+            panic!("one confidence per candidate");
+        };
         assert!(
             honda_raw <= star_raw,
             "raw: honda={honda_raw} star={star_raw}"

@@ -27,18 +27,28 @@ fn run_with(domain_idx: usize, threads: usize, tracer: Tracer) -> Acquisition {
 }
 
 fn run_cfg(domain_idx: usize, cfg: WebIQConfig) -> Acquisition {
+    run_on(domain_idx, &engine(domain_idx), cfg)
+}
+
+/// A fresh simulated Web for one domain.
+fn engine(domain_idx: usize) -> SearchEngine {
     let def = kb::all_domains()[domain_idx];
-    let ds = generate_domain(def, &GenOptions::default());
-    let engine = SearchEngine::new(gen::generate(
+    SearchEngine::new(gen::generate(
         &corpus::concept_specs(def),
         &GenConfig::default(),
-    ));
+    ))
+}
+
+/// Acquisition over one domain's dataset and sources against `engine`.
+fn run_on(domain_idx: usize, engine: &SearchEngine, cfg: WebIQConfig) -> Acquisition {
+    let def = kb::all_domains()[domain_idx];
+    let ds = generate_domain(def, &GenOptions::default());
     let sources: Vec<_> = ds
         .interfaces
         .iter()
         .map(|i| build_deep_source(def, i, &RecordOptions::default()))
         .collect();
-    acquire::acquire(&ds, def, &engine, &sources, Components::ALL, &cfg).expect("acquisition")
+    acquire::acquire(&ds, def, engine, &sources, Components::ALL, &cfg).expect("acquisition")
 }
 
 fn run(domain_idx: usize, threads: usize) -> Acquisition {
@@ -201,4 +211,27 @@ fn sequential_rerun_is_reproducible() {
     let b = run(0, 1);
     assert_eq!(a.acquired, b.acquired);
     assert_eq!(a.report, b.report);
+}
+
+/// With simulated latency on, one domain's acquisition misses the
+/// engine's caches as often at 2 and 8 workers as at 1, and issues as
+/// many queries: misses are single-flight, so no two workers fetch one
+/// key.
+#[test]
+fn engine_traffic_is_equal_at_every_worker_count() {
+    let traffic = |threads: usize| {
+        let e = engine(0);
+        e.set_simulated_latency_us(20);
+        let cfg = WebIQConfig {
+            threads: Some(threads),
+            ..WebIQConfig::default()
+        };
+        run_on(0, &e, cfg);
+        (e.stats().total(), e.stats().total_issued())
+    };
+    let one = traffic(1);
+    assert!(one.0 > 0 && one.1 > one.0, "{one:?}");
+    for threads in [2, 8] {
+        assert_eq!(traffic(threads), one, "engine traffic at {threads} workers");
+    }
 }

@@ -86,7 +86,9 @@ fn validation_scores_finite() {
         let candidate = rng.gen_string(prop::alpha_space(), 1, 20);
         let use_pmi = rng.gen_bool(0.5);
         let engine = small_engine();
-        let s = verify::validation_score(&engine, &phrase, &candidate, use_pmi);
+        let v = verify::validation_vectors(&engine, &[phrase], &[candidate], use_pmi);
+        assert_eq!(v.len(), 1);
+        let s = v[0][0];
         assert!(s.is_finite());
         assert!(s >= 0.0);
     });

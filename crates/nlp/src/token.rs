@@ -89,7 +89,9 @@ pub fn tokenize(text: &str) -> Vec<Token> {
         } else {
             TokenKind::Punct
         };
-        out.push(Token::new(&text[start..i], kind));
+        if let Some(token) = text.get(start..i) {
+            out.push(Token::new(token, kind));
+        }
     }
     out
 }
@@ -177,7 +179,7 @@ pub fn sentences(text: &str) -> Vec<&str> {
                     .and_then(|p| bytes.get(p))
                     .is_some_and(u8::is_ascii_alphabetic);
             if (at_end || next_ws) && !abbrev {
-                let s = text[start..=i].trim();
+                let s = text.get(start..=i).unwrap_or_default().trim();
                 if !s.is_empty() {
                     out.push(s);
                 }
@@ -186,7 +188,7 @@ pub fn sentences(text: &str) -> Vec<&str> {
         }
         i += 1;
     }
-    let tail = text[start..].trim();
+    let tail = text.get(start..).unwrap_or_default().trim();
     if !tail.is_empty() {
         out.push(tail);
     }

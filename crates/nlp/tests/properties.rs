@@ -240,3 +240,17 @@ fn every_lexicon_word_tags_as_the_reference() {
         }
     }
 }
+
+/// The text entry points are total on adversarial text (final sigma,
+/// `İ`, `ẞ`, the Kelvin and Ohm signs, combining marks) mixed with `"`,
+/// `+`, `-`, `$` and `.`.
+#[test]
+fn text_entry_points_never_panic() {
+    let chars = prop::charset("ΣσςİıẞßK\u{212A}\u{2126}\u{301}\u{345}éa0 \"+-$.!?'");
+    prop::cases(4 * prop::CASES, |rng| {
+        let s = rng.gen_string(chars, 0, 48);
+        let _ = token::tokenize(&s);
+        let _ = token::words_lower(&s);
+        let _ = token::sentences(&s);
+    });
+}

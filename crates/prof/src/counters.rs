@@ -21,10 +21,12 @@ pub const NUM_PROF_COUNTERS: usize = 12;
 /// variants are *peaks* (merged by maximum, exported as gauges); all
 /// others are monotonic tallies (exported as counters).
 ///
-/// Like everything in this registry, the cache tallies are
-/// scheduling-dependent: threads that miss on the same fresh key at once
-/// each count a miss (and run the query), so hit and miss counts move
-/// with the worker count and the interleaving, while the answers do not.
+/// Like everything in this registry, the tallies may depend on
+/// scheduling. The cache misses do not: the engine's misses are
+/// single-flight (a key another worker is fetching is awaited and counts
+/// as a hit), so hit and miss totals equal a one-worker run's, while the
+/// lock counts and which worker's query hits move with the interleaving.
+/// The answers never move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProfCounter {
     /// Cache-shard lock acquisitions (every `lock_shard` call).
@@ -118,8 +120,8 @@ pub const NUM_STAGES: usize = 7;
 /// across all stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
-    /// A cache-missing engine query (index matching + simulated
-    /// round-trip), inside whichever component issued it.
+    /// One wave of cache-missing engine queries (index matching plus one
+    /// simulated round-trip), inside whichever component issued it.
     EngineQuery,
     /// Surface-Web instance discovery (§2): extraction queries and
     /// candidate harvesting, including verification.

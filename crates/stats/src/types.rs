@@ -101,8 +101,9 @@ pub fn is_integer(s: &str) -> bool {
 /// Is `s` a real number (requires a decimal point)?
 pub fn is_real(s: &str) -> bool {
     let t = s.trim();
-    let Some(dot) = t.find('.') else { return false };
-    let (int_part, frac_part) = (&t[..dot], &t[dot + 1..]);
+    let Some((int_part, frac_part)) = t.split_once('.') else {
+        return false;
+    };
     let frac_ok = !frac_part.is_empty() && frac_part.bytes().all(|c| c.is_ascii_digit());
     let int_ok =
         int_part.is_empty() || is_integer(int_part) || (int_part == "-" || int_part == "+");

@@ -167,3 +167,17 @@ fn type_inference_consistent() {
         }
     });
 }
+
+/// The value-type tests are total on adversarial text (final sigma,
+/// `İ`, `ẞ`, the Kelvin and Ohm signs, combining marks) mixed with `"`,
+/// `+`, `-`, `$`, `.` and the digits and words they parse.
+#[test]
+fn type_entry_points_never_panic() {
+    let chars = prop::charset("ΣσςİıẞßK\u{212A}\u{2126}\u{301}\u{345}é0129 \"+-$.,/:usd");
+    prop::cases(4 * prop::CASES, |rng| {
+        let s = rng.gen_string(chars, 0, 24);
+        let _ = types::is_real(&s);
+        let _ = types::infer_type(&s);
+        let _ = types::numeric_value(&s);
+    });
+}

@@ -11,12 +11,15 @@
 //!   whose values are too large to keep unbounded.
 //! - [`ShardedLru`] — N [`LruCache`] shards behind their own locks; the
 //!   per-shard capacity is `total / N`.
+//! - [`InFlight`] — the single-flight table: the cache misses some
+//!   worker is fetching right now, so no other worker fetches them too.
 
 // lint:deterministic
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use webiq_prof::ProfCounter;
 use webiq_rng::fnv1a;
@@ -37,7 +40,7 @@ fn lock_shard<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         Err(TryLockError::Poisoned(p)) => p.into_inner(),
         Err(TryLockError::WouldBlock) => {
             webiq_prof::incr(ProfCounter::ShardLockContended);
-            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+            m.lock().unwrap_or_else(PoisonError::into_inner)
         }
     }
 }
@@ -238,6 +241,138 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     /// evicted key (if the shard was at capacity).
     pub fn insert(&self, shard_key: &str, key: K, val: V) -> Option<K> {
         lock_shard(&self.shards[shard_index(shard_key)]).insert(key, val)
+    }
+}
+
+/// The single-flight table: the keys whose cache misses some worker is
+/// fetching right now. A worker [claims](InFlight::claim) the misses no
+/// other worker holds, caches each answer and then releases its claim;
+/// a worker that finds a key claimed [waits](InFlight::wait) for the
+/// release and reads the cache instead of fetching the key again.
+///
+/// A worker waits only after releasing every claim of its own, so the
+/// worker it waits on is fetching, not waiting, and no wait can close a
+/// cycle. The table has its own lock; no cache shard's lock is held
+/// while a worker waits. Every update of the table is one insert or
+/// remove, so a table poisoned by a panicking worker is still valid.
+pub struct InFlight<K> {
+    state: Mutex<Flights<K>>,
+    released: Condvar,
+}
+
+/// The claimed keys, and how many workers wait on some of them (a
+/// release with no waiter wakes nobody).
+struct Flights<K> {
+    claimed: HashSet<K>,
+    waiters: usize,
+}
+
+impl<K: Eq + Hash> InFlight<K> {
+    /// An empty table.
+    pub fn new() -> Self {
+        InFlight {
+            state: Mutex::new(Flights {
+                claimed: HashSet::new(),
+                waiters: 0,
+            }),
+            released: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Flights<K>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claim each of `keys` that no worker holds. Returns the claim and,
+    /// per key, whether it is now the caller's (`false`: another worker
+    /// holds it, or an earlier entry of `keys` claimed it).
+    pub fn claim<'a, Q>(&'a self, keys: &'a [&'a Q]) -> (Claim<'a, K, Q>, Vec<bool>)
+    where
+        Q: ?Sized + Eq + Hash + ToOwned<Owned = K>,
+        K: Borrow<Q>,
+    {
+        let mut state = self.lock();
+        let mine: Vec<bool> = keys
+            .iter()
+            .map(|&key| state.claimed.insert(key.to_owned()))
+            .collect();
+        let claim = Claim {
+            table: self,
+            keys,
+            held: mine.clone(),
+        };
+        (claim, mine)
+    }
+
+    /// Block until no worker holds any of `keys`.
+    pub fn wait<Q>(&self, keys: &[&Q])
+    where
+        Q: ?Sized + Eq + Hash,
+        K: Borrow<Q>,
+    {
+        let mut state = self.lock();
+        state.waiters += 1;
+        while keys.iter().any(|&key| state.claimed.contains(key)) {
+            state = self
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.waiters -= 1;
+    }
+
+    /// Drop `keys` from the table and wake the waiters, if any.
+    fn release<'q, Q>(&self, keys: impl IntoIterator<Item = &'q Q>)
+    where
+        Q: ?Sized + Eq + Hash + 'q,
+        K: Borrow<Q>,
+    {
+        let mut state = self.lock();
+        for key in keys {
+            state.claimed.remove(key);
+        }
+        if state.waiters > 0 {
+            self.released.notify_all();
+        }
+    }
+}
+
+impl<K: Eq + Hash> Default for InFlight<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The keys one worker claimed in an [`InFlight`] table. Dropping the
+/// claim releases whatever it still holds, so a worker that unwinds
+/// mid-fetch leaves the keys for its waiters to fetch themselves.
+pub struct Claim<'a, K: Eq + Hash + Borrow<Q>, Q: ?Sized + Eq + Hash> {
+    table: &'a InFlight<K>,
+    keys: &'a [&'a Q],
+    held: Vec<bool>,
+}
+
+impl<K: Eq + Hash + Borrow<Q>, Q: ?Sized + Eq + Hash> Claim<'_, K, Q> {
+    /// Release the keys at positions `at` of the claimed slice (their
+    /// answers are cached) and wake the waiters.
+    pub fn release(&mut self, at: &[usize]) {
+        let (keys, held) = (self.keys, &mut self.held);
+        self.table.release(at.iter().filter_map(|&j| {
+            let slot = held.get_mut(j)?;
+            if !std::mem::take(slot) {
+                return None;
+            }
+            keys.get(j).copied()
+        }));
+    }
+}
+
+impl<K: Eq + Hash + Borrow<Q>, Q: ?Sized + Eq + Hash> Drop for Claim<'_, K, Q> {
+    fn drop(&mut self) {
+        if self.held.contains(&true) {
+            let all: Vec<usize> = (0..self.held.len()).collect();
+            self.release(&all);
+        }
     }
 }
 

@@ -10,16 +10,23 @@
 //! parallel acquisition workers (see DESIGN.md, "Parallel acquisition
 //! architecture"):
 //!
+//! - queries arrive in batches ([`SearchEngine::num_hits_many`],
+//!   [`SearchEngine::search_many`]) of independent queries, answered in
+//!   input order; a single query is a batch of one;
 //! - two caches memoise answers: hit counts in an unbounded map sharded N
 //!   ways, so unrelated queries never contend on one lock, and snippet
 //!   lists in a bounded sharded LRU storing `Arc`s, so repeated
 //!   extraction queries are served without re-matching;
+//! - a batch's cache misses go out in waves of at most [`MAX_IN_FLIGHT`],
+//!   each wave one simulated round trip, and they are single-flight: a
+//!   key another worker is fetching is awaited, not fetched again
+//!   ([`InFlight`]), so the misses are the same at any worker count;
 //! - a cache miss parses the query and evaluates it rarest-term-first
 //!   ([`InvertedIndex::matches`]), in time proportional to the postings
 //!   of its rarest positive term rather than of its first one; the
 //!   index is built once, on the constructing thread, and read-only
 //!   after that;
-//! - every call makes three counter updates, one per telemetry home:
+//! - every query makes three counter updates, one per telemetry home:
 //!   1. the `webiq-trace` *thread-local* issued counter
 //!      ([`Counter::EngineSearchIssued`] / [`Counter::EngineHitIssued`]),
 //!      so a worker measures exactly the queries its own work item
@@ -27,12 +34,12 @@
 //!      the deterministic per-component cost accounting in `webiq-core`;
 //!   2. one cache-outcome slot of this engine's [`EngineStats`];
 //!   3. the same outcome in the process-wide `webiq-prof` registry
-//!      (which also attributes evictions and times cache-missing
-//!      queries).
+//!      (which also attributes evictions and times each wave).
 //!
-//!   Cache hits and misses depend on scheduling, so they live only in
+//!   Cache hits and waves depend on scheduling, so they live only in
 //!   the last two and never enter the deterministic trace stream.
 
+use std::hash::Hash;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,7 +47,7 @@ use std::sync::Arc;
 use webiq_prof::{ProfCounter, Stage};
 use webiq_trace::Counter;
 
-use crate::cache::{ShardedLru, ShardedMap};
+use crate::cache::{InFlight, ShardedLru, ShardedMap};
 use crate::corpus::Corpus;
 use crate::index::InvertedIndex;
 use crate::query;
@@ -55,18 +62,30 @@ pub struct Snippet {
 }
 
 /// The two query primitives WebIQ's components program against — the
-/// surface the paper used via Google's Web API. [`SearchEngine`]
-/// implements it directly; resilience wrappers (fault injection, retry,
-/// quota — see `webiq-core`'s `resilience` module) implement it by
-/// delegation, so every extraction/validation routine is generic over
-/// whether it talks to the raw engine or a guarded one.
+/// surface the paper used via Google's Web API — in batches of
+/// independent queries. [`SearchEngine`] implements it directly;
+/// resilience wrappers (fault injection, retry, quota — see
+/// `webiq-core`'s `resilience` module) implement it by delegation, so
+/// every extraction/validation routine is generic over whether it talks
+/// to the raw engine or a guarded one.
 pub trait QueryEngine {
-    /// Top-`k` result snippets for `query` (extraction queries), shared
-    /// with the engine's cache.
-    fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>>;
+    /// Top-`k` result snippets for each of `queries` (extraction
+    /// queries), in input order, shared with the engine's cache.
+    fn search_many<Q: AsRef<str>>(&self, queries: &[Q], k: usize) -> Vec<Arc<Vec<Snippet>>>;
 
-    /// Number of pages matching `query` (validation queries).
-    fn num_hits(&self, query: &str) -> u64;
+    /// Number of pages matching each of `queries` (validation queries),
+    /// in input order.
+    fn num_hits_many<Q: AsRef<str>>(&self, queries: &[Q]) -> Vec<u64>;
+
+    /// [`QueryEngine::search_many`] of one query.
+    fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>> {
+        self.search_many(&[query], k).pop().unwrap_or_default()
+    }
+
+    /// [`QueryEngine::num_hits_many`] of one query.
+    fn num_hits(&self, query: &str) -> u64 {
+        self.num_hits_many(&[query]).pop().unwrap_or_default()
+    }
 
     /// True while hit-count evidence is trustworthy. A quota-exhausted
     /// wrapper returns false, telling validation to degrade from
@@ -77,43 +96,52 @@ pub trait QueryEngine {
 }
 
 impl QueryEngine for SearchEngine {
-    fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>> {
-        SearchEngine::search(self, query, k)
+    fn search_many<Q: AsRef<str>>(&self, queries: &[Q], k: usize) -> Vec<Arc<Vec<Snippet>>> {
+        SearchEngine::search_many(self, queries, k)
     }
 
-    fn num_hits(&self, query: &str) -> u64 {
-        SearchEngine::num_hits(self, query)
+    fn num_hits_many<Q: AsRef<str>>(&self, queries: &[Q]) -> Vec<u64> {
+        SearchEngine::num_hits_many(self, queries)
     }
+}
+
+/// The cache outcomes of one query kind.
+#[derive(Debug, Default)]
+struct Outcomes {
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 /// Per-engine traffic counters, used by the overhead analysis: one
-/// relaxed atomic per cache outcome.
+/// relaxed atomic per cache outcome, and one per wave.
 ///
-/// Misses are actual round-trips to the engine core; hits plus misses
-/// are every call. Repeated queries (phrase and candidate marginals recur
-/// constantly during classifier training) would be served from a
-/// client-side cache in any real deployment and cost no search-engine
-/// round-trip. Racing threads that miss on the same fresh query may each
-/// count a miss, so the split depends on scheduling; the sum does not.
-/// For per-call-site accounting that is independent of cache state, diff
-/// the thread-local counters via [`webiq_trace::snapshot`].
+/// Misses are the queries the engine core evaluated; hits plus misses
+/// are every query issued. Repeated queries (phrase and candidate
+/// marginals recur constantly during classifier training) would be
+/// served from a client-side cache in any real deployment and cost no
+/// search-engine round-trip. Misses are single-flight, so each distinct
+/// query misses once whatever the worker count, and the split equals a
+/// one-worker run's. Waves are the round trips: a batch's misses go out
+/// [`MAX_IN_FLIGHT`] at a time, and how a batch's misses divide between
+/// the workers that share them depends on scheduling. For per-call-site
+/// accounting that is independent of cache state, diff the thread-local
+/// counters via [`webiq_trace::snapshot`].
 #[derive(Debug, Default)]
 pub struct EngineStats {
-    search_hits: AtomicU64,
-    search_misses: AtomicU64,
-    hit_hits: AtomicU64,
-    hit_misses: AtomicU64,
+    search: Outcomes,
+    hit: Outcomes,
+    waves: AtomicU64,
 }
 
 impl EngineStats {
-    /// Number of `search` calls that missed the cache.
+    /// Number of `search` queries that missed the cache.
     pub fn search_queries(&self) -> u64 {
-        self.search_misses.load(Ordering::Relaxed)
+        self.search.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of `num_hits` calls that missed the cache.
+    /// Number of `num_hits` queries that missed the cache.
     pub fn hit_queries(&self) -> u64 {
-        self.hit_misses.load(Ordering::Relaxed)
+        self.hit.misses.load(Ordering::Relaxed)
     }
 
     /// Total cache-missing queries of both kinds.
@@ -123,9 +151,15 @@ impl EngineStats {
 
     /// Total issued queries of both kinds: cache hits plus misses.
     pub fn total_issued(&self) -> u64 {
-        self.search_hits.load(Ordering::Relaxed)
-            + self.hit_hits.load(Ordering::Relaxed)
+        self.search.hits.load(Ordering::Relaxed)
+            + self.hit.hits.load(Ordering::Relaxed)
             + self.total()
+    }
+
+    /// Round trips: the waves that carried the misses, each at most
+    /// [`MAX_IN_FLIGHT`] of them.
+    pub fn waves(&self) -> u64 {
+        self.waves.load(Ordering::Relaxed)
     }
 
     /// Fraction of issued queries served from cache, in `[0, 1]`.
@@ -140,25 +174,32 @@ impl EngineStats {
     /// Reset all counters to zero.
     pub fn reset(&self) {
         for a in [
-            &self.search_hits,
-            &self.search_misses,
-            &self.hit_hits,
-            &self.hit_misses,
+            &self.search.hits,
+            &self.search.misses,
+            &self.hit.hits,
+            &self.hit.misses,
+            &self.waves,
         ] {
             a.store(0, Ordering::Relaxed);
         }
     }
 }
 
-/// Count one call's cache outcome in its engine slot and in the
-/// process-wide registry.
-fn bump(slot: &AtomicU64, prof: ProfCounter) {
-    slot.fetch_add(1, Ordering::Relaxed);
-    webiq_prof::incr(prof);
-}
+/// Most cache misses one wave carries: a client's connection pool. A
+/// batch's misses cost `⌈misses / MAX_IN_FLIGHT⌉` round trips.
+pub const MAX_IN_FLIGHT: usize = 8;
 
 /// Bounded capacity of the search (snippet) result cache.
 const SEARCH_CACHE_CAP: usize = 4096;
+
+/// The counters one query kind's outcomes land in.
+struct Lane<'e, K> {
+    issued: Counter,
+    outcomes: &'e Outcomes,
+    hit: ProfCounter,
+    miss: ProfCounter,
+    flights: &'e InFlight<K>,
+}
 
 /// The simulated search engine.
 ///
@@ -169,7 +210,7 @@ const SEARCH_CACHE_CAP: usize = 4096;
 ///     "a page about gardening",
 /// ]));
 /// assert_eq!(engine.num_hits("\"airlines such as\""), 1);
-/// assert_eq!(engine.num_hits("boston -gardening"), 1);
+/// assert_eq!(engine.num_hits_many(&["boston -gardening", "gardening"]), [1, 1]);
 /// let snippets = engine.search("\"airlines such as\"", 10);
 /// assert!(snippets[0].text.contains("Delta"));
 /// ```
@@ -178,9 +219,11 @@ pub struct SearchEngine {
     index: InvertedIndex,
     stats: EngineStats,
     hit_cache: ShardedMap<u64>,
+    hit_flights: InFlight<String>,
     search_cache: ShardedLru<(String, usize), Arc<Vec<Snippet>>>,
+    search_flights: InFlight<(String, usize)>,
     /// Simulated network round-trip, in microseconds, charged to each
-    /// cache *miss* (a cache hit is a local lookup). 0 = disabled.
+    /// wave of cache misses (a cache hit is a local lookup). 0 = disabled.
     latency_us: AtomicU64,
 }
 
@@ -194,16 +237,18 @@ impl SearchEngine {
             index,
             stats: EngineStats::default(),
             hit_cache: ShardedMap::new(),
+            hit_flights: InFlight::new(),
             search_cache: ShardedLru::new(SEARCH_CACHE_CAP),
+            search_flights: InFlight::new(),
             latency_us: AtomicU64::new(0),
         }
     }
 
-    /// Charge every cache-missing query a simulated network round-trip of
-    /// `us` microseconds (the paper cites 0.1-0.5 s per Google query).
+    /// Charge every wave of cache misses a simulated network round-trip
+    /// of `us` microseconds (the paper cites 0.1-0.5 s per Google query).
     /// Makes the engine I/O-bound like its real counterpart, so benchmarks
-    /// can observe round-trip overlap from the parallel executor; results
-    /// and counters are unaffected. 0 disables.
+    /// can observe round-trip overlap from batching and the parallel
+    /// executor; results and counters are unaffected. 0 disables.
     pub fn set_simulated_latency_us(&self, us: u64) {
         self.latency_us.store(us, Ordering::Relaxed);
     }
@@ -232,65 +277,184 @@ impl SearchEngine {
         self.index.doc_count()
     }
 
-    /// Number of pages matching `query` — the `NumHits` oracle of §2.2.
-    /// Results are memoised in a sharded cache, and [`EngineStats`] records
-    /// whether each call hit or missed it. Racing threads that miss on the
-    /// same fresh query may each count a miss; the cached value itself is
-    /// a pure function of the query, so results are unaffected.
+    /// Number of pages matching `query` — the `NumHits` oracle of §2.2:
+    /// [`SearchEngine::num_hits_many`] of one query.
     pub fn num_hits(&self, query: &str) -> u64 {
-        webiq_trace::incr(Counter::EngineHitIssued);
-        if let Some(hits) = self.hit_cache.get(query) {
-            bump(&self.stats.hit_hits, ProfCounter::HitCacheHit);
-            return hits;
-        }
-        bump(&self.stats.hit_misses, ProfCounter::HitCacheMiss);
-        webiq_prof::time(Stage::EngineQuery, || {
-            self.simulate_round_trip();
-            let hits = self.index.matches(&query::parse(query)).count() as u64;
-            self.hit_cache.insert(query.to_string(), hits);
-            hits
-        })
+        self.num_hits_many(&[query]).pop().unwrap_or_default()
     }
 
-    /// Top-`k` snippets for `query`, in ascending doc-id order (the
-    /// deterministic stand-in for relevance order). Results are memoised
-    /// per `(query, k)` in a bounded LRU, and every call returns the
-    /// cached list itself, not a copy; [`EngineStats`] records whether
-    /// each call hit or missed it.
+    /// Number of pages matching each of `queries`, in input order.
+    /// Answers are memoised in a sharded cache, and [`EngineStats`]
+    /// records whether each query hit or missed it; a cached answer is a
+    /// pure function of its query, so results never depend on the cache.
+    pub fn num_hits_many<Q: AsRef<str>>(&self, queries: &[Q]) -> Vec<u64> {
+        let keys: Vec<&str> = queries.iter().map(AsRef::as_ref).collect();
+        let lane = Lane {
+            issued: Counter::EngineHitIssued,
+            outcomes: &self.stats.hit,
+            hit: ProfCounter::HitCacheHit,
+            miss: ProfCounter::HitCacheMiss,
+            flights: &self.hit_flights,
+        };
+        self.serve(
+            &keys,
+            &lane,
+            |q| self.hit_cache.get(q),
+            |q| {
+                let hits = self.index.matches(&query::parse(q)).count() as u64;
+                self.hit_cache.insert(q.to_string(), hits);
+                hits
+            },
+        )
+    }
+
+    /// Top-`k` snippets for `query`: [`SearchEngine::search_many`] of one
+    /// query.
     pub fn search(&self, query: &str, k: usize) -> Arc<Vec<Snippet>> {
-        webiq_trace::incr(Counter::EngineSearchIssued);
-        let key = (query.to_string(), k);
-        if let Some(hit) = self.search_cache.get(query, &key) {
-            bump(&self.stats.search_hits, ProfCounter::SearchCacheHit);
-            return hit;
-        }
-        bump(&self.stats.search_misses, ProfCounter::SearchCacheMiss);
-        webiq_prof::time(Stage::EngineQuery, || {
-            self.simulate_round_trip();
-            let snippets: Arc<Vec<Snippet>> = Arc::new(
-                self.index
-                    .matches(&query::parse(query))
-                    .take(k)
-                    .filter_map(|(doc_id, pos)| {
-                        // Doc ids come from the index; a miss means index/corpus
-                        // drift and the snippet is dropped rather than panicking.
-                        let doc = self.corpus.get(doc_id)?;
-                        Some(Snippet {
-                            doc_id,
-                            text: make_snippet(&doc.text, pos),
-                        })
+        self.search_many(&[query], k).pop().unwrap_or_default()
+    }
+
+    /// Top-`k` snippets for each of `queries`, in input order, each list
+    /// in ascending doc-id order (the deterministic stand-in for
+    /// relevance order). Lists are memoised per `(query, k)` in a bounded
+    /// LRU, and every query returns the cached list itself, not a copy;
+    /// [`EngineStats`] records whether each query hit or missed it.
+    pub fn search_many<Q: AsRef<str>>(&self, queries: &[Q], k: usize) -> Vec<Arc<Vec<Snippet>>> {
+        let owned: Vec<(String, usize)> = queries
+            .iter()
+            .map(|q| (q.as_ref().to_string(), k))
+            .collect();
+        let keys: Vec<&(String, usize)> = owned.iter().collect();
+        let lane = Lane {
+            issued: Counter::EngineSearchIssued,
+            outcomes: &self.stats.search,
+            hit: ProfCounter::SearchCacheHit,
+            miss: ProfCounter::SearchCacheMiss,
+            flights: &self.search_flights,
+        };
+        self.serve(
+            &keys,
+            &lane,
+            |key| self.search_cache.get(&key.0, key),
+            |key| self.fetch_snippets(key),
+        )
+    }
+
+    /// Evaluate one snippet query and cache its list.
+    fn fetch_snippets(&self, key: &(String, usize)) -> Arc<Vec<Snippet>> {
+        let (query, k) = key;
+        let snippets: Arc<Vec<Snippet>> = Arc::new(
+            self.index
+                .matches(&query::parse(query))
+                .take(*k)
+                .filter_map(|(doc_id, pos)| {
+                    // Doc ids come from the index; a miss means index/corpus
+                    // drift and the snippet is dropped rather than panicking.
+                    let doc = self.corpus.get(doc_id)?;
+                    Some(Snippet {
+                        doc_id,
+                        text: make_snippet(&doc.text, pos),
                     })
-                    .collect(),
-            );
-            if self
-                .search_cache
-                .insert(query, key, Arc::clone(&snippets))
-                .is_some()
-            {
-                webiq_prof::incr(ProfCounter::SearchCacheEvict);
+                })
+                .collect(),
+        );
+        if self
+            .search_cache
+            .insert(query, key.clone(), Arc::clone(&snippets))
+            .is_some()
+        {
+            webiq_prof::incr(ProfCounter::SearchCacheEvict);
+        }
+        snippets
+    }
+
+    /// The one lookup-and-miss path of both query kinds: answer `keys` in
+    /// input order. Cached keys are answered from the cache; keys another
+    /// worker is fetching, and repeats of a key this batch fetches, are
+    /// awaited and then read from the cache; the rest are fetched
+    /// (`fetch` evaluates and caches one) in waves of at most
+    /// [`MAX_IN_FLIGHT`], each wave one simulated round trip. The worker
+    /// fetches all its own claims before it waits on anyone else's. A
+    /// query this call fetched counts as a miss; every other query
+    /// counts as a hit.
+    fn serve<Q, V>(
+        &self,
+        keys: &[&Q],
+        lane: &Lane<'_, Q::Owned>,
+        cached: impl Fn(&Q) -> Option<V>,
+        fetch: impl Fn(&Q) -> V,
+    ) -> Vec<V>
+    where
+        Q: ?Sized + Eq + Hash + ToOwned,
+        Q::Owned: Eq + Hash,
+        V: Clone + Default,
+    {
+        webiq_trace::add(lane.issued, keys.len() as u64);
+        let mut answers: Vec<Option<V>> = keys.iter().map(|&key| cached(key)).collect();
+        let mut pending: Vec<usize> = (0..keys.len()).filter(|&i| answers[i].is_none()).collect();
+        let mut fetched = vec![false; keys.len()];
+        while !pending.is_empty() {
+            let wanted: Vec<&Q> = pending.iter().map(|&i| keys[i]).collect();
+            // A key repeated in the batch is claimed at its first
+            // occurrence; the later ones wait on that claim as on
+            // another worker's, and read the cache.
+            let (mut claim, mine) = lane.flights.claim(&wanted);
+            // (position in `keys`, position in `wanted`)
+            let mut todo = Vec::new();
+            let mut theirs = Vec::new();
+            for (j, (&i, mine)) in pending.iter().zip(mine).enumerate() {
+                if !mine {
+                    theirs.push(i);
+                } else if let Some(v) = cached(keys[i]) {
+                    // fetched and released by another worker since the
+                    // lookup above
+                    answers[i] = Some(v);
+                } else {
+                    todo.push((i, j));
+                }
             }
-            snippets
-        })
+            for wave in todo.chunks(MAX_IN_FLIGHT) {
+                self.stats.waves.fetch_add(1, Ordering::Relaxed);
+                webiq_prof::time(Stage::EngineQuery, || {
+                    self.simulate_round_trip();
+                    for &(i, _) in wave {
+                        answers[i] = Some(fetch(keys[i]));
+                        fetched[i] = true;
+                    }
+                });
+                let sent: Vec<usize> = wave.iter().map(|&(_, j)| j).collect();
+                claim.release(&sent);
+            }
+            drop(claim);
+            if theirs.is_empty() {
+                break;
+            }
+            let awaited: Vec<&Q> = theirs.iter().map(|&i| keys[i]).collect();
+            lane.flights.wait(&awaited);
+            // A claim dropped before its answer was cached leaves the
+            // key to this worker.
+            pending = theirs
+                .into_iter()
+                .filter(|&i| {
+                    answers[i] = cached(keys[i]);
+                    answers[i].is_none()
+                })
+                .collect();
+        }
+        answers
+            .into_iter()
+            .zip(fetched)
+            .map(|(answer, fetched)| {
+                let (slot, prof) = if fetched {
+                    (&lane.outcomes.misses, lane.miss)
+                } else {
+                    (&lane.outcomes.hits, lane.hit)
+                };
+                slot.fetch_add(1, Ordering::Relaxed);
+                webiq_prof::incr(prof);
+                answer.unwrap_or_default()
+            })
+            .collect()
     }
 }
 

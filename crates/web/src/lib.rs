@@ -21,6 +21,9 @@
     clippy::panic,
     clippy::unreachable
 )]
+// Slicing a `str` off a char boundary panics: every cut here is
+// `str::get` or an audited `#[expect]`.
+#![warn(clippy::string_slice)]
 
 pub mod cache;
 pub mod corpus;

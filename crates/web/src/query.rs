@@ -111,10 +111,10 @@ pub fn parse(query: &str) -> Query {
     while i < bytes.len() {
         let c = bytes[i];
         if c == b'"' {
-            let end = query[i + 1..].find('"').map(|p| i + 1 + p);
-            let (content, next) = match end {
-                Some(e) => (&query[i + 1..e], e + 1),
-                None => (&query[i + 1..], query.len()),
+            let rest = query.get(i + 1..).unwrap_or_default();
+            let (content, next) = match rest.split_once('"') {
+                Some((content, _)) => (content, i + 2 + content.len()),
+                None => (rest, query.len()),
             };
             let toks = tokenize(content);
             if !toks.is_empty() {
@@ -129,7 +129,8 @@ pub fn parse(query: &str) -> Query {
             while i < bytes.len() && !bytes[i].is_ascii_whitespace() && bytes[i] != b'"' {
                 i += 1;
             }
-            let raw = &query[start..i];
+            // both ends sit at an ASCII byte or the end of the query
+            let raw = query.get(start..i).unwrap_or_default();
             if let Some(negated) = raw.strip_prefix('-') {
                 excluded.extend(tokenize(negated));
             } else {

@@ -172,3 +172,32 @@ fn generation_deterministic() {
         }
     });
 }
+
+/// Adversarial text (final sigma, `İ`, `ẞ`, the Kelvin and Ohm signs,
+/// combining marks) mixed with the query syntax's `"`, `+` and `-` and
+/// the tokenizer's `$` and `.`.
+const ADVERSARIAL: &str = "ΣσςİıẞßK\u{212A}\u{2126}\u{301}\u{345}éa0 \"+-$.";
+
+/// The query entry points are total on adversarial text, and a batch
+/// over a small corpus of it answers as its queries one at a time.
+#[test]
+fn text_entry_points_never_panic() {
+    let chars = prop::charset(ADVERSARIAL);
+    prop::cases(prop::CASES, |rng| {
+        let texts = prop::string_vec(rng, chars, 0, 5, 0, 40);
+        let queries = prop::string_vec(rng, chars, 0, 9, 0, 24);
+        for q in &queries {
+            let _ = query::parse(q);
+            let _ = query::tokenize(q);
+        }
+        let batched = SearchEngine::new(Corpus::from_texts(texts.clone()));
+        let single = SearchEngine::new(Corpus::from_texts(texts));
+        let hits = batched.num_hits_many(&queries);
+        let snippets = batched.search_many(&queries, 3);
+        let one_hits: Vec<u64> = queries.iter().map(|q| single.num_hits(q)).collect();
+        assert_eq!(hits, one_hits, "{queries:?}");
+        for (q, got) in queries.iter().zip(&snippets) {
+            assert_eq!(*got, single.search(q, 3), "{q:?}");
+        }
+    });
+}

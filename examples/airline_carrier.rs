@@ -75,8 +75,9 @@ fn main() {
     );
 
     let mut accepted = Vec::new();
-    for candidate in carrier_values.iter().chain(negatives.iter()) {
-        let p = classifier.posterior(&engine, candidate, &cfg);
+    let candidates: Vec<&String> = carrier_values.iter().chain(negatives.iter()).collect();
+    let posteriors = classifier.posteriors(&engine, &candidates, &cfg);
+    for (candidate, p) in candidates.into_iter().zip(posteriors) {
         let verdict = if p > 0.5 {
             "instance"
         } else {

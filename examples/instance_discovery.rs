@@ -89,8 +89,9 @@ fn main() {
     println!("── validation scores for label \"Airline\"");
     let np = extract::primary_noun_phrase("Airline").expect("noun label");
     let phrases = patterns::validation_phrases("Airline", Some(&np));
-    for candidate in ["Delta", "Aer Lingus", "Economy", "Jan"] {
-        let score = verify::confidence(&engine, &phrases, candidate, true);
+    let candidates = ["Delta", "Aer Lingus", "Economy", "Jan"];
+    let scores = verify::confidences(&engine, &phrases, &candidates, true);
+    for (candidate, score) in candidates.iter().zip(scores) {
         println!("   PMI({candidate:12}) = {score:.6}");
     }
 }
