@@ -29,14 +29,13 @@
 //!     --quick --json --out chaos_verdict.json
 //! ```
 //!
-//! The `profile` subcommand runs the thread-count profiling sweep,
-//! prints the stage-tree attribution + scaling diagnosis, and writes
-//! `PROF_BASELINE.json` (exit 1 if the trace was not byte-identical
-//! across thread counts):
+//! The `profile` subcommand acquires the five domains at 1, 2, 4 and 8
+//! workers (book at 1 and 2 with `--quick`) with a simulated round trip
+//! per wave of engine misses, and prints one row per width: wall time,
+//! speedup, misses, waves, worker imbalance and lock contention:
 //!
 //! ```sh
-//! cargo run --release -p webiq-bench --bin experiments -- profile \
-//!     --quick --out PROF_BASELINE.json
+//! cargo run --release -p webiq-bench --bin experiments -- profile --quick
 //! ```
 //!
 //! The `store` subcommand runs the persistence gate: one cold
@@ -281,16 +280,13 @@ fn run_store(args: &[String]) {
     }
 }
 
-/// `experiments profile`: the thread-count profiling sweep; prints the
-/// attribution + scaling report and exits 1 when the trace bytes were
-/// not identical across thread counts.
+/// `experiments profile`: the worker-count sweep; prints its table.
 fn run_profile(args: &[String]) {
     let flags = Flags::parse(
         args,
-        &["--seed", "--out"],
-        &["--quick", "--json"],
-        "usage: experiments profile [--seed N] [--quick] [--json] \
-         [--out PROF_BASELINE.json]",
+        &["--seed"],
+        &["--quick"],
+        "usage: experiments profile [--seed N] [--quick]",
     );
     let (domains, threads): (&[&str], &[usize]) = if flags.has("--quick") {
         (&profile::QUICK_DOMAINS, &profile::QUICK_THREADS)
@@ -298,17 +294,8 @@ fn run_profile(args: &[String]) {
         (&profile::DOMAINS, &profile::FULL_THREADS)
     };
     let seed = flags.u64_or("--seed", experiments::SEED);
-    let outcome = or_exit("profile", profile::sweep(domains, seed, threads));
-    write_to("profile", flags.get("--out"), &outcome.baseline_json);
-    if flags.has("--json") {
-        print!("{}", outcome.baseline_json);
-    } else {
-        print!("{}", outcome.report);
-    }
-    if !outcome.deterministic {
-        eprintln!("profile: trace bytes differ across thread counts — determinism violated");
-        std::process::exit(1);
-    }
+    let rows = or_exit("profile", profile::sweep(domains, seed, threads));
+    print!("{}", profile::render(domains, seed, &rows));
 }
 
 /// `experiments monitor`: one observed acquisition + matching run;

@@ -102,15 +102,32 @@ fn trace_stream_rerun_is_byte_identical() {
     assert_eq!(first, second, "trace streams differ across reruns");
 }
 
+/// The webiq-prof registry is always on — lock wrappers, cache
+/// telemetry, worker accounting, and stage timers all record during
+/// these runs. None of that may leak into the deterministic plane: the
+/// JSONL stream must stay byte-identical across the 1/2/4/8 sweep. Each
+/// wave of engine misses sleeps a simulated round trip, as in
+/// `experiments profile` and the `latency` workload: a claimed miss then
+/// stays in flight long enough for other workers to wait on it, an
+/// interleaving that a run without latency rarely reaches.
 #[test]
 fn profiled_trace_is_byte_identical_across_the_full_thread_sweep() {
-    // The webiq-prof registry is always on — lock wrappers, cache
-    // telemetry, worker accounting, and stage timers all record during
-    // these runs. None of that may leak into the deterministic plane:
-    // the JSONL stream must stay byte-identical across the whole
-    // 1/2/4/8 sweep `experiments profile` performs.
+    let traced = |threads: usize| {
+        let e = engine(0);
+        e.set_simulated_latency_us(20);
+        let buf = SharedBuf::new();
+        let tracer = Tracer::jsonl(Box::new(buf.clone()));
+        let cfg = WebIQConfig {
+            threads: Some(threads),
+            tracer: tracer.clone(),
+            ..WebIQConfig::default()
+        };
+        run_on(0, &e, cfg);
+        tracer.flush();
+        buf.contents_string()
+    };
     webiq_prof::reset();
-    let (_, reference) = run_traced(0, 1);
+    let reference = traced(1);
     assert!(!reference.is_empty(), "tracer emitted nothing");
     let profiled = webiq_prof::snapshot();
     assert!(
@@ -122,9 +139,9 @@ fn profiled_trace_is_byte_identical_across_the_full_thread_sweep() {
         "stage timers were not active during the run"
     );
     for threads in [2, 4, 8] {
-        let (_, trace) = run_traced(0, threads);
         assert_eq!(
-            reference, trace,
+            reference,
+            traced(threads),
             "profiled trace differs at {threads} threads"
         );
     }

@@ -11,11 +11,15 @@ use webiq_lint::{lint_workspace, walk, Scope};
 
 /// The inner attribute each library root in the panic scope carries, as
 /// rustfmt lays it out; CI's clippy step denies these lints there.
+/// `string_slice` is among them because slicing a `str` off a char
+/// boundary panics: every cut in the scope is `str::get` or an audited
+/// `#[expect]`.
 const PANIC_LINTS: &str = "#![warn(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::string_slice
 )]";
 
 fn workspace_root() -> std::path::PathBuf {
@@ -110,23 +114,4 @@ fn panic_lints_cover_exactly_the_panic_scope() {
     let scope = Scope::default();
     let panic_scope: BTreeSet<&str> = scope.panic_crates.iter().map(String::as_str).collect();
     assert_eq!(carrying, panic_scope);
-}
-
-/// The crates whose library roots also deny slicing a `str` off a char
-/// boundary: every crate that cuts text at byte offsets — the HTML lexer,
-/// the response-page analyser, the query parser, the tokenizer, snippet
-/// extraction and the value-type tests.
-#[test]
-fn string_slice_lint_covers_the_page_text_crates() {
-    let files = walk::workspace_sources(&workspace_root()).expect("walk workspace");
-    let carrying: BTreeSet<&str> = files
-        .iter()
-        .filter(|f| f.is_crate_root && !f.is_bin && f.file_name == "lib.rs")
-        .filter(|f| f.text.contains("#![warn(clippy::string_slice)]"))
-        .map(|f| f.crate_name.as_str())
-        .collect();
-    assert_eq!(
-        carrying,
-        BTreeSet::from(["core", "deep", "html", "nlp", "stats", "web"])
-    );
 }

@@ -20,7 +20,8 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::string_slice
 )]
 
 pub mod cluster;

@@ -1,10 +1,10 @@
 //! Error type for the observability layer.
 //!
-//! Everything fallible in `webiq-obs` — reading a trace, parsing a
-//! profile baseline, binding the metrics listener — reports an
-//! [`ObsError`]. The variants carry enough context (path, line number)
-//! to print an actionable one-line message; `Display` output is pinned
-//! by tests because the `webiq-report` CLI surfaces it verbatim.
+//! Everything fallible in `webiq-obs` — reading a trace, binding the
+//! metrics listener — reports an [`ObsError`]. The variants carry
+//! enough context (path, line number) to print an actionable one-line
+//! message; `Display` output is pinned by tests because the
+//! `webiq-report` CLI surfaces it verbatim.
 
 use std::fmt;
 
@@ -32,13 +32,6 @@ pub enum ObsError {
         /// The underlying error, stringified.
         detail: String,
     },
-    /// A profile baseline file could not be parsed.
-    Profile {
-        /// The offending path (`-` for stdin).
-        path: String,
-        /// What was wrong with it.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ObsError {
@@ -50,9 +43,6 @@ impl fmt::Display for ObsError {
             }
             ObsError::Bind { addr, detail } => {
                 write!(f, "cannot bind metrics listener on {addr}: {detail}")
-            }
-            ObsError::Profile { path, detail } => {
-                write!(f, "cannot parse profile baseline {path}: {detail}")
             }
         }
     }
@@ -83,14 +73,6 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "cannot bind metrics listener on 127.0.0.1:9: permission denied"
-        );
-        let e = ObsError::Profile {
-            path: "PROF_BASELINE.json".into(),
-            detail: "missing `sweep` array".into(),
-        };
-        assert_eq!(
-            e.to_string(),
-            "cannot parse profile baseline PROF_BASELINE.json: missing `sweep` array"
         );
     }
 }

@@ -27,11 +27,6 @@
 //!   differs. The pipeline is deterministic, so any delta is a
 //!   regression; the `webiq-report diff` subcommand turns the verdict
 //!   into an exit code CI can gate merges on.
-//! - **Profiling attribution** ([`profile`]): the read side of the
-//!   `experiments profile` sweep — parse `PROF_BASELINE.json`, fit the
-//!   speedup curve with Amdahl's law and the USL ([`ScalingFit`]), and
-//!   render the deterministic stage-tree attribution report naming the
-//!   dominant scaling limiter ([`profile::render_profile`]).
 //!
 //! Like every library crate in the workspace the crate is
 //! dependency-free and panic-free: no `unwrap`/`expect`/`panic!`, errors
@@ -40,13 +35,13 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::string_slice
 )]
 
 pub mod diff;
 pub mod error;
 pub mod live;
-pub mod profile;
 pub mod prom;
 pub mod server;
 pub mod window;
@@ -54,6 +49,5 @@ pub mod window;
 pub use diff::{diff, diff_events, parse_jsonl, DiffReport};
 pub use error::ObsError;
 pub use live::{LiveRegistry, RegistrySnapshot};
-pub use profile::{ProfBaseline, ScalingFit, SweepPoint};
 pub use server::MetricsServer;
 pub use window::WindowedMetrics;

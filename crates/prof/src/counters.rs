@@ -92,11 +92,6 @@ impl ProfCounter {
         }
     }
 
-    /// Inverse of [`ProfCounter::name`].
-    pub fn from_name(name: &str) -> Option<ProfCounter> {
-        ProfCounter::ALL.iter().copied().find(|c| c.name() == name)
-    }
-
     /// Is this a peak (max-merged) counter rather than a monotonic tally?
     pub fn is_peak(self) -> bool {
         matches!(
@@ -163,11 +158,6 @@ impl Stage {
         }
     }
 
-    /// Inverse of [`Stage::name`].
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|s| s.name() == name)
-    }
-
     fn idx(self) -> usize {
         self as usize
     }
@@ -212,8 +202,8 @@ pub fn record_peak(c: ProfCounter, v: u64) {
 }
 
 /// Record one finished acquisition worker loop: its item and query
-/// totals feed both the sums and the peaks, from which a profile report
-/// derives mean load and imbalance.
+/// totals feed both the sums and the peaks, from which
+/// [`ProfSnapshot::imbalance`] derives mean load and imbalance.
 pub fn record_worker(items: u64, queries: u64) {
     incr(ProfCounter::WorkerRuns);
     add(ProfCounter::WorkerItems, items);
@@ -247,8 +237,9 @@ pub fn snapshot() -> ProfSnapshot {
 }
 
 /// Zero every counter and stage accumulator. For single-purpose
-/// measurement processes (the `experiments profile` sweep resets between
-/// thread counts); long-lived services should diff [`snapshot`]s instead.
+/// measurement processes (`experiments profile` and `webiq-benchmark`
+/// reset before each domain's acquisition); long-lived services should
+/// diff [`snapshot`]s instead.
 pub fn reset() {
     for a in &REGISTRY.counts {
         a.store(0, Ordering::Relaxed);
@@ -285,13 +276,13 @@ impl ProfSnapshot {
         self.counts[c.idx()]
     }
 
-    /// Set `c` to `v` — for building snapshots from parsed artifacts
-    /// (`PROF_BASELINE.json` sweep points).
+    /// Set `c` to `v` — for building a snapshot by hand, as the
+    /// `webiq_prof_*` rendering test does.
     pub fn set(&mut self, c: ProfCounter, v: u64) {
         self.counts[c.idx()] = v;
     }
 
-    /// Set stage `s`'s accumulators — the parsing counterpart of
+    /// Set stage `s`'s accumulators — the hand-built counterpart of
     /// [`ProfSnapshot::stage_nanos`] / [`ProfSnapshot::stage_calls`].
     pub fn set_stage(&mut self, s: Stage, nanos: u64, calls: u64) {
         self.stage_nanos[s.idx()] = nanos;
@@ -349,11 +340,6 @@ impl ProfSnapshot {
         )
     }
 
-    /// Cache hit rate of the named hit/miss pair, in `[0, 1]`.
-    pub fn hit_rate(&self, hit: ProfCounter, miss: ProfCounter) -> f64 {
-        ratio(self.get(hit), self.get(hit) + self.get(miss))
-    }
-
     /// Worker load imbalance: `max_items / mean_items − 1`, so 0 means
     /// perfectly even and 1 means the busiest worker did twice the mean.
     /// 0 when fewer than two worker loops were recorded.
@@ -380,6 +366,7 @@ fn ratio(n: u64, d: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::Mutex;
 
     /// The registry is process-global; tests that reset it must not
@@ -393,19 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn names_roundtrip_and_are_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for &c in &ProfCounter::ALL {
-            assert!(seen.insert(c.name()), "duplicate name {}", c.name());
-            assert_eq!(ProfCounter::from_name(c.name()), Some(c));
-        }
-        assert_eq!(ProfCounter::ALL.len(), NUM_PROF_COUNTERS);
-        for &s in &Stage::ALL {
-            assert_eq!(Stage::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Stage::ALL.len(), NUM_STAGES);
-        assert_eq!(ProfCounter::from_name("nope"), None);
-        assert_eq!(Stage::from_name("nope"), None);
+    fn names_are_unique() {
+        let counters: HashSet<&str> = ProfCounter::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(counters.len(), NUM_PROF_COUNTERS);
+        let stages: HashSet<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(stages.len(), NUM_STAGES);
     }
 
     #[test]
@@ -465,20 +444,10 @@ mod tests {
     fn ratios_handle_zero_denominators() {
         let s = ProfSnapshot::new();
         assert_eq!(s.contention_ratio(), 0.0);
-        assert_eq!(
-            s.hit_rate(ProfCounter::SearchCacheHit, ProfCounter::SearchCacheMiss),
-            0.0
-        );
         assert_eq!(s.imbalance(), 0.0);
         let mut s = ProfSnapshot::new();
         s.set(ProfCounter::ShardLockAcquire, 8);
         s.set(ProfCounter::ShardLockContended, 2);
         assert!((s.contention_ratio() - 0.25).abs() < 1e-12);
-        s.set(ProfCounter::SearchCacheHit, 3);
-        s.set(ProfCounter::SearchCacheMiss, 1);
-        assert!(
-            (s.hit_rate(ProfCounter::SearchCacheHit, ProfCounter::SearchCacheMiss) - 0.75).abs()
-                < 1e-12
-        );
     }
 }

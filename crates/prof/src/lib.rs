@@ -22,8 +22,9 @@
 //!
 //! A [`ProfSnapshot`] is a point-in-time copy of everything. The live
 //! `/metrics` endpoint renders it as `webiq_prof_*` Prometheus series
-//! (`webiq_obs::prom::render_prof`), and `webiq-benchmark` reads lock
-//! contention, cache hit ratio and duplicate round-trips from it. The
+//! (`webiq_obs::prom::render_prof`), `webiq-benchmark` reads lock
+//! contention, cache hit ratio and duplicate round-trips from it, and
+//! `experiments profile` reads worker imbalance and lock contention. The
 //! registry cannot be switched off, so every `webiq-benchmark` pass
 //! includes its cost.
 //!
@@ -33,7 +34,8 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::string_slice
 )]
 
 pub mod counters;

@@ -13,6 +13,13 @@
 //! parallel-acquisition determinism guarantee (DESIGN.md) builds on that.
 //! The generator is fully specified here and will never change behaviour
 //! underneath a seed.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::string_slice
+)]
 
 pub mod prop;
 

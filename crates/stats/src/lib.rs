@@ -15,11 +15,9 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::string_slice
 )]
-// Slicing a `str` off a char boundary panics: every cut here is
-// `str::get` or an audited `#[expect]`.
-#![warn(clippy::string_slice)]
 
 pub mod bayes;
 pub mod entropy;

@@ -1,14 +1,12 @@
 //! `webiq-report` — render JSONL traces, gate on trace diffs, explain
-//! decisions, render profile attribution reports, and fsck persistent
-//! knowledge stores.
+//! decisions, and fsck persistent knowledge stores.
 //!
-//! Five modes:
+//! Four modes:
 //!
 //! ```text
 //! webiq-report TRACE.jsonl [MORE.jsonl ...]
 //! webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--json] [--decisions]
 //! webiq-report explain TRACE.jsonl [QUERY]
-//! webiq-report profile PROF_BASELINE.json
 //! webiq-report store STORE_DIR
 //! ```
 //!
@@ -40,11 +38,6 @@
 //! the span chain it happened under, each evidence term, and any
 //! fault/degradation counters observed on the enclosing spans.
 //!
-//! The profile mode renders the stage-tree attribution table and
-//! Amdahl/USL scaling diagnosis from a `PROF_BASELINE.json` written by
-//! `experiments profile`. The report is a pure function of the file:
-//! byte-identical across reruns.
-//!
 //! The store mode fscks a `webiq-store` directory without mutating it:
 //! both log streams are scanned frame by frame and the per-kind record
 //! census, committed byte counts, and any unreadable tail are reported.
@@ -56,7 +49,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use webiq::core::WebIqError;
-use webiq::obs::{diff_events, parse_jsonl, profile, ObsError};
+use webiq::obs::{diff_events, parse_jsonl, ObsError};
 use webiq::trace::report;
 use webiq::trace::Event;
 use webiq::why::{diff_decisions, Provenance};
@@ -64,7 +57,6 @@ use webiq::why::{diff_decisions, Provenance};
 const USAGE: &str = "usage: webiq-report TRACE.jsonl [MORE.jsonl ...]
        webiq-report diff BASELINE.jsonl CANDIDATE.jsonl [--json] [--decisions]
        webiq-report explain TRACE.jsonl [QUERY]
-       webiq-report profile PROF_BASELINE.json
        webiq-report store STORE_DIR
 `-` reads a trace from stdin (at most one input may be `-`)";
 
@@ -77,7 +69,6 @@ fn main() -> ExitCode {
     match args.split_first() {
         Some((first, rest)) if first == "diff" => run_diff(rest),
         Some((first, rest)) if first == "explain" => run_explain(rest),
-        Some((first, rest)) if first == "profile" => run_profile(rest),
         Some((first, rest)) if first == "store" => run_store(rest),
         _ => run_render(&args),
     }
@@ -234,31 +225,6 @@ fn run_store(args: &[String]) -> ExitCode {
             } else {
                 ExitCode::FAILURE
             }
-        }
-        Err(e) => {
-            eprintln!("webiq-report: {}", WebIqError::from(e));
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Render the attribution + scaling report from a profile baseline.
-fn run_profile(args: &[String]) -> ExitCode {
-    let [path] = args else {
-        eprintln!("webiq-report: profile needs exactly one PROF_BASELINE.json\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let text = match read_input(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("webiq-report: {}", WebIqError::from(e));
-            return ExitCode::from(2);
-        }
-    };
-    match profile::parse_baseline(path, &text) {
-        Ok(b) => {
-            print!("{}", profile::render_profile(&b));
-            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("webiq-report: {}", WebIqError::from(e));

@@ -27,7 +27,8 @@
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
-    clippy::unreachable
+    clippy::unreachable,
+    clippy::string_slice
 )]
 
 pub use webiq_core as core;

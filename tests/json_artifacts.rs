@@ -29,7 +29,6 @@ fn pretty_artifacts_reencode_byte_for_byte() {
         "OBS_BASELINE.json",
         "STORE_BASELINE.json",
         "EXPERIMENTS_BASELINE.json",
-        "PROF_BASELINE.json",
         "BENCH_flow.json",
     ] {
         let text = read(name);
